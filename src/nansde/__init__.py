@@ -12,7 +12,10 @@ against simulated ensembles; evaluation covers Hurst-index recovery,
 marginal total variation, autocorrelation structure, and one-step R^2.
 
 Everything is reproducible: every random draw is addressed by an explicit
-seed and stream, and no code path depends on BLAS threading.
+seed, domain and stream, so training, initialization and evaluation never
+share noise, and no code path depends on BLAS threading.  The networks and
+the Euler scheme run on whole batches: one sweep simulates every path of an
+ensemble and records the tape that pathwise backpropagation replays.
 """
 
 from .errors import (
@@ -34,13 +37,10 @@ from .integrator import (
     NansdeModel,
     SimTape,
     backpropagate,
-    diffusion_values,
-    drift_values,
+    coefficients,
     kernel_values,
     simulate_batch_with_tape,
     simulate_ensemble,
-    simulate_path,
-    simulate_with_tape,
     softplus,
     softplus_inverse,
 )
@@ -59,12 +59,8 @@ from .metrics import (
 from .neural import (
     GradientBundle,
     MlpParams,
-    Tape,
     init_params,
-    mlp_backward,
-    mlp_forward,
     mlp_forward_batch,
-    mlp_forward_tape,
     params_from_text,
     params_to_text,
 )
@@ -87,7 +83,6 @@ from .training import (
     LogReturnSeries,
     TrainConfig,
     TrainState,
-    evaluate_nll,
     fit,
     init_state,
     kde_log_density,
@@ -124,7 +119,6 @@ __all__ = [
     "Path",
     "SIGMA_FLOOR",
     "SimTape",
-    "Tape",
     "TimeGrid",
     "TrainConfig",
     "TrainState",
@@ -137,13 +131,11 @@ __all__ = [
     "backpropagate",
     "brownian_increments",
     "brownian_path",
+    "coefficients",
     "compute_report",
     "default_lag_count",
-    "diffusion_values",
-    "drift_values",
     "estimate_hurst",
     "eval_generator",
-    "evaluate_nll",
     "fbm_increments",
     "fbm_path",
     "fit",
@@ -154,10 +146,7 @@ __all__ = [
     "kernel_values",
     "log_returns",
     "loss_and_gradients",
-    "mlp_backward",
-    "mlp_forward",
     "mlp_forward_batch",
-    "mlp_forward_tape",
     "na_noise_step",
     "nll_loss",
     "noise_generator",
@@ -168,8 +157,6 @@ __all__ = [
     "silverman_bandwidth",
     "simulate_batch_with_tape",
     "simulate_ensemble",
-    "simulate_path",
-    "simulate_with_tape",
     "softplus",
     "softplus_inverse",
     "train_step",

@@ -336,20 +336,24 @@ def cmd_generate_fbm(args) -> int:
 
 
 def _evaluate_to_rows(
-    dataset: Dataset, model: NansdeModel, label: str, eval_seed: int, cfg: ExperimentConfig
+    dataset: Dataset,
+    model: NansdeModel,
+    seed: int,
+    eval_m: int,
+    lags: int,
+    bins: int,
+    r2_pred: int,
 ):
-    n_lags = cfg.eval_lags if cfg.eval_lags > 0 else None
-    report, details = compute_report(
+    """Report and details of a model on a dataset; ``lags`` 0 means min(100, T/4)."""
+    return compute_report(
         dataset.path,
         model,
-        m_eval=cfg.eval_m,
-        seed=eval_seed,
-        n_bins=cfg.eval_bins,
-        n_lags=n_lags,
-        m_pred=cfg.r2_pred,
+        m_eval=eval_m,
+        seed=seed,
+        n_bins=bins,
+        n_lags=lags if lags > 0 else None,
+        m_pred=r2_pred,
     )
-    details["model"] = label
-    return report, details
 
 
 def cmd_train(args) -> int:
@@ -374,15 +378,8 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     dataset = ingest_csv(args.data)
     model = load_checkpoint(args.checkpoint, dataset)
-    n_lags = args.lags if args.lags > 0 else None
-    report, details = compute_report(
-        dataset.path,
-        model,
-        m_eval=args.eval_m,
-        seed=args.seed,
-        n_bins=args.bins,
-        n_lags=n_lags,
-        m_pred=args.r2_pred,
+    report, details = _evaluate_to_rows(
+        dataset, model, args.seed, args.eval_m, args.lags, args.bins, args.r2_pred
     )
     out_dir = pathlib.Path(args.out)
     label = pathlib.Path(args.checkpoint).name or "model"
@@ -419,7 +416,7 @@ def cmd_compare(args) -> int:
     dataset = ingest_csv(cfg.data)
     out_dir = pathlib.Path(cfg.out_dir)
     rows = []
-    all_details = []
+    all_details = {}
     for label, clamp in (("nansde", False), ("sde", True)):
         sub = replace(cfg, clamp_ell2=clamp, out_dir=str(out_dir / label))
         model, state = fit(
@@ -430,22 +427,17 @@ def cmd_compare(args) -> int:
             clamp_ell2=clamp,
         )
         write_run_artifacts(sub.out_dir, sub, dataset, model, state)
-        report, details = _evaluate_to_rows(dataset, model, label, sub.eval_seed, sub)
+        report, details = _evaluate_to_rows(
+            dataset, model, sub.eval_seed, sub.eval_m, sub.eval_lags, sub.eval_bins, sub.r2_pred
+        )
         rows.append((label, report))
-        all_details.append(details)
+        all_details.update((f"{label}.{key}", value) for key, value in details.items())
         print(
             f"{label}: best loss {state.best_loss:.6g}, hurst {report.hurst_mean:.4f} "
             f"+/- {report.hurst_std:.4f}, tv {report.tv:.4f}, r2 {report.r2:.4f}"
         )
     ioutil.atomic_write_text(out_dir / "comparison.csv", ioutil.report_csv_text(rows))
-    detail_lines = []
-    for details in all_details:
-        label = details.pop("model")
-        for key in sorted(details):
-            value = details[key]
-            rendered = ioutil.fmt(value) if isinstance(value, float) else str(value)
-            detail_lines.append(f"{label}.{key} {rendered}")
-    ioutil.atomic_write_text(out_dir / "comparison_detail.txt", "\n".join(detail_lines) + "\n")
+    ioutil.atomic_write_text(out_dir / "comparison_detail.txt", ioutil.detail_text(all_details))
     ioutil.write_manifest(
         out_dir / "manifest.json",
         {

@@ -19,16 +19,7 @@ class GenerationError(NansdeError):
 
 
 class DivergenceError(NansdeError):
-    """A simulated path left the admissible region.
-
-    Carries the first offending step, and the path index when the failure
-    happened inside an ensemble.
-    """
-
-    def __init__(self, message: str, step: int | None = None, path: int | None = None):
-        super().__init__(message)
-        self.step = step
-        self.path = path
+    """A simulated noise state left the admissible region."""
 
 
 class DataError(NansdeError):

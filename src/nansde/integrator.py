@@ -9,8 +9,10 @@ where b, sigma, ell1, ell2 are scalar networks and sigma is kept strictly
 positive by a softplus with a small floor.  Clamping ell2 to zero freezes
 K at zero and collapses the system to the plain SDE dX = b dt + sigma dW.
 
-Simulation can record a tape; :func:`backpropagate` then differentiates any
-scalar functional of the path with respect to every network parameter while
+One batched Euler sweep simulates every path; a path that leaves the
+admissible region is masked as dead rather than stopping the others.  The
+sweep records a tape; :func:`backpropagate` then differentiates any scalar
+functional of the paths with respect to every network parameter while
 holding the Brownian increments fixed (reparameterized gradients).  The
 backward pass is organized as one batched network sweep over all (step,
 path) pairs plus a sequential state-adjoint recursion, so its cost matches
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError
 from .grid import TimeGrid
 from .neural import (
     GradientBundle,
@@ -33,7 +34,7 @@ from .neural import (
     mlp_forward_batch_cached,
     zero_gradients,
 )
-from .noise import Path, brownian_increments
+from .noise import brownian_increments
 from .rng import NoiseSeed
 
 SIGMA_FLOOR = 1e-4
@@ -103,15 +104,19 @@ class NansdeModel:
         )
 
 
-def drift_values(model: NansdeModel, x: np.ndarray) -> np.ndarray:
-    """b evaluated elementwise on an array of states."""
-    return mlp_forward_batch(model.drift_net, np.asarray(x, float).reshape(-1, 1))[:, 0]
+def coefficients(model: NansdeModel, x) -> tuple[np.ndarray, np.ndarray, list, list]:
+    """b and sigma evaluated elementwise on an array of states.
 
-
-def diffusion_values(model: NansdeModel, x: np.ndarray) -> np.ndarray:
-    """sigma evaluated elementwise: softplus of the network head plus the floor."""
-    raw = mlp_forward_batch(model.diffusion_net, np.asarray(x, float).reshape(-1, 1))[:, 0]
-    return softplus(raw) + SIGMA_FLOOR
+    sigma is the softplus of the diffusion network's head plus the floor.
+    Also returns the drift and diffusion networks' cached activations, from
+    which derivatives and parameter gradients follow by backward passes.
+    """
+    rows = np.asarray(x, dtype=float).reshape(-1, 1)
+    drift_acts = mlp_forward_batch_cached(model.drift_net, rows)
+    diffusion_acts = mlp_forward_batch_cached(model.diffusion_net, rows)
+    b = drift_acts[-1][:, 0]
+    sigma = softplus(diffusion_acts[-1][:, 0]) + SIGMA_FLOOR
+    return b, sigma, drift_acts, diffusion_acts
 
 
 def kernel_values(model: NansdeModel, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,33 +132,33 @@ def kernel_values(model: NansdeModel, t: np.ndarray) -> tuple[np.ndarray, np.nda
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Simulated paths sharing one grid, tagged with their noise streams."""
+    """Simulated paths sharing one grid, one column of ``values`` per path.
 
-    paths: tuple[Path, ...]
-    stream_ids: tuple[int, ...]
+    ``alive`` marks the paths that never tripped the divergence guard; a
+    dead column holds placeholder values after the step where it diverged.
+    """
+
+    grid: TimeGrid
+    values: np.ndarray  # (n_points, m)
+    alive: np.ndarray  # (m,) bool
 
     def __post_init__(self):
-        object.__setattr__(self, "paths", tuple(self.paths))
-        object.__setattr__(self, "stream_ids", tuple(self.stream_ids))
-        if not self.paths:
+        if self.values.ndim != 2 or self.values.shape[0] != self.grid.n_points:
+            raise ValueError(
+                f"need {self.grid.n_points} rows of path values, got shape {self.values.shape}"
+            )
+        if self.values.shape[1] < 1:
             raise ValueError("an ensemble needs at least one path")
-        if len(self.stream_ids) != len(self.paths):
-            raise ValueError("need one stream id per path")
-        grid = self.paths[0].grid
-        if any(p.grid != grid for p in self.paths):
-            raise ValueError("all ensemble paths must share one grid")
-
-    @property
-    def grid(self) -> TimeGrid:
-        return self.paths[0].grid
+        if self.alive.shape != (self.values.shape[1],):
+            raise ValueError("need one alive flag per path")
 
     @property
     def m(self) -> int:
-        return len(self.paths)
+        return self.values.shape[1]
 
     def values_matrix(self) -> np.ndarray:
-        """Stack values into an (n_points, m) matrix, one column per path."""
-        return np.column_stack([p.values for p in self.paths])
+        """The (n_points, m) value matrix, one column per path."""
+        return self.values
 
 
 @dataclass
@@ -183,8 +188,16 @@ class SimTape:
         self.consumed = True
 
 
-def _simulate(model: NansdeModel, m: int, base_seed: NoiseSeed, raise_on_divergence: bool) -> SimTape:
-    """Run the Euler scheme for m paths on streams base..base+m-1."""
+def simulate_batch_with_tape(model: NansdeModel, m: int, base_seed: NoiseSeed) -> SimTape:
+    """Run the Euler scheme for m paths on streams base..base+m-1.
+
+    Path j depends only on its own stream, so its values do not depend on
+    how many paths are simulated together.  A path that turns non-finite or
+    exceeds the divergence guard is marked dead at that step and pinned to
+    placeholder values; the others carry on.
+    """
+    if m < 1:
+        raise ValueError(f"ensemble size must be >= 1, got {m}")
     grid = model.grid
     n, dt = grid.n_steps, grid.dt
 
@@ -212,9 +225,7 @@ def _simulate(model: NansdeModel, m: int, base_seed: NoiseSeed, raise_on_diverge
     cur_x = x[0].copy()
     cur_k = k[0].copy()
     for step in range(n):
-        rows = cur_x[:, None]
-        b = mlp_forward_batch(model.drift_net, rows)[:, 0]
-        sigma = softplus(mlp_forward_batch(model.diffusion_net, rows)[:, 0]) + SIGMA_FLOOR
+        b, sigma, _, _ = coefficients(model, cur_x)
         new_k = cur_k + ell2[step] * dw[step]
         new_x = cur_x + (b - ell1[step] * sigma * cur_k) * dt + sigma * dw[step]
 
@@ -222,14 +233,6 @@ def _simulate(model: NansdeModel, m: int, base_seed: NoiseSeed, raise_on_diverge
         bad |= (np.abs(new_x) > DIVERGENCE_GUARD) | (np.abs(new_k) > DIVERGENCE_GUARD)
         bad &= alive
         if bad.any():
-            if raise_on_divergence:
-                j = int(np.argmax(bad))
-                raise DivergenceError(
-                    f"path {j} left the admissible region during step {step} "
-                    f"(t={grid.t0 + step * dt:g})",
-                    step=step,
-                    path=j,
-                )
             alive[bad] = False
             death_step[bad] = step
         if not alive.all():
@@ -244,37 +247,10 @@ def _simulate(model: NansdeModel, m: int, base_seed: NoiseSeed, raise_on_diverge
     return SimTape(model, x, k, dw, ell1, ell2, ell1_acts, ell2_acts, alive, death_step)
 
 
-def simulate_path(model: NansdeModel, seed: NoiseSeed) -> Path:
-    """One trajectory of the generator; raises on divergence."""
-    tape = _simulate(model, 1, seed, raise_on_divergence=True)
-    return Path(model.grid, tape.x[:, 0].copy())
-
-
 def simulate_ensemble(model: NansdeModel, m: int, base_seed: NoiseSeed) -> Ensemble:
-    """m independent trajectories on noise streams base..base+m-1.
-
-    Path j depends only on its own stream, so the content is identical no
-    matter how the work is scheduled, and equals simulate_path on the
-    corresponding child seed.
-    """
-    if m < 1:
-        raise ValueError(f"ensemble size must be >= 1, got {m}")
-    tape = _simulate(model, m, base_seed, raise_on_divergence=True)
-    paths = tuple(Path(model.grid, tape.x[:, j].copy()) for j in range(m))
-    return Ensemble(paths, tuple(base_seed.stream_id + j for j in range(m)))
-
-
-def simulate_with_tape(model: NansdeModel, seed: NoiseSeed) -> tuple[Path, SimTape]:
-    """Like simulate_path, but also returns the tape for backpropagation."""
-    tape = _simulate(model, 1, seed, raise_on_divergence=True)
-    return Path(model.grid, tape.x[:, 0].copy()), tape
-
-
-def simulate_batch_with_tape(model: NansdeModel, m: int, base_seed: NoiseSeed) -> SimTape:
-    """Ensemble simulation for training: diverged paths are masked, not fatal."""
-    if m < 1:
-        raise ValueError(f"ensemble size must be >= 1, got {m}")
-    return _simulate(model, m, base_seed, raise_on_divergence=False)
+    """The paths of :func:`simulate_batch_with_tape` without the tape."""
+    tape = simulate_batch_with_tape(model, m, base_seed)
+    return Ensemble(model.grid, tape.x, tape.alive)
 
 
 @dataclass
@@ -329,15 +305,12 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
     ell1 = tape.ell1_vals[:, None]  # (n, 1), broadcasts over columns
 
     # One big batched pass over all (step, path) pairs for the state nets.
-    rows = xs[:-1].reshape(-1, 1)
-    drift_acts = mlp_forward_batch_cached(model.drift_net, rows)
+    _, sigma, drift_acts, diff_acts = coefficients(model, xs[:-1])
     _, b_prime = mlp_batch_backward(model.drift_net, drift_acts, np.ones((n * mv, 1)), with_param_grads=False)
     b_prime = b_prime.reshape(n, mv)
 
-    diff_acts = mlp_forward_batch_cached(model.diffusion_net, rows)
-    raw = diff_acts[-1][:, 0]
-    gate = sigmoid(raw)  # d softplus / d raw
-    sigma = (softplus(raw) + SIGMA_FLOOR).reshape(n, mv)
+    gate = sigmoid(diff_acts[-1][:, 0])  # d softplus / d raw
+    sigma = sigma.reshape(n, mv)
     _, raw_prime = mlp_batch_backward(model.diffusion_net, diff_acts, np.ones((n * mv, 1)), with_param_grads=False)
     sigma_prime = (gate * raw_prime[:, 0]).reshape(n, mv)
 

@@ -40,14 +40,6 @@ def read_manifest(path) -> dict:
     return json.loads(pathlib.Path(path).read_text())
 
 
-def path_csv_text(times: np.ndarray, values: np.ndarray) -> str:
-    """Two-column `t,value` CSV with header."""
-    lines = ["t,value"]
-    for t, v in zip(times, values):
-        lines.append(f"{fmt(t)},{fmt(v)}")
-    return "\n".join(lines) + "\n"
-
-
 def ensemble_csv_text(times: np.ndarray, matrix: np.ndarray) -> str:
     """`t,path_0,...,path_{M-1}` CSV; ``matrix`` is (n_points, m)."""
     m = matrix.shape[1]

@@ -15,15 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MetricError
-from .integrator import (
-    NansdeModel,
-    diffusion_values,
-    drift_values,
-    kernel_values,
-    simulate_ensemble,
-)
+from .integrator import NansdeModel, coefficients, kernel_values, simulate_ensemble
 from .noise import Path
-from .rng import NoiseSeed, eval_generator
+from .rng import DOMAIN_EVAL, EVAL_ENSEMBLE_STREAM, NoiseSeed, eval_generator
 from .training import LogReturnSeries, log_returns
 
 DEFAULT_BINS = 50
@@ -240,8 +234,7 @@ def r2_score(
     times = grid.step_times()
     ell1, ell2 = kernel_values(model, times)
     x_t = observed.values[idx]
-    b = drift_values(model, x_t)
-    sigma = diffusion_values(model, x_t)
+    b, sigma, _, _ = coefficients(model, x_t)
 
     dw = np.empty((m_pred, grid.n_steps))
     for j in range(m_pred):
@@ -305,15 +298,26 @@ def compute_report(
 ) -> tuple[MetricReport, dict]:
     """Simulate an evaluation ensemble and compute all metrics.
 
-    Returns the report plus a detail mapping (ensemble Hurst percentiles,
-    usable-path count, the observed path's own Hurst estimate).
+    The ensemble draws ``DOMAIN_EVAL`` streams, held out from training noise
+    and from the R^2 resampling.  Diverged paths are left out of every
+    metric and counted; if none survives the report is undefined.  Returns
+    the report plus a detail mapping (ensemble Hurst percentiles, usable and
+    diverged path counts, the observed path's own Hurst estimate).
     """
     obs_returns = log_returns(observed)
-    ensemble = simulate_ensemble(model, m_eval, NoiseSeed(seed, 0))
+    ensemble = simulate_ensemble(
+        model, m_eval, NoiseSeed(seed, EVAL_ENSEMBLE_STREAM, DOMAIN_EVAL)
+    )
+    paths = [
+        Path(ensemble.grid, ensemble.values_matrix()[:, j])
+        for j in np.flatnonzero(ensemble.alive)
+    ]
+    if not paths:
+        raise MetricError(f"all {m_eval} evaluation paths diverged")
 
-    hurst = np.array([estimate_hurst(p) for p in ensemble.paths])
+    hurst = np.array([estimate_hurst(p) for p in paths])
     gen_returns = []
-    for p in ensemble.paths:
+    for p in paths:
         if np.all(p.values > 0.0):
             gen_returns.append(log_returns(p))
     if not gen_returns:
@@ -327,7 +331,7 @@ def compute_report(
 
     report = MetricReport(
         hurst_mean=float(hurst.mean()),
-        hurst_std=float(hurst.std(ddof=1)) if m_eval > 1 else 0.0,
+        hurst_std=float(hurst.std(ddof=1)) if hurst.size > 1 else 0.0,
         tv=tv,
         acf_score=acf,
         weighted_acf_score=weighted_acf,
@@ -344,5 +348,6 @@ def compute_report(
         "hurst_p95": float(np.percentile(hurst, 95)),
         "hurst_observed": estimate_hurst(observed),
         "n_return_paths": len(gen_returns),
+        "n_diverged_paths": m_eval - len(paths),
     }
     return report, details

@@ -1,16 +1,16 @@
 """Small tanh multilayer perceptrons with reverse-mode differentiation.
 
 A network is a list of affine layers; tanh is applied after every layer
-except the last, which stays affine so outputs are unbounded.  Forward
-passes can record a tape (the per-layer activations); replaying a tape
-backward yields exact gradients of ``<adjoint, output>`` with respect to
-every weight, bias, and the input.
+except the last, which stays affine so outputs are unbounded.  Every pass
+maps a whole (rows, n_in) matrix of inputs at once.  The cached forward pass
+keeps the per-layer activations; a backward pass over them yields exact
+gradients of ``sum_r <adjoint_r, output_r>`` with respect to every weight
+and bias, and the per-row input gradients.
 
-Besides the single-input operations there are batched variants that map a
-whole matrix of inputs at once.  All contractions go through element-wise
-broadcasting, axis sums, or un-optimized ``einsum`` — never a BLAS call —
-so results are bitwise reproducible regardless of how the host's BLAS was
-built or how many threads it uses.
+All contractions go through element-wise broadcasting, axis sums, or
+un-optimized ``einsum`` — never a BLAS call — so results are bitwise
+reproducible regardless of how the host's BLAS was built or how many
+threads it uses.
 
 Parameter files are plain text: a format tag, the layer widths, then each
 layer's weight matrix (row-major) and bias vector at full precision.
@@ -94,26 +94,11 @@ def init_params(widths, seed: int, tag: int = 0) -> MlpParams:
 
 
 @dataclass
-class Tape:
-    """Activations recorded by a forward pass; single-use for backward."""
-
-    params: MlpParams
-    activations: list[np.ndarray]  # a_0 = input, ..., a_L = output
-    consumed: bool = False
-
-    def consume(self):
-        if self.consumed:
-            raise RuntimeError("tape already consumed by a backward pass")
-        self.consumed = True
-
-
-@dataclass
 class GradientBundle:
-    """Gradients shaped like their source MlpParams, plus the input gradient."""
+    """Gradients shaped like their source MlpParams."""
 
     w_grads: list[np.ndarray]
     b_grads: list[np.ndarray]
-    x_grad: np.ndarray | None = None
 
     def arrays(self) -> list[np.ndarray]:
         out = []
@@ -139,64 +124,6 @@ def _check_input(params: MlpParams, x: np.ndarray):
         raise ValueError(f"network expects {n_in} inputs, got shape {x.shape}")
 
 
-def mlp_forward(params: MlpParams, x) -> np.ndarray:
-    """Evaluate the network on one input vector."""
-    x = np.asarray(x, dtype=float)
-    _check_input(params, x)
-    h = x
-    last = params.n_layers - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = (w * h[None, :]).sum(axis=1) + b
-        if i != last:
-            h = np.tanh(h)
-    return h
-
-
-def mlp_forward_tape(params: MlpParams, x) -> tuple[np.ndarray, Tape]:
-    """Forward pass that records activations for a later backward pass."""
-    x = np.asarray(x, dtype=float)
-    _check_input(params, x)
-    acts = [x]
-    last = params.n_layers - 1
-    h = x
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = (w * h[None, :]).sum(axis=1) + b
-        if i != last:
-            h = np.tanh(h)
-        acts.append(h)
-    return h, Tape(params, acts)
-
-
-def mlp_backward(tape: Tape, output_adjoint) -> GradientBundle:
-    """Exact gradients of <output_adjoint, output> w.r.t. parameters and input."""
-    tape.consume()
-    params = tape.params
-    adjoint = np.asarray(output_adjoint, dtype=float)
-    if adjoint.shape != (params.widths[-1],):
-        raise ValueError(
-            f"adjoint shape {adjoint.shape} does not match output width {params.widths[-1]}"
-        )
-    w_grads = [None] * params.n_layers
-    b_grads = [None] * params.n_layers
-    delta = adjoint
-    x_grad = None
-    for i in range(params.n_layers - 1, -1, -1):
-        a_in = tape.activations[i]
-        w_grads[i] = delta[:, None] * a_in[None, :]
-        b_grads[i] = delta.copy()
-        back = (params.weights[i] * delta[:, None]).sum(axis=0)
-        if i > 0:
-            delta = back * (1.0 - tape.activations[i] ** 2)
-        else:
-            x_grad = back
-    return GradientBundle(w_grads, b_grads, x_grad)
-
-
-# ---------------------------------------------------------------------------
-# Batched evaluation (rows of inputs at once)
-# ---------------------------------------------------------------------------
-
-
 def _layer_apply(w: np.ndarray, b: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Affine layer on a (rows, n_in) batch without BLAS.
 
@@ -206,19 +133,6 @@ def _layer_apply(w: np.ndarray, b: np.ndarray, h: np.ndarray) -> np.ndarray:
     if w.shape[1] == 1:
         return h * w[:, 0][None, :] + b[None, :]
     return np.einsum("ri,oi->ro", h, w, optimize=False) + b[None, :]
-
-
-def mlp_forward_batch(params: MlpParams, rows: np.ndarray) -> np.ndarray:
-    """Evaluate the network on each row of a (rows, n_in) matrix."""
-    rows = np.asarray(rows, dtype=float)
-    _check_input(params, rows)
-    h = rows
-    last = params.n_layers - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = _layer_apply(w, b, h)
-        if i != last:
-            h = np.tanh(h)
-    return h
 
 
 def mlp_forward_batch_cached(params: MlpParams, rows: np.ndarray) -> list[np.ndarray]:
@@ -234,6 +148,11 @@ def mlp_forward_batch_cached(params: MlpParams, rows: np.ndarray) -> list[np.nda
             h = np.tanh(h)
         acts.append(h)
     return acts
+
+
+def mlp_forward_batch(params: MlpParams, rows: np.ndarray) -> np.ndarray:
+    """Evaluate the network on each row of a (rows, n_in) matrix."""
+    return mlp_forward_batch_cached(params, rows)[-1]
 
 
 def mlp_batch_backward(

@@ -22,19 +22,28 @@ DOMAIN_NOISE = 0
 DOMAIN_INIT = 1
 DOMAIN_EVAL = 2
 
+# First DOMAIN_EVAL stream of an evaluation ensemble.  The streams below it
+# are left to evaluation-time resampling (``eval_generator`` tags 0, 1, ...).
+EVAL_ENSEMBLE_STREAM = 1 << 32
+
 _SEED_MASK = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
 class NoiseSeed:
-    """Address of one noise stream: experiment seed plus stream index."""
+    """Address of one noise stream: experiment seed, stream index, domain.
+
+    Simulation noise lives in ``DOMAIN_NOISE`` unless the address says
+    otherwise; evaluation ensembles use ``DOMAIN_EVAL`` streams.
+    """
 
     seed: int
     stream_id: int = 0
+    domain: int = DOMAIN_NOISE
 
     def child(self, offset: int) -> "NoiseSeed":
-        """Same experiment, shifted stream index."""
-        return NoiseSeed(self.seed, self.stream_id + offset)
+        """Same experiment and domain, shifted stream index."""
+        return NoiseSeed(self.seed, self.stream_id + offset, self.domain)
 
 
 def stream_generator(seed: int, domain: int, stream_id: int = 0) -> np.random.Generator:
@@ -47,7 +56,7 @@ def stream_generator(seed: int, domain: int, stream_id: int = 0) -> np.random.Ge
 
 def noise_generator(noise_seed: NoiseSeed) -> np.random.Generator:
     """Generator for simulated noise (Brownian draws, fBm spectra, ...)."""
-    return stream_generator(noise_seed.seed, DOMAIN_NOISE, noise_seed.stream_id)
+    return stream_generator(noise_seed.seed, noise_seed.domain, noise_seed.stream_id)
 
 
 def init_generator(seed: int, tag: int = 0) -> np.random.Generator:

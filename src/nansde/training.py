@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import DataError, TrainingError
 from .integrator import (
+    Ensemble,
     ModelGradients,
     NansdeModel,
     backpropagate,
@@ -170,24 +171,54 @@ def _nll(
     return loss, grad
 
 
-def _usable_columns(x: np.ndarray, alive: np.ndarray) -> np.ndarray:
-    """Paths that stayed alive and strictly positive (log-returns defined)."""
-    return alive & (x > 0.0).all(axis=0)
+def _ensemble_nll(
+    r_obs: np.ndarray,
+    x: np.ndarray,
+    alive: np.ndarray,
+    floor: float,
+    bandwidths: np.ndarray | None = None,
+    want_grad: bool = False,
+) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """Mean negative log KDE likelihood of r_obs given simulated states.
 
-
-def nll_loss(observed: LogReturnSeries, ensemble, floor: float, bandwidths=None) -> float:
-    """The training loss of one observed series against a simulated ensemble.
-
-    Non-positive generated paths are dropped; fewer than two usable paths is
-    an error because the KDE needs a spread.
+    ``x`` is an (n_points, M) state matrix.  Only usable paths count: those
+    that stayed alive and strictly positive, so their log-returns exist.
+    Fewer than two is an error because the KDE needs a spread.  Returns the
+    loss, the usable-path mask and, if requested, the gradient of the loss
+    with respect to every state in ``x`` (zero on unusable paths).
     """
-    x = ensemble.values_matrix()
-    valid = (x > 0.0).all(axis=0)
+    valid = alive & (x > 0.0).all(axis=0)
     n_valid = int(valid.sum())
     if n_valid < 2:
-        raise TrainingError(f"only {n_valid} usable generated paths (need at least 2)")
-    returns = np.log(x[1:, valid] / x[:-1, valid])
-    loss, _ = _nll(observed.r, returns, floor, bandwidths)
+        raise TrainingError(
+            f"only {n_valid} of {x.shape[1]} generated paths usable (need at least 2)"
+        )
+    xs = x[:, valid]
+    returns = np.log(xs[1:] / xs[:-1])
+    loss, return_grad = _nll(r_obs, returns, floor, bandwidths, want_grad)
+    if not want_grad:
+        return loss, valid, None
+
+    # Chain through r_t = log X_{t+1} - log X_t into per-state adjoints.
+    adj = np.zeros_like(x)
+    adj_valid = np.zeros_like(xs)
+    adj_valid[1:] += return_grad / xs[1:]
+    adj_valid[:-1] -= return_grad / xs[:-1]
+    adj[:, valid] = adj_valid
+    return loss, valid, adj
+
+
+def nll_loss(
+    observed: LogReturnSeries, ensemble: Ensemble, floor: float, bandwidths=None
+) -> float:
+    """The training loss of one observed series against a simulated ensemble.
+
+    Diverged and non-positive generated paths are dropped; fewer than two
+    usable paths raises :class:`TrainingError`.
+    """
+    loss, _, _ = _ensemble_nll(
+        observed.r, ensemble.values_matrix(), ensemble.alive, floor, bandwidths
+    )
     return loss
 
 
@@ -251,25 +282,14 @@ def loss_and_gradients(
     the KDE smoothing while parameters are perturbed.
     """
     tape = simulate_batch_with_tape(model, cfg.m, cfg.iteration_seed(iteration))
-    valid = _usable_columns(tape.x, tape.alive)
-    n_valid = int(valid.sum())
-    if n_valid < 2:
-        raise TrainingError(
-            f"iteration {iteration}: only {n_valid} of {cfg.m} generated paths usable"
+    try:
+        loss, valid, adj = _ensemble_nll(
+            observed.r, tape.x, tape.alive, cfg.kde_floor, bandwidths, want_grad=True
         )
-
-    xs = tape.x[:, valid]
-    returns = np.log(xs[1:] / xs[:-1])
-    loss, return_grad = _nll(observed.r, returns, cfg.kde_floor, bandwidths, want_grad=True)
-
-    # Chain through r_t = log X_{t+1} - log X_t into per-state adjoints.
-    adj = np.zeros_like(tape.x)
-    adj_valid = np.zeros_like(xs)
-    adj_valid[1:] += return_grad / xs[1:]
-    adj_valid[:-1] -= return_grad / xs[:-1]
-    adj[:, valid] = adj_valid
+    except TrainingError as exc:
+        raise TrainingError(f"iteration {iteration}: {exc}") from exc
     grads = backpropagate(tape, adj, columns=valid)
-    return loss, grads, n_valid
+    return loss, grads, int(valid.sum())
 
 
 def train_step(state: TrainState, observed: LogReturnSeries, cfg: TrainConfig) -> TrainState:
@@ -312,18 +332,6 @@ def train_step(state: TrainState, observed: LogReturnSeries, cfg: TrainConfig) -
     return state
 
 
-def evaluate_nll(model: NansdeModel, observed: LogReturnSeries, cfg: TrainConfig, iteration: int) -> float:
-    """Recompute the loss a given iteration would have seen for this model."""
-    tape = simulate_batch_with_tape(model, cfg.m, cfg.iteration_seed(iteration))
-    valid = _usable_columns(tape.x, tape.alive)
-    if int(valid.sum()) < 2:
-        raise TrainingError(f"only {int(valid.sum())} usable paths when re-evaluating")
-    xs = tape.x[:, valid]
-    returns = np.log(xs[1:] / xs[:-1])
-    loss, _ = _nll(observed.r, returns, cfg.kde_floor)
-    return loss
-
-
 def fit(
     observed_path: Path,
     cfg: TrainConfig,
@@ -336,7 +344,8 @@ def fit(
     Stops after ``max_iters`` iterations or once ``early_stop_patience``
     consecutive iterations pass without improving the best loss (patience 0
     therefore stops after the first iteration).  ``state.history`` holds one
-    loss per completed iteration.
+    loss per completed iteration.  If no iteration was eligible as best, the
+    returned model is the initial one and ``state.warnings`` says so.
     """
     observed = log_returns(observed_path)
     if len(observed) != observed_path.grid.n_steps:
@@ -346,4 +355,9 @@ def fit(
         train_step(state, observed, cfg)
         if state.since_improve >= cfg.early_stop_patience:
             break
+    if state.best_iteration == -1:
+        state.warnings.append(
+            f"no iteration of {state.iteration} was eligible as best; "
+            "returning the initial networks"
+        )
     return state.best_model, state

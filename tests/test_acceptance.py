@@ -18,6 +18,7 @@ from scipy.integrate import quad
 import nansde as nd
 from nansde import ioutil
 from nansde.integrator import SIGMA_FLOOR, softplus
+from nansde.neural import mlp_batch_backward, mlp_forward_batch_cached
 from conftest import affine_net, constant_sigma_net, positive_observed_path
 
 
@@ -37,11 +38,11 @@ def test_criterion_1_gradient_suite():
         widths = widths_pool[draw % len(widths_pool)]
         p = nd.init_params(widths, seed=draw)
         x = float(rng.uniform(-2.0, 2.0))
-        _, tape = nd.mlp_forward_tape(p, [x])
-        g = nd.mlp_backward(tape, [1.0])
+        acts = mlp_forward_batch_cached(p, [[x]])
+        g, x_grad = mlp_batch_backward(p, acts, [1.0])
 
         def f(params, xv=x):
-            return float(nd.mlp_forward(params, [xv])[0])
+            return float(nd.mlp_forward_batch(params, [[xv]])[0, 0])
 
         for arr, garr in zip(p.arrays(), g.arrays()):
             flat, gflat = arr.ravel(), garr.ravel()
@@ -57,7 +58,7 @@ def test_criterion_1_gradient_suite():
                 rel = abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-10)
                 worst_net = max(worst_net, rel)
         fd_x = (f(p, x + 1e-6) - f(p, x - 1e-6)) / 2e-6
-        rel = abs(fd_x - g.x_grad[0]) / max(abs(fd_x), abs(g.x_grad[0]), 1e-10)
+        rel = abs(fd_x - x_grad[0, 0]) / max(abs(fd_x), abs(x_grad[0, 0]), 1e-10)
         worst_net = max(worst_net, rel)
     print(f"criterion 1a: worst network gradient rel err {worst_net:.3g}")
     assert worst_net < 1e-6
@@ -224,7 +225,7 @@ def test_criterion_5_reductions_are_bitwise():
         clamp_ell2=True,
     )
     seed = nd.NoiseSeed(88, 0)
-    path = nd.simulate_path(model, seed)
+    path = nd.simulate_ensemble(model, 1, seed).values_matrix()[:, 0]
 
     dw = nd.brownian_increments(grid, seed)
     x = np.array([1.0])
@@ -234,7 +235,7 @@ def test_criterion_5_reductions_are_bitwise():
         sigma = softplus(nd.mlp_forward_batch(model.diffusion_net, x[:, None])[:, 0]) + SIGMA_FLOOR
         x = x + (b - 0.0) * grid.dt + sigma * dw[step]
         collapsed.append(float(x[0]))
-    assert np.array_equal(path.values, np.array(collapsed))
+    assert np.array_equal(path, np.array(collapsed))
 
     # (b) q = 0 collapses the closed-form noise to plain Brownian motion.
     params = nd.ArmaKernelParams(2.0, 0.0)
@@ -290,8 +291,10 @@ def test_criterion_7_trained_hurst_sanity_corridor():
         for clamp in (False, True):
             best, _ = nd.fit(observed, cfg, init_seed=s, clamp_ell2=clamp)
             ens = nd.simulate_ensemble(best, 64, nd.NoiseSeed(9000 + s, 0))
+            assert ens.alive.all()
             hurst[clamp].append(
-                float(np.mean([nd.estimate_hurst(p) for p in ens.paths]))
+                float(np.mean([nd.estimate_hurst(nd.Path(grid, x))
+                               for x in ens.values_matrix().T]))
             )
 
     median = float(np.median(hurst[False]))
@@ -320,14 +323,17 @@ def test_criterion_8_training_improves_on_frozen_model_data():
         grid=grid,
         x0=1.0,
     )
-    observed = nd.simulate_path(frozen, nd.NoiseSeed(7, 0))
+    observed = nd.Path(grid, nd.simulate_ensemble(frozen, 1, nd.NoiseSeed(7, 0))
+                       .values_matrix()[:, 0])
     assert np.all(observed.values > 0.0)
     obs_r = nd.log_returns(observed)
     bins = nd.BinSpec.from_samples(obs_r.r)
 
     def tv_of(model, seed):
         ens = nd.simulate_ensemble(model, 64, seed)
-        gen = [nd.log_returns(p) for p in ens.paths if np.all(p.values > 0.0)]
+        assert ens.alive.all()
+        gen = [nd.log_returns(nd.Path(grid, x)) for x in ens.values_matrix().T
+               if np.all(x > 0.0)]
         return nd.tv_distance(obs_r, gen, bins)
 
     loss_wins = tv_wins = 0
@@ -339,8 +345,10 @@ def test_criterion_8_training_improves_on_frozen_model_data():
 
         eval_cfg = nd.TrainConfig(seed=nd.NoiseSeed(999, 0), m=64,
                                   max_iters=300, early_stop_patience=300)
-        nll_initial = nd.evaluate_nll(initial, obs_r, eval_cfg, 0)
-        nll_best = nd.evaluate_nll(best, obs_r, eval_cfg, 0)
+        nll_initial = nd.nll_loss(obs_r, nd.simulate_ensemble(
+            initial, eval_cfg.m, eval_cfg.iteration_seed(0)), eval_cfg.kde_floor)
+        nll_best = nd.nll_loss(obs_r, nd.simulate_ensemble(
+            best, eval_cfg.m, eval_cfg.iteration_seed(0)), eval_cfg.kde_floor)
         if nll_best < nll_initial and state.best_loss < state.history[0]:
             loss_wins += 1
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import nansde as nd
-from nansde.errors import DivergenceError
 from nansde.integrator import SIGMA_FLOOR, softplus, softplus_inverse
 from conftest import affine_net, brownian_model, build_model
 
@@ -54,8 +53,9 @@ def test_value_helpers_eval_the_nets():
     grid = nd.unit_grid(4)
     m = build_model(grid, drift=(0.0, 0.5), sigma=2.0, ell1=(0.0, 1.0),
                     ell2=(0.0, 0.7))
-    assert nd.drift_values(m, [1.0, 2.0]) == pytest.approx([0.5, 0.5])
-    assert nd.diffusion_values(m, [1.0])[0] == pytest.approx(2.0, rel=1e-12)
+    b, sigma, _, _ = nd.coefficients(m, [1.0, 2.0])
+    assert b == pytest.approx([0.5, 0.5])
+    assert sigma == pytest.approx([2.0, 2.0], rel=1e-12)
     ell1, ell2 = nd.kernel_values(m, [0.0, 0.5])
     assert ell1 == pytest.approx([1.0, 1.0])
     assert ell2 == pytest.approx([0.7, 0.7])
@@ -70,17 +70,15 @@ def test_degenerate_model_is_shifted_brownian_motion():
     grid = nd.unit_grid(200)
     model = brownian_model(grid, x0=2.0)
     seed = nd.NoiseSeed(31, 0)
-    path = nd.simulate_path(model, seed)
+    tape = nd.simulate_batch_with_tape(model, 1, seed)
 
-    sigma = nd.diffusion_values(model, [2.0])[0]
+    sigma = nd.coefficients(model, [2.0])[1][0]
     dw = nd.brownian_increments(grid, seed)
     expected = np.empty(grid.n_points)
     expected[0] = 2.0
     for i, inc in enumerate(dw):  # accumulate in simulation order
         expected[i + 1] = expected[i] + sigma * inc
-    assert np.array_equal(path.values, expected)
-
-    _, tape = nd.simulate_with_tape(model, seed)
+    assert np.array_equal(tape.x[:, 0], expected)
     assert np.array_equal(tape.k[:, 0], np.zeros(grid.n_points))
 
 
@@ -90,17 +88,17 @@ def test_hand_euler_step():
     grid = nd.TimeGrid(n_steps=1, dt=0.1)
     model = build_model(grid, x0=1.0, drift=(0.0, 0.5), sigma=2.0,
                         ell1=(0.0, 1.0), ell2=(0.0, 0.7))
-    b = nd.drift_values(model, [1.0])[0]
-    sigma = nd.diffusion_values(model, [1.0])[0]
+    b, sigma, _, _ = nd.coefficients(model, [1.0])
+    b, sigma = b[0], sigma[0]
     ell1, _ = nd.kernel_values(model, [0.0])
     hand = 1.0 + (b - ell1[0] * sigma * 0.0) * 0.1 + sigma * 0.2
     assert hand == pytest.approx(1.45, rel=1e-12)
 
     seed = nd.NoiseSeed(12, 0)
     dw = nd.brownian_increments(grid, seed)
-    path = nd.simulate_path(model, seed)
+    x = nd.simulate_ensemble(model, 1, seed).values_matrix()
     expected = 1.0 + (b - ell1[0] * sigma * 0.0) * 0.1 + sigma * dw[0]
-    assert path.values[1] == pytest.approx(expected, rel=1e-15)
+    assert x[1, 0] == pytest.approx(expected, rel=1e-15)
 
 
 def test_ensemble_columns_match_per_path_streams():
@@ -109,11 +107,11 @@ def test_ensemble_columns_match_per_path_streams():
                         ell2=(0.0, 0.6))
     base = nd.NoiseSeed(77, 10)
     ens = nd.simulate_ensemble(model, 6, base)
-    assert ens.stream_ids == tuple(range(10, 16))
     assert ens.m == 6
-    for j, p in enumerate(ens.paths):
-        solo = nd.simulate_path(model, base.child(j))
-        assert np.array_equal(p.values, solo.values)
+    assert ens.alive.all()
+    for j in range(6):
+        solo = nd.simulate_ensemble(model, 1, base.child(j))
+        assert np.array_equal(ens.values_matrix()[:, j], solo.values_matrix()[:, 0])
     again = nd.simulate_ensemble(model, 6, base)
     assert np.array_equal(ens.values_matrix(), again.values_matrix())
     with pytest.raises(ValueError):
@@ -138,8 +136,8 @@ def test_tape_reproduces_simulation_and_is_single_use():
     model = build_model(grid, drift=(0.1, 0.0), sigma=0.4, ell1=(0.3, 0.2),
                         ell2=(0.0, 0.5))
     seed = nd.NoiseSeed(2, 0)
-    path, tape = nd.simulate_with_tape(model, seed)
-    assert np.array_equal(path.values, nd.simulate_path(model, seed).values)
+    tape = nd.simulate_batch_with_tape(model, 1, seed)
+    assert np.array_equal(tape.x, nd.simulate_ensemble(model, 1, seed).values_matrix())
 
     adj = np.zeros((grid.n_points, 1))
     grads = nd.backpropagate(tape, adj)
@@ -157,7 +155,7 @@ def test_sigma_bias_gradient_matches_finite_differences():
     model = brownian_model(grid, x0=1.0, sigma=0.8)
     seed = nd.NoiseSeed(3, 0)
 
-    _, tape = nd.simulate_with_tape(model, seed)
+    tape = nd.simulate_batch_with_tape(model, 1, seed)
     adj = np.zeros((grid.n_points, 1))
     adj[-1, 0] = 1.0
     g = nd.backpropagate(tape, adj).bundle("diffusion").b_grads[-1][0]
@@ -165,9 +163,9 @@ def test_sigma_bias_gradient_matches_finite_differences():
     h = 1e-6
     bias = model.diffusion_net.biases[-1]
     bias[0] += h
-    up = nd.simulate_path(model, seed).values[-1]
+    up = nd.simulate_ensemble(model, 1, seed).values_matrix()[-1, 0]
     bias[0] -= 2 * h
-    dn = nd.simulate_path(model, seed).values[-1]
+    dn = nd.simulate_ensemble(model, 1, seed).values_matrix()[-1, 0]
     bias[0] += h
     fd = (up - dn) / (2 * h)
     assert g == pytest.approx(fd, rel=1e-5)
@@ -191,9 +189,9 @@ def test_pathwise_gradients_match_finite_differences_everywhere():
         coef = rng.standard_normal(grid.n_points)
 
         def functional():
-            return float(coef @ nd.simulate_path(model, seed).values)
+            return float(coef @ nd.simulate_ensemble(model, 1, seed).values_matrix()[:, 0])
 
-        _, tape = nd.simulate_with_tape(model, seed)
+        tape = nd.simulate_batch_with_tape(model, 1, seed)
         grads = nd.backpropagate(tape, coef[:, None])
 
         for name in model.trainable_names():
@@ -232,7 +230,7 @@ def test_clamped_model_equals_collapsed_two_term_scheme():
         clamp_ell2=True,
     )
     seed = nd.NoiseSeed(88, 0)
-    path = nd.simulate_path(model, seed)
+    path = nd.simulate_ensemble(model, 1, seed).values_matrix()[:, 0]
 
     dw = nd.brownian_increments(grid, seed)
     x = np.array([1.0])
@@ -242,7 +240,7 @@ def test_clamped_model_equals_collapsed_two_term_scheme():
         sigma = softplus(nd.mlp_forward_batch(model.diffusion_net, x[:, None])[:, 0]) + SIGMA_FLOOR
         x = x + (b - 0.0) * grid.dt + sigma * dw[step]
         collapsed.append(float(x[0]))
-    assert np.array_equal(path.values, np.array(collapsed))
+    assert np.array_equal(path, np.array(collapsed))
 
 
 def test_ou_weak_convergence_as_dt_halves():
@@ -273,17 +271,12 @@ def test_ou_weak_convergence_as_dt_halves():
 def test_divergence_is_reported_with_step_and_path():
     grid = nd.TimeGrid(n_steps=5, dt=0.1)
     runaway = build_model(grid, drift=(0.0, 1e14), sigma=1.0)
-    with pytest.raises(DivergenceError) as exc:
-        nd.simulate_path(runaway, nd.NoiseSeed(1, 0))
-    assert exc.value.step == 0
-    assert exc.value.path == 0
-
-    with pytest.raises(DivergenceError) as exc:
-        nd.simulate_ensemble(runaway, 3, nd.NoiseSeed(1, 0))
-    assert "path" in str(exc.value)
-
-    # the training-side batch simulation masks instead of raising
+    # every path leaves the admissible region in step 0: masked, not fatal
     tape = nd.simulate_batch_with_tape(runaway, 3, nd.NoiseSeed(1, 0))
     assert not tape.alive.any()
     assert np.all(tape.death_step == 0)
-    assert np.all(tape.x[-1] == 1.0)
+    assert np.all(tape.x[1:] == 1.0)
+
+    ens = nd.simulate_ensemble(runaway, 3, nd.NoiseSeed(1, 0))
+    assert not ens.alive.any()
+    assert np.array_equal(ens.values_matrix(), tape.x)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import nansde as nd
+from nansde import integrator
 from nansde.errors import MetricError
 from conftest import build_model, positive_observed_path
 
@@ -250,8 +251,57 @@ def test_compute_report_bounds_and_determinism():
     assert math.isfinite(report1.r2)
 
     expected_keys = {"hurst_p5", "hurst_p25", "hurst_median", "hurst_p75",
-                     "hurst_p95", "hurst_observed", "n_return_paths"}
+                     "hurst_p95", "hurst_observed", "n_return_paths",
+                     "n_diverged_paths"}
     assert set(details1) == expected_keys
     assert details1["hurst_p5"] <= details1["hurst_median"] <= details1["hurst_p95"]
     assert 1 <= details1["n_return_paths"] <= 8
+    assert details1["n_diverged_paths"] == 0
     assert dataclasses.asdict(report1)  # report is a plain data record
+
+
+def test_compute_report_skips_diverged_paths():
+    # X grows like e^{30 t}: the paths whose noise pushes them up cross the
+    # divergence guard before t = 1, the rest stay finite and positive.
+    observed = positive_observed_path(200, scale=0.05, seed=3)
+    growth = build_model(observed.grid, x0=0.5, drift=(30.4, 0.0), sigma=1.0)
+    report, details = nd.compute_report(observed, growth, m_eval=16, seed=11)
+    assert 0 < details["n_diverged_paths"] < 16
+    assert details["n_return_paths"] == 16 - details["n_diverged_paths"]
+    assert report.n_paths == 16
+    assert math.isfinite(report.hurst_mean) and math.isfinite(report.r2)
+
+    runaway = build_model(observed.grid, drift=(0.0, 1e14))
+    with pytest.raises(MetricError, match="diverged"):
+        nd.compute_report(observed, runaway, m_eval=4, seed=11)
+
+
+def test_evaluation_noise_is_held_out_from_training(monkeypatch):
+    # Record every increment vector the simulator draws, first in a short
+    # training run and then in a report on the same seed.
+    drawn = []
+    draw = integrator.brownian_increments
+
+    def recording(grid, seed):
+        dw = draw(grid, seed)
+        drawn.append(dw.tobytes())
+        return dw
+
+    monkeypatch.setattr(integrator, "brownian_increments", recording)
+    observed = positive_observed_path(100, scale=0.05, seed=3)
+    cfg = nd.TrainConfig(seed=nd.NoiseSeed(5, 0), m=8, max_iters=3,
+                         early_stop_patience=3)
+    model, _ = nd.fit(observed, cfg, init_seed=5, widths=(1, 3, 1))
+    training = set(drawn)
+    assert len(training) == 3 * cfg.m
+
+    drawn.clear()
+    nd.compute_report(observed, model, m_eval=4 * cfg.m, seed=5, m_pred=8)
+    evaluation = set(drawn)
+    assert len(evaluation) == 4 * cfg.m
+    assert evaluation.isdisjoint(training)
+    # nor do the ensemble paths reuse the R^2 resampling noise
+    dt = observed.grid.dt
+    resampled = {(nd.eval_generator(5, tag=j).standard_normal(100) * np.sqrt(dt)).tobytes()
+                 for j in range(8)}
+    assert evaluation.isdisjoint(resampled)

@@ -1,5 +1,5 @@
-"""MLP forward/backward passes, parameter initialization, the batched
-evaluation used by the integrator, and the text checkpoint format."""
+"""Batched MLP forward/backward passes, parameter initialization, and the
+text checkpoint format."""
 
 import math
 
@@ -78,25 +78,24 @@ def _identity_chain(widths):
 def test_forward_hand_values():
     # One tanh hidden unit, identity head: f(x) = tanh(x).
     p = _identity_chain((1, 1, 1))
-    assert nd.mlp_forward(p, [0.5])[0] == pytest.approx(0.46211715726000974, rel=1e-15)
+    assert nd.mlp_forward_batch(p, [[0.5]])[0, 0] == pytest.approx(0.46211715726000974, rel=1e-15)
     # Pure affine map 2x - 1.
     q = nd.MlpParams([np.array([[2.0]])], [np.array([-1.0])])
-    assert nd.mlp_forward(q, [0.5])[0] == 0.0
+    assert nd.mlp_forward_batch(q, [[0.5]])[0, 0] == 0.0
     with pytest.raises(ValueError):
-        nd.mlp_forward(p, [0.5, 0.5])
+        nd.mlp_forward_batch(p, [[0.5, 0.5]])
 
 
 def test_forward_stays_finite_and_hidden_activations_bounded():
     p = nd.init_params((1, 8, 8, 1), seed=5)
-    for x in (-1e6, -10.0, 0.0, 10.0, 1e6):
-        out, tape = nd.mlp_forward_tape(p, [x])
-        assert np.isfinite(out).all()
-        for h in tape.activations[1:-1]:
-            # tanh rounds to exactly 1.0 once saturated, hence <=
-            assert np.all(np.abs(h) <= 1.0)
+    acts = mlp_forward_batch_cached(p, [[-1e6], [-10.0], [0.0], [10.0], [1e6]])
+    assert np.isfinite(acts[-1]).all()
+    for h in acts[1:-1]:
+        # tanh rounds to exactly 1.0 once saturated, hence <=
+        assert np.all(np.abs(h) <= 1.0)
     # away from saturation the bound is strict
-    _, tape = nd.mlp_forward_tape(p, [0.7])
-    for h in tape.activations[1:-1]:
+    acts = mlp_forward_batch_cached(p, [[0.7]])
+    for h in acts[1:-1]:
         assert np.all(np.abs(h) < 1.0)
 
 
@@ -105,11 +104,16 @@ def test_forward_stays_finite_and_hidden_activations_bounded():
 # ---------------------------------------------------------------------------
 
 
+def _backward_at(p, x, adjoint):
+    """Parameter and input gradients of adjoint * f(x) for one scalar input."""
+    acts = mlp_forward_batch_cached(p, [[x]])
+    return mlp_batch_backward(p, acts, [adjoint])
+
+
 def test_backward_hand_value():
     # f(x) = tanh(w x) with w = 1: df/dw at x = 0.5 is x * (1 - tanh^2(x)).
     p = _identity_chain((1, 1, 1))
-    _, tape = nd.mlp_forward_tape(p, [0.5])
-    g = nd.mlp_backward(tape, [1.0])
+    g, _ = _backward_at(p, 0.5, 1.0)
     assert g.w_grads[0][0, 0] == pytest.approx(0.3932238664829637, rel=1e-15)
     # head weight grad is the hidden activation, head bias grad is 1
     assert g.w_grads[1][0, 0] == pytest.approx(math.tanh(0.5), rel=1e-15)
@@ -125,11 +129,10 @@ def test_gradients_match_finite_differences():
         widths = widths_pool[draw % len(widths_pool)]
         p = nd.init_params(widths, seed=draw)
         x = float(rng.uniform(-2.0, 2.0))
-        _, tape = nd.mlp_forward_tape(p, [x])
-        g = nd.mlp_backward(tape, [1.0])
+        g, x_grad = _backward_at(p, x, 1.0)
 
         def f(params, xv=x):
-            return float(nd.mlp_forward(params, [xv])[0])
+            return float(nd.mlp_forward_batch(params, [[xv]])[0, 0])
 
         for arr, garr in zip(p.arrays(), g.arrays()):
             flat, gflat = arr.ravel(), garr.ravel()
@@ -147,8 +150,8 @@ def test_gradients_match_finite_differences():
         # input gradient
         h = 1e-6
         fd_x = (f(p, x + h) - f(p, x - h)) / (2 * h)
-        scale = max(abs(fd_x), abs(g.x_grad[0]), 1e-10)
-        assert abs(fd_x - g.x_grad[0]) / scale < 1e-6
+        scale = max(abs(fd_x), abs(x_grad[0, 0]), 1e-10)
+        assert abs(fd_x - x_grad[0, 0]) / scale < 1e-6
 
 
 def test_backward_is_linear_in_adjoint():
@@ -157,20 +160,16 @@ def test_backward_is_linear_in_adjoint():
     for _ in range(20):
         a = float(rng.standard_normal())
         b = float(rng.standard_normal())
-        _, t1 = nd.mlp_forward_tape(p, [0.3])
-        _, t2 = nd.mlp_forward_tape(p, [0.3])
-        _, t3 = nd.mlp_forward_tape(p, [0.3])
-        ga = nd.mlp_backward(t1, [a])
-        gb = nd.mlp_backward(t2, [b])
-        gab = nd.mlp_backward(t3, [a + b])
+        ga, _ = _backward_at(p, 0.3, a)
+        gb, _ = _backward_at(p, 0.3, b)
+        gab, _ = _backward_at(p, 0.3, a + b)
         for x, y, z in zip(ga.arrays(), gb.arrays(), gab.arrays()):
             assert np.allclose(x + y, z, rtol=1e-12, atol=1e-15)
 
 
 def test_zero_adjoint_gives_zero_gradients():
     p = nd.init_params((1, 4, 1), seed=2)
-    _, tape = nd.mlp_forward_tape(p, [1.3])
-    g = nd.mlp_backward(tape, [0.0])
+    g, _ = _backward_at(p, 1.3, 0.0)
     for arr in g.arrays():
         assert np.array_equal(arr, np.zeros_like(arr))
     z = zero_gradients(p)
@@ -178,16 +177,24 @@ def test_zero_adjoint_gives_zero_gradients():
         assert a.shape == b.shape
 
 
-def test_tape_is_single_use():
+def test_cached_activations_are_reusable():
+    # backpropagate runs two backward passes over one cached forward (input
+    # sensitivities, then parameter gradients), so a pass must not alter
+    # the cache it reads.
     p = nd.init_params((1, 3, 1), seed=0)
-    _, tape = nd.mlp_forward_tape(p, [0.1])
-    nd.mlp_backward(tape, [1.0])
-    with pytest.raises(RuntimeError):
-        nd.mlp_backward(tape, [1.0])
+    acts = mlp_forward_batch_cached(p, [[0.1], [-0.4]])
+    before = [a.copy() for a in acts]
+    g1, x1 = mlp_batch_backward(p, acts, [1.0, -2.0])
+    g2, x2 = mlp_batch_backward(p, acts, [1.0, -2.0])
+    for a, b in zip(acts, before):
+        assert np.array_equal(a, b)
+    for a, b in zip(g1.arrays(), g2.arrays()):
+        assert np.array_equal(a, b)
+    assert np.array_equal(x1, x2)
 
 
 # ---------------------------------------------------------------------------
-# Batched evaluation
+# Batches of rows
 # ---------------------------------------------------------------------------
 
 
@@ -195,7 +202,7 @@ def test_batch_forward_matches_per_row_forward():
     p = nd.init_params((1, 5, 1), seed=11)
     rows = np.random.default_rng(3).uniform(-2, 2, size=(50, 1))
     batch = nd.mlp_forward_batch(p, rows)
-    single = np.stack([nd.mlp_forward(p, row) for row in rows])
+    single = np.concatenate([nd.mlp_forward_batch(p, row[None, :]) for row in rows])
     assert np.allclose(batch, single, rtol=1e-14, atol=1e-16)
 
 
@@ -211,11 +218,10 @@ def test_batch_backward_matches_sum_of_single_backwards():
     ref = zero_gradients(p)
     ref_x = np.empty(16)
     for i, row in enumerate(rows):
-        _, tape = nd.mlp_forward_tape(p, row)
-        g = nd.mlp_backward(tape, [adjoints[i]])
+        g, x_grad = _backward_at(p, row[0], adjoints[i])
         for acc, part in zip(ref.arrays(), g.arrays()):
             acc += part
-        ref_x[i] = g.x_grad[0]
+        ref_x[i] = x_grad[0, 0]
 
     for a, b in zip(bundle.arrays(), ref.arrays()):
         assert np.allclose(a, b, rtol=1e-12, atol=1e-14)

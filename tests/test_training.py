@@ -79,7 +79,8 @@ def test_kde_density_integrates_to_one():
 
 
 def _ensemble_of(paths):
-    return nd.Ensemble(tuple(paths), tuple(range(len(paths))))
+    values = np.column_stack([p.values for p in paths])
+    return nd.Ensemble(paths[0].grid, values, np.ones(len(paths), dtype=bool))
 
 
 def test_nll_degenerate_ensemble_hits_peak_density():
@@ -104,7 +105,8 @@ def test_nll_is_invariant_to_path_order():
     ens = nd.simulate_ensemble(model, 6, nd.NoiseSeed(8, 0))
     obs = nd.log_returns(positive_observed_path(16, scale=0.2, seed=2))
     loss = nd.nll_loss(obs, ens, floor=1e-12)
-    shuffled = _ensemble_of([ens.paths[i] for i in (4, 0, 5, 2, 1, 3)])
+    order = [4, 0, 5, 2, 1, 3]
+    shuffled = nd.Ensemble(ens.grid, ens.values_matrix()[:, order], ens.alive[order])
     assert nd.nll_loss(obs, shuffled, floor=1e-12) == pytest.approx(loss, rel=1e-13)
 
 
@@ -121,6 +123,10 @@ def test_nll_drops_non_positive_paths():
     with_bad = nd.nll_loss(obs, _ensemble_of([keep_a, bad, keep_b]), floor=1e-12)
     without = nd.nll_loss(obs, _ensemble_of([keep_a, keep_b]), floor=1e-12)
     assert with_bad == without
+    # a diverged path is dropped the same way, whatever its values
+    ens = _ensemble_of([keep_a, observed, keep_b])
+    dead = nd.Ensemble(grid, ens.values_matrix(), np.array([True, False, True]))
+    assert nd.nll_loss(obs, dead, floor=1e-12) == without
 
     with pytest.raises(TrainingError):
         nd.nll_loss(obs, _ensemble_of([keep_a, bad]), floor=1e-12)
@@ -229,8 +235,8 @@ def test_best_model_contract_and_monotone_best():
     assert np.all(np.diff(running) <= 0.0)
     assert state.best_loss == min(state.history)
 
-    recomputed = nd.evaluate_nll(best, nd.log_returns(observed), cfg,
-                                 state.best_iteration)
+    ens = nd.simulate_ensemble(best, cfg.m, cfg.iteration_seed(state.best_iteration))
+    recomputed = nd.nll_loss(nd.log_returns(observed), ens, cfg.kde_floor)
     assert recomputed == pytest.approx(state.best_loss, rel=1e-12)
 
 
@@ -256,6 +262,30 @@ def test_capped_iteration_cannot_become_best():
     assert state.since_improve == 1
     assert len(state.history) == 1 and math.isfinite(state.history[0])
     assert not np.array_equal(model.diffusion_net.biases[0], before)
+
+
+def test_fit_flags_a_run_with_no_eligible_iteration():
+    # The series starts at 0.5 while the initial diffusion is about
+    # softplus(0) = 0.69, so every iteration loses more than a fifth of its
+    # paths below zero and none can become the best.
+    grid = nd.unit_grid(40)
+    w = nd.brownian_path(grid, nd.NoiseSeed(123, 0))
+    observed = nd.Path(grid, 0.5 * np.exp(0.05 * w.values))
+    cfg = nd.TrainConfig(seed=nd.NoiseSeed(6, 0), m=32, max_iters=3,
+                         early_stop_patience=3)
+    best, state = nd.fit(observed, cfg, init_seed=7, widths=(1, 3, 1))
+
+    assert state.iteration == 3
+    assert state.best_iteration == -1 and state.best_loss == math.inf
+    capped = [line for line in state.warnings if "not eligible as best" in line]
+    assert len(capped) == 3
+    assert state.warnings[-1] == (
+        "no iteration of 3 was eligible as best; returning the initial networks"
+    )
+    initial = nd.init_state(observed, cfg, init_seed=7, widths=(1, 3, 1)).model
+    for name in best.trainable_names():
+        for a, b in zip(best.net(name).arrays(), initial.net(name).arrays()):
+            assert np.array_equal(a, b)
 
 
 def test_train_step_errors_when_almost_no_path_survives():
