@@ -23,6 +23,7 @@ from .training import LogReturnSeries, log_returns
 DEFAULT_BINS = 50
 DEFAULT_SPLIT = 0.8
 BIN_SPAN_STDS = 5.0
+ILL_CONDITIONED = 10.0  # row sum of squares / window variance that calls for two passes
 
 
 def default_lag_count(n_returns: int) -> int:
@@ -108,25 +109,33 @@ class BinSpec:
         """Total bin count including the two overflow bins."""
         return self.k + 2
 
-    def distribution(self, samples) -> np.ndarray:
-        """Empirical probabilities over the k + 2 bins."""
+    def counts(self, samples) -> np.ndarray:
+        """Sample counts over the k + 2 bins."""
         samples = np.asarray(samples, dtype=float)
         if samples.size == 0:
             raise ValueError("cannot bin an empty sample")
         edges = np.linspace(self.lo, self.hi, self.k + 1)
         idx = np.digitize(samples, edges)  # 0 = underflow, k+1 = overflow
-        counts = np.bincount(idx, minlength=self.k + 2)
-        return counts / samples.size
+        return np.bincount(idx, minlength=self.k + 2)
+
+    def distribution(self, samples) -> np.ndarray:
+        """Empirical probabilities over the k + 2 bins."""
+        counts = self.counts(samples)
+        return counts / counts.sum()
 
 
 def tv_distance(observed: LogReturnSeries, generated, bins: BinSpec) -> float:
-    """Total variation between binned observed and pooled generated returns."""
+    """Total variation between binned observed and pooled generated returns.
+
+    The generated series are binned one by one and their integer counts
+    summed, which equals binning their concatenation without allocating it.
+    """
     generated = list(generated)
     if not generated:
         raise ValueError("need at least one generated series")
     p = bins.distribution(observed.r)
-    pooled = np.concatenate([g.r for g in generated])
-    p_hat = bins.distribution(pooled)
+    counts = sum(bins.counts(g.r) for g in generated)
+    p_hat = counts / counts.sum()
     return 0.5 * float(np.abs(p - p_hat).sum())
 
 
@@ -135,22 +144,81 @@ def tv_distance(observed: LogReturnSeries, generated, bins: BinSpec) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _abs_corr_profile(r: np.ndarray, s: int) -> np.ndarray:
-    """Corr(|r_t|, |r_{t+tau}|) for tau = 1..s."""
-    a = np.abs(r)
-    if a.size <= s:
-        raise MetricError(f"series of length {a.size} too short for {s} lags")
-    out = np.empty(s)
+def _leading_run(a: np.ndarray) -> np.ndarray:
+    """Per row, how many leading entries equal the row's first entry."""
+    differs = a != a[:, :1]
+    return np.where(differs.any(axis=1), differs.argmax(axis=1), a.shape[1])
+
+
+def _abs_corr_profiles(rows, s: int) -> np.ndarray:
+    """Corr(|r_t|, |r_{t+tau}|) for tau = 1..s of m equal-length series.
+
+    Stacks |r| into one (m, n) matrix and scores every lag of every row at
+    once.  With x = a[:n-tau] and y = a[tau:], the sums of x, x^2, y and y^2
+    are row totals minus running sums over the last and first s columns;
+    only sum(x y) takes one pass per lag.  Rows are centred on their full
+    mean first, which leaves the correlations unchanged and keeps these
+    one-pass sums well conditioned; the (row, lag) pairs where they are not
+    are summed again in two passes.  Returns an (m, s) array.
+    """
+    a = np.stack(rows)
+    np.abs(a, out=a)
+    m, n = a.shape
+    if n <= s:
+        raise MetricError(f"series of length {n} too short for {s} lags")
+    # Both windows at lag tau hold n - tau values; one is constant exactly
+    # when the leading (x) or trailing (y) run of equal values covers it.
+    longest_run = int(np.maximum(_leading_run(a), _leading_run(a[:, ::-1])).max())
+    first_bad_lag = max(1, n - longest_run)
+    if first_bad_lag <= s:
+        raise MetricError(f"zero variance at lag {first_bad_lag}; correlation undefined")
+    a -= a.mean(axis=1, keepdims=True)
+
+    head = a[:, :s]
+    tail = a[:, n - s:][:, ::-1]
+    total = a.sum(axis=1)[:, None]
+    total_sq = np.einsum("ij,ij->i", a, a)[:, None]
+    sx = total - np.cumsum(tail, axis=1)
+    sy = total - np.cumsum(head, axis=1)
+    sxx = total_sq - np.cumsum(tail * tail, axis=1)
+    syy = total_sq - np.cumsum(head * head, axis=1)
+    sxy = np.empty((m, s))
     for tau in range(1, s + 1):
-        x = a[:-tau]
-        y = a[tau:]
-        xc = x - x.mean()
-        yc = y - y.mean()
-        denom = math.sqrt(float((xc * xc).sum()) * float((yc * yc).sum()))
-        if denom == 0.0:
-            raise MetricError(f"zero variance at lag {tau}; correlation undefined")
-        out[tau - 1] = float((xc * yc).sum()) / denom
-    return out
+        sxy[:, tau - 1] = np.einsum("ij,ij->i", a[:, :-tau], a[:, tau:])
+    length = np.arange(n - 1, n - s - 1, -1, dtype=float)
+    cov = sxy - sx * sy / length
+    var_x = sxx - sx * sx / length
+    var_y = syy - sy * sy / length
+
+    # Subtracting running sums from row totals loses about
+    # log10(total_sq / var) digits of a window variance: short windows, and
+    # windows that leave out an outlier or sit far from the row mean.  Those
+    # (row, lag) pairs are summed again around their window means.
+    redo = total_sq > ILL_CONDITIONED * np.minimum(var_x, var_y)
+    for k in np.flatnonzero(redo.any(axis=0)):
+        bad, tau, n_win = redo[:, k], k + 1, length[k]
+        x = a[bad, :-tau] - (sx[bad, k] / n_win)[:, None]
+        y = a[bad, tau:] - (sy[bad, k] / n_win)[:, None]
+        cov[bad, k] = np.einsum("ij,ij->i", x, y)
+        var_x[bad, k] = np.einsum("ij,ij->i", x, x)
+        var_y[bad, k] = np.einsum("ij,ij->i", y, y)
+    denom = np.sqrt(var_x * var_y)
+    if not np.all(denom > 0.0):
+        raise MetricError("window variance lost to rounding; correlation undefined")
+    return cov / denom
+
+
+def _mean_abs_corr_profile(series, s: int) -> np.ndarray:
+    """Mean of ``_abs_corr_profiles`` over return vectors of any lengths.
+
+    Series of one length share a matrix; the per-length profile sums are
+    added before dividing by the series count.
+    """
+    by_length: dict[int, list[np.ndarray]] = {}
+    for r in series:
+        by_length.setdefault(r.size, []).append(r)
+    total = sum(_abs_corr_profiles(rows, s).sum(axis=0) for rows in by_length.values())
+    return total / len(series)
 
 
 def acf_weights(s: int) -> np.ndarray:
@@ -169,9 +237,8 @@ def acf_scores(observed: LogReturnSeries, generated, s: int) -> tuple[float, flo
         raise ValueError("need at least one generated series")
     if s < 1:
         raise ValueError(f"lag count must be >= 1, got {s}")
-    profile = _abs_corr_profile(observed.r, s)
-    gen_mean = np.mean([_abs_corr_profile(g.r, s) for g in generated], axis=0)
-    diff = profile - gen_mean
+    profile = _mean_abs_corr_profile([observed.r], s)
+    diff = profile - _mean_abs_corr_profile([g.r for g in generated], s)
     plain = float(np.sqrt((diff * diff).sum()))
     weighted_diff = acf_weights(s) * diff
     weighted = float(np.sqrt((weighted_diff * weighted_diff).sum()))

@@ -13,6 +13,7 @@ import sys
 
 import mpmath
 import numpy as np
+import pytest
 from scipy.integrate import quad
 
 import nansde as nd
@@ -274,6 +275,7 @@ def test_criterion_6_metric_identities():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_7_trained_hurst_sanity_corridor():
     # Train the full model and its memory-clamped baseline on one rough
     # (H=0.2) target path, 5 seeds each, and require the median ensemble
@@ -309,6 +311,7 @@ def test_criterion_7_trained_hurst_sanity_corridor():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_8_training_improves_on_frozen_model_data():
     # Data generated by a frozen known model of the same family; training
     # from random nets must beat the untrained nets in >= 4 of 5 seeds on

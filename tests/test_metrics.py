@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import nansde as nd
-from nansde import integrator
+from nansde import integrator, metrics
 from nansde.errors import MetricError
 from conftest import build_model, positive_observed_path
 
@@ -127,6 +127,21 @@ def test_tv_pools_generated_series():
         nd.tv_distance(obs, [], bins)
 
 
+def test_tv_counts_equal_pooled_concatenation_bit_for_bit():
+    # The old formula, written out: bin the concatenated generated returns.
+    rng = np.random.default_rng(31)
+    bins = nd.BinSpec(-1.0, 1.0, 20)
+    edges = np.linspace(-1.0, 1.0, 21)
+    for _ in range(5):
+        obs = nd.LogReturnSeries(rng.normal(0.0, 0.7, 150))
+        gen = [nd.LogReturnSeries(rng.normal(0.1, 0.8, size)) for size in (40, 97, 40, 13)]
+        pooled = np.concatenate([g.r for g in gen])
+        assert pooled.min() < -1.0 and pooled.max() > 1.0  # both overflow bins used
+        p = np.bincount(np.digitize(obs.r, edges), minlength=22) / obs.r.size
+        p_hat = np.bincount(np.digitize(pooled, edges), minlength=22) / pooled.size
+        assert nd.tv_distance(obs, gen, bins) == 0.5 * float(np.abs(p - p_hat).sum())
+
+
 # ---------------------------------------------------------------------------
 # Autocorrelation scores
 # ---------------------------------------------------------------------------
@@ -151,15 +166,15 @@ def test_acf_ignores_return_signs():
     assert nd.acf_scores(obs, [gen], 4) == nd.acf_scores(obs, [flipped], 4)
 
 
+def _corrcoef_profile(r, s):
+    a = np.abs(r)
+    return np.array([np.corrcoef(a[:-t], a[t:])[0, 1] for t in range(1, s + 1)])
+
+
 def test_acf_hand_oracle_against_corrcoef():
     obs = nd.LogReturnSeries(np.array([0.1, -0.3, 0.2, -0.4, 0.15, -0.05]))
     gen = nd.LogReturnSeries(np.array([0.2, 0.1, -0.3, 0.25, -0.15, 0.1]))
-
-    def profile(r, s):
-        a = np.abs(r)
-        return np.array([np.corrcoef(a[:-t], a[t:])[0, 1] for t in range(1, s + 1)])
-
-    diff = profile(obs.r, 2) - profile(gen.r, 2)
+    diff = _corrcoef_profile(obs.r, 2) - _corrcoef_profile(gen.r, 2)
     plain = math.sqrt(float((diff * diff).sum()))
     weighted = math.sqrt(float(((nd.acf_weights(2) * diff) ** 2).sum()))
     got_plain, got_weighted = nd.acf_scores(obs, [gen], 2)
@@ -177,6 +192,66 @@ def test_acf_degenerate_series_rejected():
         nd.acf_scores(short, [healthy], 5)
     with pytest.raises(ValueError):
         nd.acf_scores(healthy, [healthy], 0)
+
+
+def test_acf_profiles_match_per_lag_corrcoef():
+    rng = np.random.default_rng(41)
+    for n in (6, 31, 200):
+        rows = [rng.standard_t(3, n) for _ in range(4)]
+        # Windows of one value have no variance, so n - 2 is the last lag
+        # with a defined correlation.
+        for s in sorted({1, n // 4, n - 2}):
+            got = metrics._abs_corr_profiles(rows, s)
+            assert got.shape == (4, s)
+            for row, r in zip(got, rows):
+                np.testing.assert_allclose(row, _corrcoef_profile(r, s), rtol=1e-12, atol=0.0)
+        with pytest.raises(MetricError, match=f"zero variance at lag {n - 1};"):
+            metrics._abs_corr_profiles(rows, n - 1)
+
+
+def test_acf_profiles_stay_exact_for_windows_far_from_the_row_mean():
+    # |r| near 1 for 60 steps, then near 0: the x windows that leave out
+    # part of the quiet tail have tiny spread around a mean far from the
+    # row mean, which a one-pass variance would get wrong in the 5th digit.
+    rng = np.random.default_rng(44)
+    rows = [np.concatenate([1.0 + 1e-6 * rng.normal(size=60), 1e-3 * rng.normal(size=20)])
+            for _ in range(3)]
+    rows.append(rng.normal(size=80))
+    got = metrics._abs_corr_profiles(rows, 30)
+    for row, r in zip(got, rows):
+        np.testing.assert_allclose(row, _corrcoef_profile(r, 30), rtol=1e-12, atol=0.0)
+
+
+def test_acf_scores_mix_series_lengths():
+    rng = np.random.default_rng(42)
+    obs = nd.LogReturnSeries(rng.normal(size=60))
+    gen = [nd.LogReturnSeries(rng.normal(size=size)) for size in (60, 45, 45, 60, 45)]
+    s = 8
+    diff = _corrcoef_profile(obs.r, s) - np.mean([_corrcoef_profile(g.r, s) for g in gen], axis=0)
+    plain = math.sqrt(float((diff * diff).sum()))
+    weighted = math.sqrt(float(((nd.acf_weights(s) * diff) ** 2).sum()))
+    got_plain, got_weighted = nd.acf_scores(obs, gen, s)
+    assert got_plain == pytest.approx(plain, rel=1e-12, abs=0.0)
+    assert got_weighted == pytest.approx(weighted, rel=1e-12, abs=0.0)
+
+
+def test_acf_zero_variance_rule_is_exact():
+    # |r| equal to 0.1 over the first (last) k values: the window a[:n-tau]
+    # (a[tau:]) is constant from lag n - k on, and not one lag earlier.
+    # The mean of repeated 0.1s is not exactly 0.1, so a tolerance-free
+    # rule is what makes this exact.
+    n, k = 30, 6
+    rng = np.random.default_rng(43)
+    healthy = nd.LogReturnSeries(rng.normal(size=n))
+    body = rng.uniform(0.5, 1.0, n - k) * rng.choice([-1.0, 1.0], n - k)
+    flat = 0.1 * rng.choice([-1.0, 1.0], k)
+    for r in (np.concatenate([flat, body]), np.concatenate([body, flat])):
+        series = nd.LogReturnSeries(r)
+        for obs, gen in ((series, [healthy]), (healthy, [healthy, series])):
+            with pytest.raises(MetricError, match=f"zero variance at lag {n - k};"):
+                nd.acf_scores(obs, gen, n - k)
+            plain, weighted = nd.acf_scores(obs, gen, n - k - 1)
+            assert math.isfinite(plain) and math.isfinite(weighted)
 
 
 # ---------------------------------------------------------------------------
