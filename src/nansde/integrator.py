@@ -11,12 +11,13 @@ K at zero and collapses the system to the plain SDE dX = b dt + sigma dW.
 
 One batched Euler sweep simulates every path; a path that leaves the
 admissible region is masked as dead rather than stopping the others.  The
-sweep records a tape; :func:`backpropagate` then differentiates any scalar
-functional of the paths with respect to every network parameter while
-holding the Brownian increments fixed (reparameterized gradients).  The
-backward pass is organized as one batched network sweep over all (step,
-path) pairs plus a sequential state-adjoint recursion, so its cost matches
-the forward pass.
+sweep records a tape, including the drift and diffusion networks'
+activations at every (step, path) pair, written as they are computed into
+buffers allocated once.  :func:`backpropagate` then differentiates any
+scalar functional of the paths with respect to every network parameter
+while holding the Brownian increments fixed (reparameterized gradients): it
+reads b', sigma' and the parameter gradients off those records, with no
+second forward pass, around one sequential state-adjoint recursion.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .neural import (
     mlp_batch_backward,
     mlp_forward_batch,
     mlp_forward_batch_cached,
+    mlp_input_derivative,
     zero_gradients,
 )
 from .noise import brownian_increments
@@ -104,18 +106,27 @@ class NansdeModel:
         )
 
 
-def coefficients(model: NansdeModel, x) -> tuple[np.ndarray, np.ndarray, list, list]:
+def _sigma(raw: np.ndarray) -> np.ndarray:
+    """The diffusion coefficient from its network's raw head: softplus plus floor."""
+    return softplus(raw) + SIGMA_FLOOR
+
+
+def coefficients(
+    model: NansdeModel, x, drift_out=None, diffusion_out=None
+) -> tuple[np.ndarray, np.ndarray, list, list]:
     """b and sigma evaluated elementwise on an array of states.
 
     sigma is the softplus of the diffusion network's head plus the floor.
     Also returns the drift and diffusion networks' cached activations, from
     which derivatives and parameter gradients follow by backward passes.
+    ``drift_out`` and ``diffusion_out`` are the networks' per-layer
+    destinations (see ``mlp_forward_batch_cached``).
     """
     rows = np.asarray(x, dtype=float).reshape(-1, 1)
-    drift_acts = mlp_forward_batch_cached(model.drift_net, rows)
-    diffusion_acts = mlp_forward_batch_cached(model.diffusion_net, rows)
+    drift_acts = mlp_forward_batch_cached(model.drift_net, rows, drift_out)
+    diffusion_acts = mlp_forward_batch_cached(model.diffusion_net, rows, diffusion_out)
     b = drift_acts[-1][:, 0]
-    sigma = softplus(diffusion_acts[-1][:, 0]) + SIGMA_FLOOR
+    sigma = _sigma(diffusion_acts[-1][:, 0])
     return b, sigma, drift_acts, diffusion_acts
 
 
@@ -163,7 +174,14 @@ class Ensemble:
 
 @dataclass
 class SimTape:
-    """Everything a backward pass needs: states, increments, kernel values.
+    """Everything a backward pass needs: states, increments, kernel values
+    and the state networks' activations.
+
+    ``drift_acts`` and ``diffusion_acts`` hold one (n_steps, m, width)
+    record per layer 1..L of the drift and diffusion networks, written by
+    the sweep as it evaluated b and sigma; the drift head is not needed and
+    its entry is None.  Both are None on a tape simulated without recording,
+    and a backward pass takes them off the tape it consumes.
 
     ``alive`` marks columns that never tripped the divergence guard; dead
     columns hold frozen placeholder values after their ``death_step`` and
@@ -178,6 +196,8 @@ class SimTape:
     ell2_vals: np.ndarray  # (n_steps,)
     ell1_acts: list[np.ndarray]
     ell2_acts: list[np.ndarray] | None
+    drift_acts: list[np.ndarray | None] | None
+    diffusion_acts: list[np.ndarray] | None
     alive: np.ndarray  # (m,) bool
     death_step: np.ndarray  # (m,) int, -1 while alive
     consumed: bool = False
@@ -188,13 +208,30 @@ class SimTape:
         self.consumed = True
 
 
-def simulate_batch_with_tape(model: NansdeModel, m: int, base_seed: NoiseSeed) -> SimTape:
+def _activation_records(net: MlpParams, n: int, m: int, head: bool) -> list[np.ndarray | None]:
+    """(n, m, width) buffers for a network's hidden layers and, if asked, its head."""
+    hidden = [np.empty((n, m, width)) for width in net.widths[1:-1]]
+    return hidden + [np.empty((n, m, 1)) if head else None]
+
+
+def _at_step(records: list | None, step: int) -> list | None:
+    """The (m, width) rows of one step in each record."""
+    if records is None:
+        return None
+    return [None if r is None else r[step] for r in records]
+
+
+def simulate_batch_with_tape(
+    model: NansdeModel, m: int, base_seed: NoiseSeed, record: bool = True
+) -> SimTape:
     """Run the Euler scheme for m paths on streams base..base+m-1.
 
     Path j depends only on its own stream, so its values do not depend on
     how many paths are simulated together.  A path that turns non-finite or
     exceeds the divergence guard is marked dead at that step and pinned to
-    placeholder values; the others carry on.
+    placeholder values; the others carry on.  With ``record`` the drift and
+    diffusion activations of every step are kept on the tape for
+    :func:`backpropagate`.
     """
     if m < 1:
         raise ValueError(f"ensemble size must be >= 1, got {m}")
@@ -215,6 +252,11 @@ def simulate_batch_with_tape(model: NansdeModel, m: int, base_seed: NoiseSeed) -
         ell2_acts = mlp_forward_batch_cached(model.ell2_net, t_rows)
         ell2 = ell2_acts[-1][:, 0]
 
+    drift_acts = diffusion_acts = None
+    if record:
+        drift_acts = _activation_records(model.drift_net, n, m, head=False)
+        diffusion_acts = _activation_records(model.diffusion_net, n, m, head=True)
+
     x = np.empty((n + 1, m))
     k = np.empty((n + 1, m))
     x[0] = model.x0
@@ -225,7 +267,9 @@ def simulate_batch_with_tape(model: NansdeModel, m: int, base_seed: NoiseSeed) -
     cur_x = x[0].copy()
     cur_k = k[0].copy()
     for step in range(n):
-        b, sigma, _, _ = coefficients(model, cur_x)
+        b, sigma, _, _ = coefficients(
+            model, cur_x, _at_step(drift_acts, step), _at_step(diffusion_acts, step)
+        )
         new_k = cur_k + ell2[step] * dw[step]
         new_x = cur_x + (b - ell1[step] * sigma * cur_k) * dt + sigma * dw[step]
 
@@ -244,12 +288,15 @@ def simulate_batch_with_tape(model: NansdeModel, m: int, base_seed: NoiseSeed) -
         k[step + 1] = new_k
         cur_x, cur_k = new_x.copy(), new_k.copy()
 
-    return SimTape(model, x, k, dw, ell1, ell2, ell1_acts, ell2_acts, alive, death_step)
+    return SimTape(
+        model, x, k, dw, ell1, ell2, ell1_acts, ell2_acts, drift_acts, diffusion_acts,
+        alive, death_step,
+    )
 
 
 def simulate_ensemble(model: NansdeModel, m: int, base_seed: NoiseSeed) -> Ensemble:
-    """The paths of :func:`simulate_batch_with_tape` without the tape."""
-    tape = simulate_batch_with_tape(model, m, base_seed)
+    """The paths of :func:`simulate_batch_with_tape`, recording nothing."""
+    tape = simulate_batch_with_tape(model, m, base_seed, record=False)
     return Ensemble(model.grid, tape.x, tape.alive)
 
 
@@ -269,6 +316,23 @@ class ModelGradients:
         return all(self.bundle(name).all_finite() for name in NET_NAMES)
 
 
+def _participating_rows(record: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The (n * len(cols), width) rows of an (n, m, width) record at columns cols.
+
+    Step by step, the selected rows move to the front of the record's own
+    buffer; a row never moves to a later position, so none is overwritten
+    before it is read, and no second buffer of the record's size is needed.
+    """
+    n, m, width = record.shape
+    rows = record.reshape(n * m, width)
+    mv = cols.size
+    if mv == m:
+        return rows
+    for step in range(n):
+        rows[step * mv : (step + 1) * mv] = rows[step * m + cols]
+    return rows[: n * mv]
+
+
 def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | None = None) -> ModelGradients:
     """Parameter gradients of sum_{k,j} x_adjoints[k,j] * X_k^{(j)}.
 
@@ -283,9 +347,14 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
         kbar_k = kbar_{k+1} - xbar_{k+1} ell1 sigma dt,   kbar_n = 0,
 
     after which each network's parameter gradient is one batched backward
-    pass with the appropriate per-(step, path) adjoint weights.
+    pass with the appropriate per-(step, path) adjoint weights.  sigma, b',
+    sigma' and those passes all read the activations the forward sweep
+    recorded, with the participating columns selected once (not at all
+    when every column participates).
     """
     tape.consume()
+    if tape.drift_acts is None or tape.diffusion_acts is None:
+        raise ValueError("tape was simulated without recording activations")
     model = tape.model
     if columns is None:
         columns = tape.alive
@@ -297,21 +366,27 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
     a = np.asarray(x_adjoints, dtype=float)
     if a.shape != tape.x.shape:
         raise ValueError(f"adjoint shape {a.shape} does not match states {tape.x.shape}")
-    a = a[:, cols]
-    xs = tape.x[:, cols]
-    ks = tape.k[:, cols]
-    dws = tape.dw[:, cols]
     mv = cols.size
+    xs, ks, dws = tape.x, tape.k, tape.dw
+    if mv < a.shape[1]:
+        a, xs, ks, dws = a[:, cols], xs[:, cols], ks[:, cols], dws[:, cols]
     ell1 = tape.ell1_vals[:, None]  # (n, 1), broadcasts over columns
 
-    # One big batched pass over all (step, path) pairs for the state nets.
-    _, sigma, drift_acts, diff_acts = coefficients(model, xs[:-1])
-    _, b_prime = mlp_batch_backward(model.drift_net, drift_acts, np.ones((n * mv, 1)), with_param_grads=False)
-    b_prime = b_prime.reshape(n, mv)
+    # The sweep's activations at the participating (step, path) pairs, as
+    # (n * mv, width) rows; a_0 is the states themselves.  The tape lets go
+    # of its records, so each is freed once its rows are no longer needed.
+    x_rows = xs[:-1].reshape(-1, 1)
+    drift_acts = [x_rows] + [
+        None if r is None else _participating_rows(r, cols) for r in tape.drift_acts
+    ]
+    diff_acts = [x_rows] + [_participating_rows(r, cols) for r in tape.diffusion_acts]
+    tape.drift_acts = tape.diffusion_acts = None
 
-    gate = sigmoid(diff_acts[-1][:, 0])  # d softplus / d raw
-    sigma = sigma.reshape(n, mv)
-    _, raw_prime = mlp_batch_backward(model.diffusion_net, diff_acts, np.ones((n * mv, 1)), with_param_grads=False)
+    raw = diff_acts[-1][:, 0]
+    sigma = _sigma(raw).reshape(n, mv)
+    gate = sigmoid(raw)  # d softplus / d raw
+    b_prime = mlp_input_derivative(model.drift_net, drift_acts).reshape(n, mv)
+    raw_prime = mlp_input_derivative(model.diffusion_net, diff_acts)
     sigma_prime = (gate * raw_prime[:, 0]).reshape(n, mv)
 
     # State adjoint, swept backward through the unrolled scheme.
@@ -329,6 +404,7 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
 
     drift_adj = (xbar[1:] * dt).reshape(-1, 1)
     drift_bundle, _ = mlp_batch_backward(model.drift_net, drift_acts, drift_adj, with_param_grads=True)
+    del drift_acts, drift_adj
 
     sigma_adj = (xbar[1:] * (dws - ell1 * ks[:-1] * dt)).reshape(-1) * gate
     diff_bundle, _ = mlp_batch_backward(

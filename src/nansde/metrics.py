@@ -53,7 +53,16 @@ def estimate_hurst(path: Path, on_returns: bool = False) -> float:
         if np.any(values <= 0.0):
             raise MetricError("log-return Hurst needs a strictly positive path")
         values = np.log(values)
-    n = values.size - 1
+    return float(_hurst_rows(values[None, :])[0])
+
+
+def _hurst_rows(levels: np.ndarray) -> np.ndarray:
+    """:func:`estimate_hurst` of every row of an (m, n + 1) matrix of levels.
+
+    Each lag takes one pass over the whole matrix; a row's moments and fit
+    are bit-for-bit those of the row on its own.
+    """
+    n = levels.shape[1] - 1
     if n < 64:
         raise MetricError(f"need at least 64 steps for a Hurst estimate, got {n}")
     lags = []
@@ -61,17 +70,17 @@ def estimate_hurst(path: Path, on_returns: bool = False) -> float:
     while lag <= n // 8:
         lags.append(lag)
         lag *= 2
-    moments = []
-    for lag in lags:
-        diff = values[lag:] - values[:-lag]
-        second = float(np.mean(diff * diff))
-        if second <= 0.0:
-            raise MetricError("path shows no variation; Hurst undefined")
-        moments.append(second)
+    moments = np.empty((levels.shape[0], len(lags)))
+    for j, lag in enumerate(lags):
+        diff = levels[:, lag:] - levels[:, :-lag]
+        diff *= diff
+        moments[:, j] = np.mean(diff, axis=1)
+    if np.any(moments <= 0.0):
+        raise MetricError("path shows no variation; Hurst undefined")
     log_m = np.log(np.array(lags, dtype=float))
-    log_v = np.log(np.array(moments))
+    log_v = np.log(moments)
     xc = log_m - log_m.mean()
-    slope = float((xc * (log_v - log_v.mean())).sum() / (xc * xc).sum())
+    slope = (xc * (log_v - log_v.mean(axis=1, keepdims=True))).sum(axis=1) / (xc * xc).sum()
     return slope / 2.0
 
 
@@ -375,14 +384,15 @@ def compute_report(
     ensemble = simulate_ensemble(
         model, m_eval, NoiseSeed(seed, EVAL_ENSEMBLE_STREAM, DOMAIN_EVAL)
     )
-    paths = [
-        Path(ensemble.grid, ensemble.values_matrix()[:, j])
-        for j in np.flatnonzero(ensemble.alive)
-    ]
-    if not paths:
+    # One C-ordered row per surviving path, as the Hurst pass needs; the
+    # ensemble's own matrix goes, so the copy costs no peak memory.
+    levels = np.ascontiguousarray(ensemble.values_matrix().T[ensemble.alive])
+    del ensemble
+    if levels.shape[0] == 0:
         raise MetricError(f"all {m_eval} evaluation paths diverged")
+    paths = [Path(model.grid, row) for row in levels]
 
-    hurst = np.array([estimate_hurst(p) for p in paths])
+    hurst = _hurst_rows(levels)
     gen_returns = []
     for p in paths:
         if np.all(p.values > 0.0):

@@ -124,28 +124,35 @@ def _check_input(params: MlpParams, x: np.ndarray):
         raise ValueError(f"network expects {n_in} inputs, got shape {x.shape}")
 
 
-def _layer_apply(w: np.ndarray, b: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Affine layer on a (rows, n_in) batch without BLAS.
+def _layer_apply(w: np.ndarray, b: np.ndarray, h: np.ndarray, out=None) -> np.ndarray:
+    """Affine layer on a (rows, n_in) batch without BLAS, into ``out`` if given.
 
     Width-1 inputs reduce to a broadcast multiply; wider layers use a fixed
     single-threaded einsum contraction.
     """
     if w.shape[1] == 1:
-        return h * w[:, 0][None, :] + b[None, :]
-    return np.einsum("ri,oi->ro", h, w, optimize=False) + b[None, :]
+        z = np.multiply(h, w[:, 0][None, :], out=out)
+    else:
+        z = np.einsum("ri,oi->ro", h, w, optimize=False, out=out)
+    z += b[None, :]
+    return z
 
 
-def mlp_forward_batch_cached(params: MlpParams, rows: np.ndarray) -> list[np.ndarray]:
-    """Batched forward returning all activation matrices a_0..a_L."""
+def mlp_forward_batch_cached(params: MlpParams, rows: np.ndarray, out=None) -> list[np.ndarray]:
+    """Batched forward returning all activation matrices a_0..a_L.
+
+    ``out``, if given, holds one destination per layer 1..L; a layer whose
+    entry is not None is computed straight into that (rows, width) array.
+    """
     rows = np.asarray(rows, dtype=float)
     _check_input(params, rows)
     acts = [rows]
     h = rows
     last = params.n_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = _layer_apply(w, b, h)
+        h = _layer_apply(w, b, h, None if out is None else out[i])
         if i != last:
-            h = np.tanh(h)
+            h = np.tanh(h, out=h)
         acts.append(h)
     return acts
 
@@ -153,6 +160,35 @@ def mlp_forward_batch_cached(params: MlpParams, rows: np.ndarray) -> list[np.nda
 def mlp_forward_batch(params: MlpParams, rows: np.ndarray) -> np.ndarray:
     """Evaluate the network on each row of a (rows, n_in) matrix."""
     return mlp_forward_batch_cached(params, rows)[-1]
+
+
+def _back_through(w: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """delta @ w, the adjoint of a layer's input, without BLAS."""
+    if w.shape[0] == 1:
+        return delta * w[0][None, :]
+    return np.einsum("ro,oi->ri", delta, w, optimize=False)
+
+
+def _tanh_gate(act: np.ndarray, back: np.ndarray) -> np.ndarray:
+    """back * (1 - act^2), the adjoint through a tanh layer, in one buffer."""
+    gate = np.square(act)
+    np.subtract(1.0, gate, out=gate)
+    gate *= back
+    return gate
+
+
+def mlp_input_derivative(params: MlpParams, acts: list[np.ndarray]) -> np.ndarray:
+    """d output / d input on each row of a cached forward of a scalar network.
+
+    Only acts[0..L-1] are read.  The products are those of
+    ``mlp_batch_backward`` with a unit adjoint, in the same order, so the
+    result is bit-for-bit its input gradient, without building the unit
+    adjoint or the parameter sums.
+    """
+    back = params.weights[-1][0][None, :]
+    for i in range(params.n_layers - 1, 0, -1):
+        back = _back_through(params.weights[i - 1], _tanh_gate(acts[i], back))
+    return np.broadcast_to(back, (acts[0].shape[0], back.shape[1]))
 
 
 def mlp_batch_backward(
@@ -182,14 +218,10 @@ def mlp_batch_backward(
             else:
                 w_grads[i] = np.einsum("ro,ri->oi", delta, acts[i], optimize=False)
             b_grads[i] = delta.sum(axis=0)
-        if w.shape[0] == 1:
-            back = delta * w[0][None, :]
-        else:
-            back = np.einsum("ro,oi->ri", delta, w, optimize=False)
         if i > 0:
-            delta = back * (1.0 - acts[i] ** 2)
+            delta = _tanh_gate(acts[i], _back_through(w, delta))
         else:
-            x_grads = back
+            x_grads = _back_through(w, delta)
     bundle = GradientBundle(w_grads, b_grads) if with_param_grads else None
     return bundle, x_grads
 

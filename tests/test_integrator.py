@@ -3,12 +3,15 @@ fixed increments, the clamped reduction, and weak convergence on a linear
 reference process."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import nansde as nd
-from nansde.integrator import SIGMA_FLOOR, softplus, softplus_inverse
+import nansde.integrator as integrator
+from nansde.integrator import SIGMA_FLOOR, sigmoid, softplus, softplus_inverse
+from nansde.neural import mlp_batch_backward, zero_gradients
 from conftest import affine_net, brownian_model, build_model
 
 # ---------------------------------------------------------------------------
@@ -173,15 +176,17 @@ def test_sigma_bias_gradient_matches_finite_differences():
 
 def test_pathwise_gradients_match_finite_differences_everywhere():
     # Random small models: gradient of a random linear functional of the
-    # path w.r.t. every trainable parameter agrees with central FD to 1e-4.
+    # path w.r.t. every trainable parameter agrees with central FD to 1e-4,
+    # for one-hidden-layer, affine and two-hidden-layer networks.
     grid = nd.unit_grid(12)
     rng = np.random.default_rng(10)
-    for trial in range(3):
+    depths = ((1, 3, 1), (1, 3, 1), (1, 3, 1), (1, 1), (1, 3, 3, 1))
+    for trial, widths in enumerate(depths):
         model = nd.NansdeModel(
-            drift_net=nd.init_params((1, 3, 1), seed=50 + trial, tag=0),
-            diffusion_net=nd.init_params((1, 3, 1), seed=50 + trial, tag=1),
-            ell1_net=nd.init_params((1, 3, 1), seed=50 + trial, tag=2),
-            ell2_net=nd.init_params((1, 3, 1), seed=50 + trial, tag=3),
+            drift_net=nd.init_params(widths, seed=50 + trial, tag=0),
+            diffusion_net=nd.init_params(widths, seed=50 + trial, tag=1),
+            ell1_net=nd.init_params(widths, seed=50 + trial, tag=2),
+            ell2_net=nd.init_params(widths, seed=50 + trial, tag=3),
             grid=grid,
             x0=1.0,
         )
@@ -209,6 +214,110 @@ def test_pathwise_gradients_match_finite_differences_everywhere():
                     fd = (up - dn) / (2 * h)
                     scale = max(abs(fd), abs(gflat[i]), 1e-8)
                     assert abs(fd - gflat[i]) / scale < 1e-4, (trial, name, i)
+
+
+def _recomputed_gradients(tape, x_adjoints, columns=None):
+    """Oracle: the pathwise gradients with the drift and diffusion networks
+    evaluated afresh on the taped states, and b' and sigma' taken from
+    unit-adjoint backward passes.  Reads the tape without consuming it."""
+    model = tape.model
+    cols = np.flatnonzero(tape.alive if columns is None else columns)
+    n, dt = model.grid.n_steps, model.grid.dt
+    a = np.asarray(x_adjoints, dtype=float)[:, cols]
+    xs, ks, dws = tape.x[:, cols], tape.k[:, cols], tape.dw[:, cols]
+    mv = cols.size
+    ell1 = tape.ell1_vals[:, None]
+
+    _, sigma, drift_acts, diff_acts = nd.coefficients(model, xs[:-1])
+    _, b_prime = mlp_batch_backward(model.drift_net, drift_acts, np.ones((n * mv, 1)),
+                                    with_param_grads=False)
+    b_prime = b_prime.reshape(n, mv)
+    gate = sigmoid(diff_acts[-1][:, 0])
+    sigma = sigma.reshape(n, mv)
+    _, raw_prime = mlp_batch_backward(model.diffusion_net, diff_acts, np.ones((n * mv, 1)),
+                                      with_param_grads=False)
+    sigma_prime = (gate * raw_prime[:, 0]).reshape(n, mv)
+
+    gain = 1.0 + (b_prime - ell1 * sigma_prime * ks[:-1]) * dt + sigma_prime * dws
+    xbar = np.empty((n + 1, mv))
+    xbar[n] = a[n]
+    for step in range(n - 1, -1, -1):
+        xbar[step] = a[step] + xbar[step + 1] * gain[step]
+    k_direct = xbar[1:] * (-ell1 * sigma * dt)
+    suffix = np.cumsum(k_direct[::-1], axis=0)[::-1]
+    kbar_next = np.vstack((suffix[1:], np.zeros((1, mv))))
+
+    drift, _ = mlp_batch_backward(model.drift_net, drift_acts, (xbar[1:] * dt).reshape(-1, 1))
+    sigma_adj = (xbar[1:] * (dws - ell1 * ks[:-1] * dt)).reshape(-1) * gate
+    diffusion, _ = mlp_batch_backward(model.diffusion_net, diff_acts, sigma_adj.reshape(-1, 1))
+    ell1_adj = (xbar[1:] * (-sigma * ks[:-1] * dt)).sum(axis=1).reshape(-1, 1)
+    ell1_grads, _ = mlp_batch_backward(model.ell1_net, tape.ell1_acts, ell1_adj)
+    if model.clamp_ell2:
+        ell2_grads = zero_gradients(model.ell2_net)
+    else:
+        ell2_adj = (kbar_next * dws).sum(axis=1).reshape(-1, 1)
+        ell2_grads, _ = mlp_batch_backward(model.ell2_net, tape.ell2_acts, ell2_adj)
+    return nd.ModelGradients(drift, diffusion, ell1_grads, ell2_grads)
+
+
+def test_recorded_activations_give_the_recomputed_gradients_bit_for_bit(monkeypatch):
+    # A guard of 1.5 lets some paths die mid-run, pinned to placeholders,
+    # while others cross zero: training excludes both kinds of column.
+    monkeypatch.setattr(integrator, "DIVERGENCE_GUARD", 1.5)
+    grid = nd.unit_grid(40)
+    rng = np.random.default_rng(21)
+    for widths in ((1, 1), (1, 3, 1), (1, 2, 2, 1)):
+        for clamp in (False, True):
+            model = nd.NansdeModel(
+                *(nd.init_params(widths, seed=30, tag=tag) for tag in range(4)),
+                grid=grid, x0=0.8, clamp_ell2=clamp,
+            )
+            seed = nd.NoiseSeed(31, 0)
+            probe = nd.simulate_batch_with_tape(model, 16, seed)
+            usable = probe.alive & (probe.x > 0.0).all(axis=0)
+            assert not probe.alive.all(), widths
+            assert (probe.alive & ~usable).any(), widths
+            assert usable.any(), widths
+            adj = rng.standard_normal(probe.x.shape)
+            for columns in (None, usable):
+                tape = nd.simulate_batch_with_tape(model, 16, seed)
+                expected = _recomputed_gradients(tape, adj, columns)
+                grads = nd.backpropagate(tape, adj, columns=columns)
+                for name in integrator.NET_NAMES:
+                    for got, want in zip(grads.bundle(name).arrays(),
+                                         expected.bundle(name).arrays()):
+                        assert np.array_equal(got, want), (widths, clamp, name)
+
+
+def test_evaluation_records_nothing_and_backward_frees_the_records():
+    # tracemalloc sees numpy's buffers.  A width-20 model records 20 hidden
+    # activations per state network and the diffusion head: 41 (n, m)
+    # matrices that only a backward pass may hold.
+    grid = nd.unit_grid(500)
+    m = 64
+    model = nd.NansdeModel(
+        *(nd.init_params((1, 20, 1), seed=3, tag=tag) for tag in range(4)),
+        grid=grid, x0=1.0,
+    )
+    matrix = grid.n_points * m * 8
+    records = (2 * 20 + 1) * grid.n_steps * m * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        nd.simulate_ensemble(model, m, nd.NoiseSeed(4, 0))
+        assert tracemalloc.get_traced_memory()[1] - base < 8 * matrix
+
+        tape = nd.simulate_batch_with_tape(model, m, nd.NoiseSeed(4, 0))
+        held = tracemalloc.get_traced_memory()[0]
+        assert held - base > records
+        nd.backpropagate(tape, np.ones_like(tape.x))
+        assert held - tracemalloc.get_traced_memory()[0] > 0.99 * records
+    finally:
+        tracemalloc.stop()
+    assert tape.drift_acts is None and tape.diffusion_acts is None
+    with pytest.raises(ValueError):
+        nd.backpropagate(nd.simulate_batch_with_tape(model, 2, nd.NoiseSeed(4, 0), record=False),
+                         np.ones((grid.n_points, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,34 @@ def test_hurst_on_returns_matches_log_levels():
                           on_returns=True)
 
 
+def _hurst_one_path(values):
+    """Oracle: the per-path estimator, one 1-d mean per dyadic lag."""
+    n = values.size - 1
+    lags = [2**j for j in range(n.bit_length()) if 2**j <= n // 8]
+    moments = [float(np.mean((values[lag:] - values[:-lag]) ** 2)) for lag in lags]
+    log_m = np.log(np.array(lags, dtype=float))
+    log_v = np.log(np.array(moments))
+    xc = log_m - log_m.mean()
+    return float((xc * (log_v - log_v.mean())).sum() / (xc * xc).sum()) / 2.0
+
+
+def test_hurst_of_an_ensemble_equals_the_per_path_estimates_bit_for_bit():
+    # compute_report scores every surviving path in one pass per lag; its
+    # report bytes depend on each row matching the path on its own.
+    rng = np.random.default_rng(17)
+    for n_steps, m in ((64, 3), (250, 40), (1000, 17), (2000, 256)):
+        levels = 1.0 + np.cumsum(rng.standard_normal((m, n_steps + 1)), axis=1) * 0.01
+        rows = metrics._hurst_rows(levels)
+        grid = nd.unit_grid(n_steps)
+        for j in (0, m // 2, m - 1):
+            assert rows[j] == _hurst_one_path(levels[j])
+            assert rows[j] == nd.estimate_hurst(nd.Path(grid, levels[j]))
+        assert np.array_equal(rows, [_hurst_one_path(v) for v in levels])
+    flat = np.vstack((levels[:2], np.ones(levels.shape[1])))
+    with pytest.raises(MetricError):
+        metrics._hurst_rows(flat)
+
+
 # ---------------------------------------------------------------------------
 # Binned marginals and total variation
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import nansde as nd
 from nansde.neural import (
     mlp_batch_backward,
     mlp_forward_batch_cached,
+    mlp_input_derivative,
     zero_gradients,
 )
 
@@ -99,6 +100,19 @@ def test_forward_stays_finite_and_hidden_activations_bounded():
         assert np.all(np.abs(h) < 1.0)
 
 
+def test_forward_into_destinations_is_the_fresh_forward():
+    # The Euler sweep records activations by handing the forward pass one
+    # destination per layer; a None entry gets a fresh array.
+    p = nd.init_params((1, 4, 3, 1), seed=6)
+    rows = np.random.default_rng(4).uniform(-2, 2, size=(9, 1))
+    fresh = mlp_forward_batch_cached(p, rows)
+    out = [np.full((9, 4), np.nan), None, np.full((9, 1), np.nan)]
+    acts = mlp_forward_batch_cached(p, rows, out)
+    assert acts[1] is out[0] and acts[3] is out[2]
+    for a, b in zip(acts, fresh):
+        assert np.array_equal(a, b)
+
+
 # ---------------------------------------------------------------------------
 # Backward pass
 # ---------------------------------------------------------------------------
@@ -177,13 +191,26 @@ def test_zero_adjoint_gives_zero_gradients():
         assert a.shape == b.shape
 
 
+def test_input_derivative_is_the_unit_adjoint_input_gradient():
+    # Bit for bit, at every depth, and without reading the output layer.
+    rows = np.random.default_rng(7).uniform(-2, 2, size=(40, 1))
+    for widths in ((1, 1), (1, 1, 1), (1, 3, 1), (1, 2, 2, 1), (1, 4, 1, 3, 1)):
+        p = nd.init_params(widths, seed=len(widths))
+        acts = mlp_forward_batch_cached(p, rows)
+        _, unit = mlp_batch_backward(p, acts, np.ones((40, 1)), with_param_grads=False)
+        derivative = mlp_input_derivative(p, acts[:-1] + [None])
+        assert derivative.shape == (40, 1)
+        assert np.array_equal(derivative, unit), widths
+
+
 def test_cached_activations_are_reusable():
-    # backpropagate runs two backward passes over one cached forward (input
-    # sensitivities, then parameter gradients), so a pass must not alter
-    # the cache it reads.
+    # backpropagate reads one recorded forward twice (the input derivative,
+    # then the parameter gradients), so a pass must not alter the cache it
+    # reads.
     p = nd.init_params((1, 3, 1), seed=0)
     acts = mlp_forward_batch_cached(p, [[0.1], [-0.4]])
     before = [a.copy() for a in acts]
+    mlp_input_derivative(p, acts)
     g1, x1 = mlp_batch_backward(p, acts, [1.0, -2.0])
     g2, x2 = mlp_batch_backward(p, acts, [1.0, -2.0])
     for a, b in zip(acts, before):
