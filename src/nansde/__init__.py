@@ -75,7 +75,6 @@ from .noise import (
     brownian_path,
     fbm_increments,
     fbm_path,
-    na_noise_step,
 )
 from .optim import Adam
 from .rng import NoiseSeed, eval_generator, init_generator, noise_generator
@@ -147,7 +146,6 @@ __all__ = [
     "log_returns",
     "loss_and_gradients",
     "mlp_forward_batch",
-    "na_noise_step",
     "nll_loss",
     "noise_generator",
     "params_from_text",

@@ -10,10 +10,14 @@ positive by a softplus with a small floor.  Clamping ell2 to zero freezes
 K at zero and collapses the system to the plain SDE dX = b dt + sigma dW.
 
 One batched Euler sweep simulates every path; a path that leaves the
-admissible region is masked as dead rather than stopping the others.  The
-sweep records a tape, including the drift and diffusion networks'
-activations at every (step, path) pair, written as they are computed into
-buffers allocated once.  :func:`backpropagate` then differentiates any
+admissible region is masked as dead rather than stopping the others.  Each
+step maps the states through both state networks' first layers at once,
+with their weights stacked into one (2, m, H) array, and writes the new
+states in place with the one X update, :func:`euler_x_step`.  The sweep
+records a tape, including the drift and diffusion networks' activations at
+every (step, path) pair, written as they are computed into buffers
+allocated once; both first layers go to one stacked (2, n, m, H) record.
+:func:`backpropagate` then differentiates any
 scalar functional of the paths with respect to every network parameter
 while holding the Brownian increments fixed (reparameterized gradients): it
 reads b', sigma' and the parameter gradients off those records, with no
@@ -30,6 +34,7 @@ from .grid import TimeGrid
 from .neural import (
     GradientBundle,
     MlpParams,
+    layer_apply,
     mlp_batch_backward,
     mlp_forward_batch,
     mlp_forward_batch_cached,
@@ -47,9 +52,9 @@ DIVERGENCE_GUARD = 1e12
 NET_NAMES = ("drift", "diffusion", "ell1", "ell2")
 
 
-def softplus(x):
+def softplus(x, out=None):
     """log(1 + e^x) without overflow for large x."""
-    return np.logaddexp(0.0, x)
+    return np.logaddexp(0.0, x, out=out)
 
 
 def sigmoid(x):
@@ -106,28 +111,43 @@ class NansdeModel:
         )
 
 
-def _sigma(raw: np.ndarray) -> np.ndarray:
+def _sigma(raw: np.ndarray, out=None) -> np.ndarray:
     """The diffusion coefficient from its network's raw head: softplus plus floor."""
-    return softplus(raw) + SIGMA_FLOOR
+    out = softplus(raw, out)
+    out += SIGMA_FLOOR
+    return out
 
 
-def coefficients(
-    model: NansdeModel, x, drift_out=None, diffusion_out=None
-) -> tuple[np.ndarray, np.ndarray, list, list]:
+def coefficients(model: NansdeModel, x) -> tuple[np.ndarray, np.ndarray, list, list]:
     """b and sigma evaluated elementwise on an array of states.
 
     sigma is the softplus of the diffusion network's head plus the floor.
     Also returns the drift and diffusion networks' cached activations, from
     which derivatives and parameter gradients follow by backward passes.
-    ``drift_out`` and ``diffusion_out`` are the networks' per-layer
-    destinations (see ``mlp_forward_batch_cached``).
     """
     rows = np.asarray(x, dtype=float).reshape(-1, 1)
-    drift_acts = mlp_forward_batch_cached(model.drift_net, rows, drift_out)
-    diffusion_acts = mlp_forward_batch_cached(model.diffusion_net, rows, diffusion_out)
+    drift_acts = mlp_forward_batch_cached(model.drift_net, rows)
+    diffusion_acts = mlp_forward_batch_cached(model.diffusion_net, rows)
     b = drift_acts[-1][:, 0]
     sigma = _sigma(diffusion_acts[-1][:, 0])
     return b, sigma, drift_acts, diffusion_acts
+
+
+def euler_x_step(x, k, b, sigma, ell1, dw, dt: float, out: np.ndarray, scratch: np.ndarray):
+    """The X update x + (b - ell1 sigma k) dt + sigma dW, written into ``out``.
+
+    The Euler sweep calls it on (m,) vectors and ``metrics.r2_score`` on
+    arrays that broadcast to (m_pred, n_test); ``scratch`` (shaped like
+    ``out``) receives sigma dW.  One order of operations gives both the same bits.
+    """
+    np.multiply(ell1, sigma, out=out)
+    out *= k
+    np.subtract(b, out, out=out)
+    out *= dt
+    out += x
+    np.multiply(sigma, dw, out=scratch)
+    out += scratch
+    return out
 
 
 def kernel_values(model: NansdeModel, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,11 +197,14 @@ class SimTape:
     """Everything a backward pass needs: states, increments, kernel values
     and the state networks' activations.
 
-    ``drift_acts`` and ``diffusion_acts`` hold one (n_steps, m, width)
-    record per layer 1..L of the drift and diffusion networks, written by
-    the sweep as it evaluated b and sigma; the drift head is not needed and
-    its entry is None.  Both are None on a tape simulated without recording,
-    and a backward pass takes them off the tape it consumes.
+    ``drift_acts`` and ``diffusion_acts`` hold one contiguous (n_steps, m,
+    width) record per layer 1..L of the drift and diffusion networks,
+    written by the sweep as it evaluated b and sigma; the drift head is not
+    needed and its entry is None.  The two first-layer records are the
+    halves of one stacked (2, n_steps, m, H) record, except that a first
+    layer narrower than H is copied out of its zero-padded half.  Both are
+    None on a tape simulated without recording, and a backward pass takes
+    them off the tape it consumes.
 
     ``alive`` marks columns that never tripped the divergence guard; dead
     columns hold frozen placeholder values after their ``death_step`` and
@@ -208,17 +231,20 @@ class SimTape:
         self.consumed = True
 
 
-def _activation_records(net: MlpParams, n: int, m: int, head: bool) -> list[np.ndarray | None]:
-    """(n, m, width) buffers for a network's hidden layers and, if asked, its head."""
-    hidden = [np.empty((n, m, width)) for width in net.widths[1:-1]]
-    return hidden + [np.empty((n, m, 1)) if head else None]
+def _forward_rest(net: MlpParams, outs: list[np.ndarray], s: int) -> np.ndarray:
+    """Layers 2..L of a state network at slot s, each into its buffer.
 
-
-def _at_step(records: list | None, step: int) -> list | None:
-    """The (m, width) rows of one step in each record."""
-    if records is None:
-        return None
-    return [None if r is None else r[step] for r in records]
+    ``outs[0]`` holds the first layer's activations; a 3-d buffer keeps one
+    (m, width) slot per step, a 2-d one is reused.  Returns the (m, 1) head.
+    """
+    a = outs[0][s]
+    last = net.n_layers - 1
+    for j in range(1, net.n_layers):
+        dest = outs[j]
+        a = layer_apply(net.weights[j], net.biases[j], a, dest if dest.ndim == 2 else dest[s])
+        if j != last:
+            np.tanh(a, out=a)
+    return a
 
 
 def simulate_batch_with_tape(
@@ -252,41 +278,83 @@ def simulate_batch_with_tape(
         ell2_acts = mlp_forward_batch_cached(model.ell2_net, t_rows)
         ell2 = ell2_acts[-1][:, 0]
 
-    drift_acts = diffusion_acts = None
-    if record:
-        drift_acts = _activation_records(model.drift_net, n, m, head=False)
-        diffusion_acts = _activation_records(model.diffusion_net, n, m, head=True)
+    # Layers 1..L of both state networks.  Both take the scalar state, so
+    # their first layers are one multiply-add per step into one (2, slots,
+    # m, H) array: the weights and biases are stacked, zero-padded to the
+    # wider layer (padded columns are never read) and repeated over the m
+    # paths, so that the multiply-add runs over whole contiguous arrays.
+    # Each deeper layer has its own (slots, m, width) buffer, except the
+    # drift head, which the backward pass does not need and which is reused.
+    nets = (model.drift_net, model.diffusion_net)
+    width = max(net.widths[1] for net in nets)
+    slots = n if record else 1
+    first = np.empty((2, slots, m, width))
+    first_w = np.zeros((2, m, width))
+    first_b = np.zeros((2, m, width))
+    outs = []
+    for i, net in enumerate(nets):
+        h1 = net.widths[1]
+        first_w[i, :, :h1] = net.weights[0][:, 0]
+        first_b[i, :, :h1] = net.biases[0]
+        outs.append([first[i, ..., :h1]] + [np.empty((slots, m, w)) for w in net.widths[2:-1]])
+        if net.n_layers > 1:
+            outs[i].append(np.empty((m, 1)) if i == 0 else np.empty((slots, m, 1)))
+    # tanh applies to the first layers that are hidden, not to an affine head.
+    hidden = [i for i, net in enumerate(nets) if net.n_layers > 1]
+    tanh_first = first[hidden[0] : hidden[-1] + 1] if hidden else None
 
     x = np.empty((n + 1, m))
     k = np.empty((n + 1, m))
     x[0] = model.x0
     k[0] = 0.0
+    x_rows = x[:, :, None]
     alive = np.ones(m, dtype=bool)
+    dead = None
     death_step = np.full(m, -1)
+    sigma = np.empty(m)
+    scratch = np.empty(m)
+    ok = np.empty(m, dtype=bool)
+    guard = DIVERGENCE_GUARD
 
-    cur_x = x[0].copy()
-    cur_k = k[0].copy()
     for step in range(n):
-        b, sigma, _, _ = coefficients(
-            model, cur_x, _at_step(drift_acts, step), _at_step(diffusion_acts, step)
-        )
-        new_k = cur_k + ell2[step] * dw[step]
-        new_x = cur_x + (b - ell1[step] * sigma * cur_k) * dt + sigma * dw[step]
+        s = step if record else 0
+        h = first[:, s]
+        np.multiply(x_rows[step], first_w, out=h)
+        h += first_b
+        if tanh_first is not None:
+            h = tanh_first[:, s]
+            np.tanh(h, out=h)
+        b = _forward_rest(nets[0], outs[0], s)[:, 0]
+        _sigma(_forward_rest(nets[1], outs[1], s)[:, 0], out=sigma)
 
-        bad = ~(np.isfinite(new_x) & np.isfinite(new_k))
-        bad |= (np.abs(new_x) > DIVERGENCE_GUARD) | (np.abs(new_k) > DIVERGENCE_GUARD)
-        bad &= alive
-        if bad.any():
-            alive[bad] = False
-            death_step[bad] = step
-        if not alive.all():
+        new_x, new_k = x[step + 1], k[step + 1]
+        euler_x_step(x[step], k[step], b, sigma, ell1[step], dw[step], dt, new_x, scratch)
+        np.multiply(ell2[step], dw[step], out=new_k)
+        new_k += k[step]
+
+        # A NaN fails the <= test, so this also catches non-finite states;
+        # sigma is spent and holds |K|.
+        np.abs(new_x, out=scratch)
+        np.abs(new_k, out=sigma)
+        np.maximum(scratch, sigma, out=scratch)
+        np.less_equal(scratch, guard, out=ok)
+        if not ok.all():
+            bad = ~ok & alive
+            if bad.any():
+                alive[bad] = False
+                death_step[bad] = step
+                dead = ~alive
+        if dead is not None:
             # Pin dead columns to harmless values so the remaining steps stay
             # silent; they are masked out of losses and gradients.
-            new_x[~alive] = 1.0
-            new_k[~alive] = 0.0
-        x[step + 1] = new_x
-        k[step + 1] = new_k
-        cur_x, cur_k = new_x.copy(), new_k.copy()
+            new_x[dead] = 1.0
+            new_k[dead] = 0.0
+
+    drift_acts = diffusion_acts = None
+    if record:
+        # A zero-padded first layer is copied out to a contiguous record.
+        drift_acts = [np.ascontiguousarray(a) for a in outs[0][:-1]] + [None]
+        diffusion_acts = [np.ascontiguousarray(a) for a in outs[1]]
 
     return SimTape(
         model, x, k, dw, ell1, ell2, ell1_acts, ell2_acts, drift_acts, diffusion_acts,
@@ -403,21 +471,19 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
     kbar_next = np.vstack((suffix[1:], np.zeros((1, mv))))
 
     drift_adj = (xbar[1:] * dt).reshape(-1, 1)
-    drift_bundle, _ = mlp_batch_backward(model.drift_net, drift_acts, drift_adj, with_param_grads=True)
+    drift_bundle = mlp_batch_backward(model.drift_net, drift_acts, drift_adj)
     del drift_acts, drift_adj
 
     sigma_adj = (xbar[1:] * (dws - ell1 * ks[:-1] * dt)).reshape(-1) * gate
-    diff_bundle, _ = mlp_batch_backward(
-        model.diffusion_net, diff_acts, sigma_adj.reshape(-1, 1), with_param_grads=True
-    )
+    diff_bundle = mlp_batch_backward(model.diffusion_net, diff_acts, sigma_adj.reshape(-1, 1))
 
     ell1_adj = (xbar[1:] * (-sigma * ks[:-1] * dt)).sum(axis=1).reshape(-1, 1)
-    ell1_bundle, _ = mlp_batch_backward(model.ell1_net, tape.ell1_acts, ell1_adj, with_param_grads=True)
+    ell1_bundle = mlp_batch_backward(model.ell1_net, tape.ell1_acts, ell1_adj)
 
     if model.clamp_ell2:
         ell2_bundle = zero_gradients(model.ell2_net)
     else:
         ell2_adj = (kbar_next * dws).sum(axis=1).reshape(-1, 1)
-        ell2_bundle, _ = mlp_batch_backward(model.ell2_net, tape.ell2_acts, ell2_adj, with_param_grads=True)
+        ell2_bundle = mlp_batch_backward(model.ell2_net, tape.ell2_acts, ell2_adj)
 
     return ModelGradients(drift_bundle, diff_bundle, ell1_bundle, ell2_bundle)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MetricError
-from .integrator import NansdeModel, coefficients, kernel_values, simulate_ensemble
+from .integrator import NansdeModel, coefficients, euler_x_step, kernel_values, simulate_ensemble
 from .noise import Path
 from .rng import DOMAIN_EVAL, EVAL_ENSEMBLE_STREAM, NoiseSeed, eval_generator
 from .training import LogReturnSeries, log_returns
@@ -136,15 +136,13 @@ class BinSpec:
 def tv_distance(observed: LogReturnSeries, generated, bins: BinSpec) -> float:
     """Total variation between binned observed and pooled generated returns.
 
-    The generated series are binned one by one and their integer counts
-    summed, which equals binning their concatenation without allocating it.
+    The generated series are pooled into one sample and binned in one call.
     """
     generated = list(generated)
     if not generated:
         raise ValueError("need at least one generated series")
     p = bins.distribution(observed.r)
-    counts = sum(bins.counts(g.r) for g in generated)
-    p_hat = counts / counts.sum()
+    p_hat = bins.distribution(np.concatenate([g.r for g in generated]))
     return 0.5 * float(np.abs(p - p_hat).sum())
 
 
@@ -319,11 +317,11 @@ def r2_score(
         (np.zeros((m_pred, 1)), np.cumsum(ell2[None, :] * dw, axis=1)), axis=1
     )
 
-    x_hat = (
-        x_t[None, :]
-        + (b[None, :] - ell1[idx][None, :] * sigma[None, :] * k[:, idx]) * dt
-        + sigma[None, :] * dw[:, idx]
-    )
+    # The gathered columns are column-major; the predictions keep that
+    # layout, which fixes the summation order of the means below.
+    k_test = k[:, idx]
+    x_hat = np.empty_like(k_test)
+    euler_x_step(x_t, k_test, b, sigma, ell1[idx], dw[:, idx], dt, x_hat, np.empty_like(k_test))
     valid = x_hat > 0.0
     counts = valid.sum(axis=0)
     if np.any(counts == 0):

@@ -5,7 +5,7 @@ except the last, which stays affine so outputs are unbounded.  Every pass
 maps a whole (rows, n_in) matrix of inputs at once.  The cached forward pass
 keeps the per-layer activations; a backward pass over them yields exact
 gradients of ``sum_r <adjoint_r, output_r>`` with respect to every weight
-and bias, and the per-row input gradients.
+and bias, and a second pass the per-row derivative of a scalar network.
 
 All contractions go through element-wise broadcasting, axis sums, or
 un-optimized ``einsum`` — never a BLAS call — so results are bitwise
@@ -124,7 +124,7 @@ def _check_input(params: MlpParams, x: np.ndarray):
         raise ValueError(f"network expects {n_in} inputs, got shape {x.shape}")
 
 
-def _layer_apply(w: np.ndarray, b: np.ndarray, h: np.ndarray, out=None) -> np.ndarray:
+def layer_apply(w: np.ndarray, b: np.ndarray, h: np.ndarray, out=None) -> np.ndarray:
     """Affine layer on a (rows, n_in) batch without BLAS, into ``out`` if given.
 
     Width-1 inputs reduce to a broadcast multiply; wider layers use a fixed
@@ -138,19 +138,15 @@ def _layer_apply(w: np.ndarray, b: np.ndarray, h: np.ndarray, out=None) -> np.nd
     return z
 
 
-def mlp_forward_batch_cached(params: MlpParams, rows: np.ndarray, out=None) -> list[np.ndarray]:
-    """Batched forward returning all activation matrices a_0..a_L.
-
-    ``out``, if given, holds one destination per layer 1..L; a layer whose
-    entry is not None is computed straight into that (rows, width) array.
-    """
+def mlp_forward_batch_cached(params: MlpParams, rows: np.ndarray) -> list[np.ndarray]:
+    """Batched forward returning all activation matrices a_0..a_L."""
     rows = np.asarray(rows, dtype=float)
     _check_input(params, rows)
     acts = [rows]
     h = rows
     last = params.n_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = _layer_apply(w, b, h, None if out is None else out[i])
+        h = layer_apply(w, b, h)
         if i != last:
             h = np.tanh(h, out=h)
         acts.append(h)
@@ -180,9 +176,8 @@ def _tanh_gate(act: np.ndarray, back: np.ndarray) -> np.ndarray:
 def mlp_input_derivative(params: MlpParams, acts: list[np.ndarray]) -> np.ndarray:
     """d output / d input on each row of a cached forward of a scalar network.
 
-    Only acts[0..L-1] are read.  The products are those of
-    ``mlp_batch_backward`` with a unit adjoint, in the same order, so the
-    result is bit-for-bit its input gradient, without building the unit
+    Only acts[0..L-1] are read.  This is the input gradient of the
+    backward recursion with a unit adjoint, without building the unit
     adjoint or the parameter sums.
     """
     back = params.weights[-1][0][None, :]
@@ -192,38 +187,28 @@ def mlp_input_derivative(params: MlpParams, acts: list[np.ndarray]) -> np.ndarra
 
 
 def mlp_batch_backward(
-    params: MlpParams,
-    acts: list[np.ndarray],
-    row_adjoints: np.ndarray,
-    with_param_grads: bool = True,
-) -> tuple[GradientBundle | None, np.ndarray]:
-    """Backward pass over a cached batched forward.
+    params: MlpParams, acts: list[np.ndarray], row_adjoints: np.ndarray
+) -> GradientBundle:
+    """Parameter gradients of sum_r <row_adjoints[r], output[r]>.
 
-    ``row_adjoints`` has shape (rows, n_out); the returned bundle holds the
-    parameter gradients of sum_r <row_adjoints[r], output[r]>, and the second
-    return value is the per-row input gradient (rows, n_in).  Parameter
-    accumulation can be skipped when only input sensitivities are needed.
+    ``row_adjoints`` has shape (rows, n_out) and ``acts`` is a cached
+    batched forward; only acts[0..L-1] are read.
     """
     delta = np.asarray(row_adjoints, dtype=float)
     if delta.ndim == 1:
         delta = delta[:, None]
     w_grads = [None] * params.n_layers
     b_grads = [None] * params.n_layers
-    x_grads = None
     for i in range(params.n_layers - 1, -1, -1):
         w = params.weights[i]
-        if with_param_grads:
-            if w.shape[1] == 1:
-                w_grads[i] = (delta * acts[i]).sum(axis=0)[:, None]
-            else:
-                w_grads[i] = np.einsum("ro,ri->oi", delta, acts[i], optimize=False)
-            b_grads[i] = delta.sum(axis=0)
+        if w.shape[1] == 1:
+            w_grads[i] = (delta * acts[i]).sum(axis=0)[:, None]
+        else:
+            w_grads[i] = np.einsum("ro,ri->oi", delta, acts[i], optimize=False)
+        b_grads[i] = delta.sum(axis=0)
         if i > 0:
             delta = _tanh_gate(acts[i], _back_through(w, delta))
-        else:
-            x_grads = _back_through(w, delta)
-    bundle = GradientBundle(w_grads, b_grads) if with_param_grads else None
-    return bundle, x_grads
+    return GradientBundle(w_grads, b_grads)
 
 
 # ---------------------------------------------------------------------------

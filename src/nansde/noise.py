@@ -1,15 +1,16 @@
 """Driving-noise generators on a uniform time grid.
 
-Four noise families, all reproducible from a :class:`~nansde.rng.NoiseSeed`:
+Three noise families, all reproducible from a :class:`~nansde.rng.NoiseSeed`:
 
 * Brownian increments (``brownian_increments``),
 * fractional Brownian motion, exact in law via circulant embedding of the
   increment covariance (``fbm_path``),
 * the closed-form ARMA-type Gaussian noise ``Z`` with its auxiliary memory
   process ``K``, simulated through the Markov pair
-  ``dZ = -exp(-p t) K dt + dW``, ``dK = ell(t) dW`` (``arma_noise_path``),
-* the neural-kernel generalization's single-step update, where the two
-  kernel factors are arbitrary functions of time (``na_noise_step``).
+  ``dZ = -exp(-p t) K dt + dW``, ``dK = ell(t) dW`` (``arma_noise_path``).
+
+The neural-kernel generalization, where both kernel factors are networks of
+time, is stepped by the generator's own Euler sweep (``nansde.integrator``).
 
 The closed-form kernel is
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, GenerationError, KernelError
+from .errors import GenerationError, KernelError
 from .grid import TimeGrid
 from .rng import NoiseSeed, noise_generator
 
@@ -270,16 +271,3 @@ def arma_noise_path(
     z_inc = -np.exp(-params.p * t) * k[:-1] * grid.dt + dw
     z = np.concatenate(([0.0], np.cumsum(z_inc)))
     return Path(grid, z), Path(grid, k)
-
-
-def na_noise_step(z, k, t, dt, dw, ell1_t, ell2_t):
-    """One Euler step of the neural-kernel noise pair at time ``t``.
-
-    Updates z_next = z - ell1_t * k * dt + dw and k_next = k + ell2_t * dw.
-    Works elementwise on scalars or same-shape arrays.
-    """
-    z_next = z - ell1_t * k * dt + dw
-    k_next = k + ell2_t * dw
-    if not (np.all(np.isfinite(z_next)) and np.all(np.isfinite(k_next))):
-        raise DivergenceError(f"noise state became non-finite at t={t}")
-    return z_next, k_next

@@ -48,3 +48,18 @@ def positive_observed_path(n_steps=80, scale=0.05, seed=123):
     grid = nd.unit_grid(n_steps)
     w = nd.brownian_path(grid, nd.NoiseSeed(seed, 0))
     return nd.Path(grid, np.exp(scale * w.values))
+
+
+def unit_adjoint_input_gradient(params, acts):
+    """d output / d input of a scalar network, by a reverse sweep from a unit
+    adjoint through every layer: an independent oracle for
+    ``mlp_input_derivative`` and the derivatives the backward pass uses."""
+    delta = np.ones((acts[0].shape[0], 1))
+    for i in range(params.n_layers - 1, -1, -1):
+        w = params.weights[i]
+        if w.shape[0] == 1:
+            back = delta * w[0][None, :]
+        else:
+            back = np.einsum("ro,oi->ri", delta, w, optimize=False)
+        delta = back if i == 0 else (1.0 - np.square(acts[i])) * back
+    return delta

@@ -19,7 +19,7 @@ from scipy.integrate import quad
 import nansde as nd
 from nansde import ioutil
 from nansde.integrator import SIGMA_FLOOR, softplus
-from nansde.neural import mlp_batch_backward, mlp_forward_batch_cached
+from nansde.neural import mlp_batch_backward, mlp_forward_batch_cached, mlp_input_derivative
 from conftest import affine_net, constant_sigma_net, positive_observed_path
 
 
@@ -30,8 +30,8 @@ from conftest import affine_net, constant_sigma_net, positive_observed_path
 
 def test_criterion_1_gradient_suite():
     # (a) standalone network: reverse-mode gradients of every parameter and
-    # of the input agree with central differences to 1e-6 relative error
-    # over 100 random draws.
+    # the input derivative agree with central differences to 1e-6 relative
+    # error over 100 random draws.
     rng = np.random.default_rng(2024)
     widths_pool = [(1, 4, 1), (1, 3, 1), (1, 2, 2, 1)]
     worst_net = 0.0
@@ -40,7 +40,8 @@ def test_criterion_1_gradient_suite():
         p = nd.init_params(widths, seed=draw)
         x = float(rng.uniform(-2.0, 2.0))
         acts = mlp_forward_batch_cached(p, [[x]])
-        g, x_grad = mlp_batch_backward(p, acts, [1.0])
+        g = mlp_batch_backward(p, acts, [1.0])
+        x_grad = mlp_input_derivative(p, acts)
 
         def f(params, xv=x):
             return float(nd.mlp_forward_batch(params, [[xv]])[0, 0])

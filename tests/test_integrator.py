@@ -10,9 +10,9 @@ import pytest
 
 import nansde as nd
 import nansde.integrator as integrator
-from nansde.integrator import SIGMA_FLOOR, sigmoid, softplus, softplus_inverse
+from nansde.integrator import SIGMA_FLOOR, euler_x_step, sigmoid, softplus, softplus_inverse
 from nansde.neural import mlp_batch_backward, zero_gradients
-from conftest import affine_net, brownian_model, build_model
+from conftest import affine_net, brownian_model, build_model, unit_adjoint_input_gradient
 
 # ---------------------------------------------------------------------------
 # Model construction and scalar helpers
@@ -104,6 +104,43 @@ def test_hand_euler_step():
     assert x[1, 0] == pytest.approx(expected, rel=1e-15)
 
 
+def _x_step(x, k, b, sigma, ell1, dw, dt):
+    out, scratch = np.empty(np.shape(x)), np.empty(np.shape(x))
+    return euler_x_step(x, k, b, sigma, ell1, dw, dt, out, scratch)
+
+
+def test_euler_step_hand_values():
+    # b = 0 and sigma = 1 leave the memory-noise update z - ell1 k dt + dW.
+    z = _x_step(np.array([0.0]), 1.0, 0.0, 1.0, 2.0, 0.3, 0.1)[0]
+    assert z == pytest.approx(0.1, abs=1e-15)  # 0 - 2*1*0.1 + 0.3
+
+    # ell1 = 0 reduces to a plain Brownian step.
+    assert _x_step(np.array([0.4]), 2.0, 0.0, 1.0, 0.0, 0.25, 0.1)[0] == 0.4 + 0.25
+
+    # no increment and no accumulated memory: nothing moves.
+    assert _x_step(np.array([0.7]), 0.0, 0.0, 1.0, 123.0, 0.0, 0.1)[0] == 0.7
+
+    # The memory update k + ell2 dW, through a one-step sweep.
+    grid = nd.TimeGrid(n_steps=1, dt=0.1)
+    model = build_model(grid, ell2=(0.0, 0.5))
+    seed = nd.NoiseSeed(12, 0)
+    tape = nd.simulate_batch_with_tape(model, 1, seed, record=False)
+    assert tape.k[1, 0] == 0.5 * nd.brownian_increments(grid, seed)[0]
+
+
+def test_euler_step_broadcasts_in_the_sweep_order():
+    # The one-step predictor calls the step on (m_pred, n_test) arrays built
+    # from per-index vectors; each entry is the scalar update, bit for bit.
+    rng = np.random.default_rng(3)
+    x, b, sigma, ell1 = (rng.standard_normal(5) for _ in range(4))
+    k, dw = rng.standard_normal((2, 4, 5))
+    got = _x_step(np.broadcast_to(x, (4, 5)), k, b, sigma, ell1, dw, 0.01)
+    for i in range(4):
+        for j in range(5):
+            want = x[j] + (b[j] - ell1[j] * sigma[j] * k[i, j]) * 0.01 + sigma[j] * dw[i, j]
+            assert got[i, j] == want
+
+
 def test_ensemble_columns_match_per_path_streams():
     grid = nd.unit_grid(50)
     model = build_model(grid, drift=(-0.2, 0.1), sigma=0.5, ell1=(0.0, 0.8),
@@ -127,6 +164,134 @@ def test_ensemble_terminal_variance_of_brownian_model():
     ens = nd.simulate_ensemble(model, 200, nd.NoiseSeed(5, 0))
     x1 = ens.values_matrix()[-1]
     assert x1.var(ddof=1) == pytest.approx(1.0, rel=0.15)
+
+
+def _oracle_sweep(model, m, seed):
+    """The Euler sweep one step at a time, each network evaluated afresh.
+
+    Fresh new_x/new_k every step and an isfinite-plus-guard divergence test;
+    the activations each step computed are stacked into (n, m, width)
+    records, in the tape's layout.
+    """
+    grid = model.grid
+    n, dt = grid.n_steps, grid.dt
+    dw = np.empty((n, m))
+    for j in range(m):
+        dw[:, j] = nd.brownian_increments(grid, seed.child(j))
+    ell1, ell2 = nd.kernel_values(model, grid.step_times())
+    x = np.empty((n + 1, m))
+    k = np.empty((n + 1, m))
+    x[0], k[0] = model.x0, 0.0
+    alive = np.ones(m, dtype=bool)
+    death_step = np.full(m, -1)
+    drift_steps, diffusion_steps = [], []
+    cur_x, cur_k = x[0].copy(), k[0].copy()
+    for step in range(n):
+        b, sigma, drift_acts, diffusion_acts = nd.coefficients(model, cur_x)
+        drift_steps.append(drift_acts[1:-1])
+        diffusion_steps.append(diffusion_acts[1:])
+        new_k = cur_k + ell2[step] * dw[step]
+        new_x = cur_x + (b - ell1[step] * sigma * cur_k) * dt + sigma * dw[step]
+        bad = ~(np.isfinite(new_x) & np.isfinite(new_k))
+        guard = integrator.DIVERGENCE_GUARD
+        bad |= (np.abs(new_x) > guard) | (np.abs(new_k) > guard)
+        bad &= alive
+        alive[bad] = False
+        death_step[bad] = step
+        new_x[~alive] = 1.0
+        new_k[~alive] = 0.0
+        x[step + 1], k[step + 1] = new_x, new_k
+        cur_x, cur_k = new_x.copy(), new_k.copy()
+    drift = [np.stack(layer) for layer in zip(*drift_steps)] + [None]
+    diffusion = [np.stack(layer) for layer in zip(*diffusion_steps)]
+    return x, k, alive, death_step, drift, diffusion
+
+
+def _assert_sweep_matches_oracle(model, m, seed):
+    x, k, alive, death_step, drift, diffusion = _oracle_sweep(model, m, seed)
+    tape = nd.simulate_batch_with_tape(model, m, seed)
+    plain = nd.simulate_batch_with_tape(model, m, seed, record=False)
+    for got in (tape, plain):
+        assert np.array_equal(got.x, x)
+        assert np.array_equal(got.k, k)
+        assert np.array_equal(got.alive, alive)
+        assert np.array_equal(got.death_step, death_step)
+    for records, want in ((tape.drift_acts, drift), (tape.diffusion_acts, diffusion)):
+        assert len(records) == len(want)
+        for got, expected in zip(records, want):
+            if expected is None:
+                assert got is None
+                continue
+            # Contiguous (n, m, width) records are what the backward reads
+            # as rows without copying.
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, expected)
+    return tape
+
+
+def _mixed_model(grid, drift, diffusion, x0=0.8, clamp=False, seed=30):
+    nets = [nd.init_params(drift, seed=seed, tag=0), nd.init_params(diffusion, seed=seed, tag=1)]
+    nets += [nd.init_params((1, 3, 1), seed=seed, tag=tag) for tag in (2, 3)]
+    return nd.NansdeModel(*nets, grid=grid, x0=x0, clamp_ell2=clamp)
+
+
+def test_sweep_matches_the_step_by_step_oracle_bit_for_bit():
+    grid = nd.unit_grid(40)
+    seed = nd.NoiseSeed(31, 0)
+    for drift, diffusion in (((1, 1), (1, 1)), ((1, 20, 1), (1, 20, 1)),
+                             ((1, 2, 2, 1), (1, 2, 2, 1)), ((1, 1), (1, 3, 1)),
+                             ((1, 3, 1), (1, 1)), ((1, 3, 1), (1, 5, 1)),
+                             ((1, 5, 4, 1), (1, 3, 1, 2, 1))):
+        for clamp in (False, True):
+            model = _mixed_model(grid, drift, diffusion, clamp=clamp)
+            _assert_sweep_matches_oracle(model, 16, seed)
+
+
+def test_sweep_matches_the_oracle_when_one_path_dies(monkeypatch):
+    grid = nd.unit_grid(40)
+    seed = nd.NoiseSeed(31, 0)
+    model = _mixed_model(grid, (1, 3, 1), (1, 5, 1))
+    peaks = np.abs(nd.simulate_ensemble(model, 16, seed).values).max(axis=0)
+    top, second = np.sort(peaks)[-2:][::-1]
+    monkeypatch.setattr(integrator, "DIVERGENCE_GUARD", (top + second) / 2)
+    tape = _assert_sweep_matches_oracle(model, 16, seed)
+    assert (~tape.alive).sum() == 1
+    dead = np.flatnonzero(~tape.alive)[0]
+    assert np.all(tape.x[tape.death_step[dead] + 1 :, dead] == 1.0)
+
+
+def _overflowing_model(grid):
+    # sigma = softplus(1e300 x): a path whose state turns positive gets a
+    # finite but enormous sigma, and one step later sigma overflows to inf,
+    # so its state turns inf or NaN; negative states keep sigma at the floor.
+    return nd.NansdeModel(
+        affine_net(0.0, 0.0), affine_net(1e300, 0.0), affine_net(0.0, 1.0),
+        affine_net(0.0, 1.0), grid, 0.0,
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_marks_a_non_finite_path_dead(monkeypatch):
+    # With the guard at the largest double, only an inf or NaN state kills.
+    monkeypatch.setattr(integrator, "DIVERGENCE_GUARD", np.finfo(float).max)
+    grid = nd.unit_grid(10)
+    seed = nd.NoiseSeed(5, 0)
+    model = _overflowing_model(grid)
+    tape = _assert_sweep_matches_oracle(model, 16, seed)
+    assert tape.alive.any() and not tape.alive.all()
+    with np.errstate(over="ignore", invalid="ignore"):
+        b, sigma, _, _ = nd.coefficients(model, tape.x[:-1].ravel())
+    for j in np.flatnonzero(~tape.alive):
+        step = tape.death_step[j]
+        assert np.isinf(sigma.reshape(tape.x[:-1].shape)[step, j])
+        assert np.all(tape.x[step + 1 :, j] == 1.0)
+        assert np.all(tape.k[step + 1 :, j] == 0.0)
+
+    # A memory state that overflows while X stays finite kills its path too.
+    k_model = build_model(nd.TimeGrid(n_steps=10, dt=1.0), ell2=(0.0, 1e308))
+    tape = _assert_sweep_matches_oracle(k_model, 16, seed)
+    assert tape.alive.any() and not tape.alive.all()
+    assert np.isfinite(tape.x).all()
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +394,10 @@ def _recomputed_gradients(tape, x_adjoints, columns=None):
     ell1 = tape.ell1_vals[:, None]
 
     _, sigma, drift_acts, diff_acts = nd.coefficients(model, xs[:-1])
-    _, b_prime = mlp_batch_backward(model.drift_net, drift_acts, np.ones((n * mv, 1)),
-                                    with_param_grads=False)
-    b_prime = b_prime.reshape(n, mv)
+    b_prime = unit_adjoint_input_gradient(model.drift_net, drift_acts).reshape(n, mv)
     gate = sigmoid(diff_acts[-1][:, 0])
     sigma = sigma.reshape(n, mv)
-    _, raw_prime = mlp_batch_backward(model.diffusion_net, diff_acts, np.ones((n * mv, 1)),
-                                      with_param_grads=False)
+    raw_prime = unit_adjoint_input_gradient(model.diffusion_net, diff_acts)
     sigma_prime = (gate * raw_prime[:, 0]).reshape(n, mv)
 
     gain = 1.0 + (b_prime - ell1 * sigma_prime * ks[:-1]) * dt + sigma_prime * dws
@@ -247,16 +409,16 @@ def _recomputed_gradients(tape, x_adjoints, columns=None):
     suffix = np.cumsum(k_direct[::-1], axis=0)[::-1]
     kbar_next = np.vstack((suffix[1:], np.zeros((1, mv))))
 
-    drift, _ = mlp_batch_backward(model.drift_net, drift_acts, (xbar[1:] * dt).reshape(-1, 1))
+    drift = mlp_batch_backward(model.drift_net, drift_acts, (xbar[1:] * dt).reshape(-1, 1))
     sigma_adj = (xbar[1:] * (dws - ell1 * ks[:-1] * dt)).reshape(-1) * gate
-    diffusion, _ = mlp_batch_backward(model.diffusion_net, diff_acts, sigma_adj.reshape(-1, 1))
+    diffusion = mlp_batch_backward(model.diffusion_net, diff_acts, sigma_adj.reshape(-1, 1))
     ell1_adj = (xbar[1:] * (-sigma * ks[:-1] * dt)).sum(axis=1).reshape(-1, 1)
-    ell1_grads, _ = mlp_batch_backward(model.ell1_net, tape.ell1_acts, ell1_adj)
+    ell1_grads = mlp_batch_backward(model.ell1_net, tape.ell1_acts, ell1_adj)
     if model.clamp_ell2:
         ell2_grads = zero_gradients(model.ell2_net)
     else:
         ell2_adj = (kbar_next * dws).sum(axis=1).reshape(-1, 1)
-        ell2_grads, _ = mlp_batch_backward(model.ell2_net, tape.ell2_acts, ell2_adj)
+        ell2_grads = mlp_batch_backward(model.ell2_net, tape.ell2_acts, ell2_adj)
     return nd.ModelGradients(drift, diffusion, ell1_grads, ell2_grads)
 
 

@@ -311,6 +311,38 @@ def test_r2_score_is_deterministic():
         nd.r2_score(observed, model, m_pred=0)
 
 
+def _r2_oracle(observed, model, m_pred, seed, split=0.8):
+    """r2_score written out as one expression per step of the recipe."""
+    r = nd.log_returns(observed).r
+    idx = np.arange(int(math.floor(split * r.size)), r.size)
+    dt = observed.grid.dt
+    ell1, ell2 = nd.kernel_values(model, observed.grid.step_times())
+    x_t = observed.values[idx]
+    b, sigma, _, _ = nd.coefficients(model, x_t)
+    dw = np.stack([nd.eval_generator(seed, tag=j).standard_normal(observed.grid.n_steps)
+                   * np.sqrt(dt) for j in range(m_pred)])
+    k = np.concatenate((np.zeros((m_pred, 1)), np.cumsum(ell2[None, :] * dw, axis=1)), axis=1)
+    x_hat = (x_t[None, :] + (b[None, :] - ell1[idx][None, :] * sigma[None, :] * k[:, idx]) * dt
+             + sigma[None, :] * dw[:, idx])
+    valid = x_hat > 0.0
+    ratio = np.where(valid, x_hat / x_t[None, :], 1.0)
+    r_tilde = (np.log(ratio) * valid).sum(axis=0) / valid.sum(axis=0)
+    return nd.r2_from_predictions(r[idx], r_tilde)
+
+
+def test_r2_score_is_the_written_out_recipe_bit_for_bit():
+    # The means over the m_pred predictions are sums along the first axis,
+    # whose rounding depends on the predictions' memory layout.
+    observed = positive_observed_path(500, scale=0.05, seed=4)
+    for clamp in (False, True):
+        model = nd.NansdeModel(
+            *(nd.init_params((1, 20, 1), seed=9, tag=tag) for tag in range(4)),
+            grid=observed.grid, x0=float(observed.values[0]), clamp_ell2=clamp,
+        )
+        for seed in range(4):
+            assert nd.r2_score(observed, model, seed=seed) == _r2_oracle(observed, model, 64, seed)
+
+
 def test_r2_score_rejects_flat_test_block():
     grid = nd.unit_grid(100)
     values = positive_observed_path(100, scale=0.05, seed=3).values.copy()

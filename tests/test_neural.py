@@ -8,11 +8,13 @@ import pytest
 
 import nansde as nd
 from nansde.neural import (
+    layer_apply,
     mlp_batch_backward,
     mlp_forward_batch_cached,
     mlp_input_derivative,
     zero_gradients,
 )
+from conftest import unit_adjoint_input_gradient
 
 # ---------------------------------------------------------------------------
 # Initialization
@@ -101,16 +103,20 @@ def test_forward_stays_finite_and_hidden_activations_bounded():
 
 
 def test_forward_into_destinations_is_the_fresh_forward():
-    # The Euler sweep records activations by handing the forward pass one
-    # destination per layer; a None entry gets a fresh array.
+    # The Euler sweep records activations by computing each layer into its
+    # step's rows of a record; a None destination gets a fresh array.
     p = nd.init_params((1, 4, 3, 1), seed=6)
     rows = np.random.default_rng(4).uniform(-2, 2, size=(9, 1))
     fresh = mlp_forward_batch_cached(p, rows)
     out = [np.full((9, 4), np.nan), None, np.full((9, 1), np.nan)]
-    acts = mlp_forward_batch_cached(p, rows, out)
-    assert acts[1] is out[0] and acts[3] is out[2]
-    for a, b in zip(acts, fresh):
-        assert np.array_equal(a, b)
+    h = rows
+    for i, (w, b, dest) in enumerate(zip(p.weights, p.biases, out)):
+        h = layer_apply(w, b, h, dest)
+        if dest is not None:
+            assert h is dest
+        if i != p.n_layers - 1:
+            np.tanh(h, out=h)
+        assert np.array_equal(h, fresh[i + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +125,7 @@ def test_forward_into_destinations_is_the_fresh_forward():
 
 
 def _backward_at(p, x, adjoint):
-    """Parameter and input gradients of adjoint * f(x) for one scalar input."""
+    """Parameter gradients of adjoint * f(x) for one scalar input."""
     acts = mlp_forward_batch_cached(p, [[x]])
     return mlp_batch_backward(p, acts, [adjoint])
 
@@ -127,7 +133,7 @@ def _backward_at(p, x, adjoint):
 def test_backward_hand_value():
     # f(x) = tanh(w x) with w = 1: df/dw at x = 0.5 is x * (1 - tanh^2(x)).
     p = _identity_chain((1, 1, 1))
-    g, _ = _backward_at(p, 0.5, 1.0)
+    g = _backward_at(p, 0.5, 1.0)
     assert g.w_grads[0][0, 0] == pytest.approx(0.3932238664829637, rel=1e-15)
     # head weight grad is the hidden activation, head bias grad is 1
     assert g.w_grads[1][0, 0] == pytest.approx(math.tanh(0.5), rel=1e-15)
@@ -135,15 +141,16 @@ def test_backward_hand_value():
 
 
 def test_gradients_match_finite_differences():
-    # 100 random (params, x) draws; every parameter and the input gradient
-    # must agree with central differences to 1e-6 relative error.
+    # 100 random (params, x) draws; every parameter gradient and the input
+    # derivative must agree with central differences to 1e-6 relative error.
     rng = np.random.default_rng(2024)
     widths_pool = [(1, 3, 1), (1, 2, 2, 1), (1, 5, 1)]
     for draw in range(100):
         widths = widths_pool[draw % len(widths_pool)]
         p = nd.init_params(widths, seed=draw)
         x = float(rng.uniform(-2.0, 2.0))
-        g, x_grad = _backward_at(p, x, 1.0)
+        g = _backward_at(p, x, 1.0)
+        x_grad = mlp_input_derivative(p, mlp_forward_batch_cached(p, [[x]]))
 
         def f(params, xv=x):
             return float(nd.mlp_forward_batch(params, [[xv]])[0, 0])
@@ -161,7 +168,7 @@ def test_gradients_match_finite_differences():
                 fd = (up - dn) / (2 * h)
                 scale = max(abs(fd), abs(gflat[i]), 1e-10)
                 assert abs(fd - gflat[i]) / scale < 1e-6
-        # input gradient
+        # input derivative
         h = 1e-6
         fd_x = (f(p, x + h) - f(p, x - h)) / (2 * h)
         scale = max(abs(fd_x), abs(x_grad[0, 0]), 1e-10)
@@ -174,16 +181,16 @@ def test_backward_is_linear_in_adjoint():
     for _ in range(20):
         a = float(rng.standard_normal())
         b = float(rng.standard_normal())
-        ga, _ = _backward_at(p, 0.3, a)
-        gb, _ = _backward_at(p, 0.3, b)
-        gab, _ = _backward_at(p, 0.3, a + b)
+        ga = _backward_at(p, 0.3, a)
+        gb = _backward_at(p, 0.3, b)
+        gab = _backward_at(p, 0.3, a + b)
         for x, y, z in zip(ga.arrays(), gb.arrays(), gab.arrays()):
             assert np.allclose(x + y, z, rtol=1e-12, atol=1e-15)
 
 
 def test_zero_adjoint_gives_zero_gradients():
     p = nd.init_params((1, 4, 1), seed=2)
-    g, _ = _backward_at(p, 1.3, 0.0)
+    g = _backward_at(p, 1.3, 0.0)
     for arr in g.arrays():
         assert np.array_equal(arr, np.zeros_like(arr))
     z = zero_gradients(p)
@@ -197,7 +204,7 @@ def test_input_derivative_is_the_unit_adjoint_input_gradient():
     for widths in ((1, 1), (1, 1, 1), (1, 3, 1), (1, 2, 2, 1), (1, 4, 1, 3, 1)):
         p = nd.init_params(widths, seed=len(widths))
         acts = mlp_forward_batch_cached(p, rows)
-        _, unit = mlp_batch_backward(p, acts, np.ones((40, 1)), with_param_grads=False)
+        unit = unit_adjoint_input_gradient(p, acts)
         derivative = mlp_input_derivative(p, acts[:-1] + [None])
         assert derivative.shape == (40, 1)
         assert np.array_equal(derivative, unit), widths
@@ -210,14 +217,14 @@ def test_cached_activations_are_reusable():
     p = nd.init_params((1, 3, 1), seed=0)
     acts = mlp_forward_batch_cached(p, [[0.1], [-0.4]])
     before = [a.copy() for a in acts]
-    mlp_input_derivative(p, acts)
-    g1, x1 = mlp_batch_backward(p, acts, [1.0, -2.0])
-    g2, x2 = mlp_batch_backward(p, acts, [1.0, -2.0])
+    d1 = mlp_input_derivative(p, acts)
+    g1 = mlp_batch_backward(p, acts, [1.0, -2.0])
+    g2 = mlp_batch_backward(p, acts, [1.0, -2.0])
     for a, b in zip(acts, before):
         assert np.array_equal(a, b)
     for a, b in zip(g1.arrays(), g2.arrays()):
         assert np.array_equal(a, b)
-    assert np.array_equal(x1, x2)
+    assert np.array_equal(d1, mlp_input_derivative(p, acts))
 
 
 # ---------------------------------------------------------------------------
@@ -240,29 +247,20 @@ def test_batch_backward_matches_sum_of_single_backwards():
     adjoints = rng.standard_normal(16)
 
     acts = mlp_forward_batch_cached(p, rows)
-    bundle, x_grads = mlp_batch_backward(p, acts, adjoints)
+    bundle = mlp_batch_backward(p, acts, adjoints)
+    derivative = mlp_input_derivative(p, acts)
 
     ref = zero_gradients(p)
     ref_x = np.empty(16)
     for i, row in enumerate(rows):
-        g, x_grad = _backward_at(p, row[0], adjoints[i])
-        for acc, part in zip(ref.arrays(), g.arrays()):
+        for acc, part in zip(ref.arrays(), _backward_at(p, row[0], adjoints[i]).arrays()):
             acc += part
-        ref_x[i] = x_grad[0, 0]
+        ref_x[i] = mlp_input_derivative(p, mlp_forward_batch_cached(p, [row]))[0, 0]
 
     for a, b in zip(bundle.arrays(), ref.arrays()):
         assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
-    assert x_grads.shape == (16, 1)
-    assert np.allclose(x_grads[:, 0], ref_x, rtol=1e-12, atol=1e-14)
-
-
-def test_batch_backward_without_param_grads():
-    p = nd.init_params((1, 4, 1), seed=13)
-    rows = np.linspace(-1, 1, 8).reshape(-1, 1)
-    acts = mlp_forward_batch_cached(p, rows)
-    bundle, x_grads = mlp_batch_backward(p, acts, np.ones(8), with_param_grads=False)
-    assert bundle is None
-    assert x_grads.shape == (8, 1)
+    assert derivative.shape == (16, 1)
+    assert np.allclose(derivative[:, 0], ref_x, rtol=1e-12, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

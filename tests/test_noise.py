@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import nansde as nd
-from nansde.errors import DivergenceError, KernelError
+from nansde.errors import KernelError
 from nansde.rng import DOMAIN_NOISE, noise_generator, stream_generator
 
 # ---------------------------------------------------------------------------
@@ -252,28 +252,3 @@ def test_arma_noise_k_accumulates_kernel_weighted_increments():
     ell = nd.arma_ell(grid.step_times(), params)
     assert np.array_equal(k.values[1:], np.cumsum(ell * dw))
     assert k.values[0] == 0.0
-
-
-def test_na_noise_step_hand_values():
-    z, k = nd.na_noise_step(z=0.0, k=1.0, t=0.0, dt=0.1, dw=0.3,
-                            ell1_t=2.0, ell2_t=0.5)
-    assert z == pytest.approx(0.1, abs=1e-15)   # 0 - 2*1*0.1 + 0.3
-    assert k == pytest.approx(1.15, abs=1e-15)  # 1 + 0.5*0.3
-
-    # ell1 = ell2 = 0 reduces to a plain Brownian step.
-    z, k = nd.na_noise_step(z=0.4, k=2.0, t=0.0, dt=0.1, dw=0.25,
-                            ell1_t=0.0, ell2_t=0.0)
-    assert z == 0.4 + 0.25
-    assert k == 2.0
-
-    # no increment and no accumulated memory: nothing moves.
-    z, k = nd.na_noise_step(z=0.7, k=0.0, t=0.5, dt=0.1, dw=0.0,
-                            ell1_t=123.0, ell2_t=4.0)
-    assert z == 0.7
-    assert k == 0.0
-
-
-def test_na_noise_step_flags_non_finite_state():
-    with pytest.raises(DivergenceError):
-        nd.na_noise_step(z=0.0, k=np.inf, t=0.0, dt=0.1, dw=0.1,
-                         ell1_t=1.0, ell2_t=1.0)
