@@ -19,9 +19,9 @@ every (step, path) pair, written as they are computed into buffers
 allocated once; both first layers go to one stacked (2, n, m, H) record.
 :func:`backpropagate` then differentiates any
 scalar functional of the paths with respect to every network parameter
-while holding the Brownian increments fixed (reparameterized gradients): it
-reads b', sigma' and the parameter gradients off those records, with no
-second forward pass, around one sequential state-adjoint recursion.
+while holding the Brownian increments fixed (reparameterized gradients):
+one reverse sweep over cache-sized blocks of steps reads b', sigma' and the
+parameter gradients off those records, with no second forward pass.
 """
 
 from __future__ import annotations
@@ -46,6 +46,9 @@ from .rng import NoiseSeed
 
 SIGMA_FLOOR = 1e-4
 DIVERGENCE_GUARD = 1e12
+# (step, path) rows per block of the backward pass: about what keeps a
+# block's width-20 activations and their temporaries in a core's L2 cache.
+BACKWARD_BLOCK_ROWS = 4096
 
 # Network roles, in the fixed order used for gradient flattening and
 # parameter-initialization tags.
@@ -100,15 +103,8 @@ class NansdeModel:
         return NET_NAMES
 
     def copy(self) -> "NansdeModel":
-        return NansdeModel(
-            self.drift_net.copy(),
-            self.diffusion_net.copy(),
-            self.ell1_net.copy(),
-            self.ell2_net.copy(),
-            self.grid,
-            self.x0,
-            self.clamp_ell2,
-        )
+        nets = (self.net(name).copy() for name in NET_NAMES)
+        return NansdeModel(*nets, self.grid, self.x0, self.clamp_ell2)
 
 
 def _sigma(raw: np.ndarray, out=None) -> np.ndarray:
@@ -203,8 +199,8 @@ class SimTape:
     needed and its entry is None.  The two first-layer records are the
     halves of one stacked (2, n_steps, m, H) record, except that a first
     layer narrower than H is copied out of its zero-padded half.  Both are
-    None on a tape simulated without recording, and a backward pass takes
-    them off the tape it consumes.
+    None on a tape simulated without recording; a backward pass takes them
+    off the tape it consumes, reads them block by block and then releases them.
 
     ``alive`` marks columns that never tripped the divergence guard; dead
     columns hold frozen placeholder values after their ``death_step`` and
@@ -384,21 +380,13 @@ class ModelGradients:
         return all(self.bundle(name).all_finite() for name in NET_NAMES)
 
 
-def _participating_rows(record: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The (n * len(cols), width) rows of an (n, m, width) record at columns cols.
-
-    Step by step, the selected rows move to the front of the record's own
-    buffer; a row never moves to a later position, so none is overwritten
-    before it is read, and no second buffer of the record's size is needed.
-    """
-    n, m, width = record.shape
-    rows = record.reshape(n * m, width)
-    mv = cols.size
-    if mv == m:
-        return rows
-    for step in range(n):
-        rows[step * mv : (step + 1) * mv] = rows[step * m + cols]
-    return rows[: n * mv]
+def _add_into(total: GradientBundle | None, part: GradientBundle) -> GradientBundle:
+    """total + part, summed into total's arrays; part itself when total is None."""
+    if total is None:
+        return part
+    for t, p in zip(total.arrays(), part.arrays()):
+        t += p
+    return total
 
 
 def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | None = None) -> ModelGradients:
@@ -414,11 +402,16 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
         xbar_k = a_k + xbar_{k+1} (1 + (b' - ell1 sigma' K) dt + sigma' dW)
         kbar_k = kbar_{k+1} - xbar_{k+1} ell1 sigma dt,   kbar_n = 0,
 
-    after which each network's parameter gradient is one batched backward
-    pass with the appropriate per-(step, path) adjoint weights.  sigma, b',
-    sigma' and those passes all read the activations the forward sweep
-    recorded, with the participating columns selected once (not at all
-    when every column participates).
+    and each network's parameter gradient is a batched backward pass with
+    per-(step, path) adjoint weights.  The drift and diffusion networks are
+    done in one reverse sweep over blocks of about ``BACKWARD_BLOCK_ROWS``
+    (step, path) rows: steps [0, s), [s, 2s), ... (the last block ragged),
+    visited last block first.  A block gathers the participating columns of
+    each record, takes sigma, b' and sigma' from them, runs the xbar
+    recursion over its steps and both parameter passes on the same rows.
+    Each network's gradient is the sum of its per-block bundles, added in
+    the order the sweep visits the blocks.  The records are then released,
+    and the kbar recursion and ell1/ell2 passes run over the whole grid.
     """
     tape.consume()
     if tape.drift_acts is None or tape.diffusion_acts is None:
@@ -434,48 +427,57 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
     a = np.asarray(x_adjoints, dtype=float)
     if a.shape != tape.x.shape:
         raise ValueError(f"adjoint shape {a.shape} does not match states {tape.x.shape}")
-    mv = cols.size
-    xs, ks, dws = tape.x, tape.k, tape.dw
-    if mv < a.shape[1]:
-        a, xs, ks, dws = a[:, cols], xs[:, cols], ks[:, cols], dws[:, cols]
+    m, mv = a.shape[1], cols.size
+
+    def take(arr, s0, s1):
+        """arr at steps s0..s1-1 and the participating columns."""
+        return arr[s0:s1] if mv == m else np.take(arr[s0:s1], cols, axis=1)
+
+    ks, dws = take(tape.k, 0, n + 1), take(tape.dw, 0, n)
     ell1 = tape.ell1_vals[:, None]  # (n, 1), broadcasts over columns
 
-    # The sweep's activations at the participating (step, path) pairs, as
-    # (n * mv, width) rows; a_0 is the states themselves.  The tape lets go
-    # of its records, so each is freed once its rows are no longer needed.
-    x_rows = xs[:-1].reshape(-1, 1)
-    drift_acts = [x_rows] + [
-        None if r is None else _participating_rows(r, cols) for r in tape.drift_acts
-    ]
-    diff_acts = [x_rows] + [_participating_rows(r, cols) for r in tape.diffusion_acts]
+    # The tape lets go of its records; they are freed after the sweep.
+    nets = (model.drift_net, model.diffusion_net)
+    records = (tape.drift_acts, tape.diffusion_acts)
     tape.drift_acts = tape.diffusion_acts = None
-
-    raw = diff_acts[-1][:, 0]
-    sigma = _sigma(raw).reshape(n, mv)
-    gate = sigmoid(raw)  # d softplus / d raw
-    b_prime = mlp_input_derivative(model.drift_net, drift_acts).reshape(n, mv)
-    raw_prime = mlp_input_derivative(model.diffusion_net, diff_acts)
-    sigma_prime = (gate * raw_prime[:, 0]).reshape(n, mv)
-
-    # State adjoint, swept backward through the unrolled scheme.
-    gain = 1.0 + (b_prime - ell1 * sigma_prime * ks[:-1]) * dt + sigma_prime * dws
+    steps = max(1, BACKWARD_BLOCK_ROWS // mv)
     xbar = np.empty((n + 1, mv))
-    xbar[n] = a[n]
-    for step in range(n - 1, -1, -1):
-        xbar[step] = a[step] + xbar[step + 1] * gain[step]
+    xbar[n] = take(a, n, n + 1)[0]
+    sigma = np.empty((n, mv))
+    bundles = [None, None]
+    for s0 in range(steps * ((n - 1) // steps), -1, -steps):
+        s1 = min(s0 + steps, n)
+        rows = (s1 - s0) * mv
+        # Both networks' activations as (rows, width) matrices; a_0 is the states.
+        x_rows = take(tape.x, s0, s1).reshape(rows, 1)
+        acts = [[x_rows] + [None if r is None else take(r, s0, s1).reshape(rows, -1) for r in rec]
+                for rec in records]
+        raw = acts[1][-1][:, 0]
+        _sigma(raw, out=sigma[s0:s1].reshape(rows))
+        gate = sigmoid(raw)  # d softplus / d raw
+        b_prime = mlp_input_derivative(nets[0], acts[0]).reshape(-1, mv)
+        raw_prime = mlp_input_derivative(nets[1], acts[1])
+        sigma_prime = (gate * raw_prime[:, 0]).reshape(-1, mv)
+
+        # State adjoint, swept backward through the block's steps.
+        k_blk, dw_blk, ell1_blk = ks[s0:s1], dws[s0:s1], ell1[s0:s1]
+        gain = 1.0 + (b_prime - ell1_blk * sigma_prime * k_blk) * dt + sigma_prime * dw_blk
+        a_blk = take(a, s0, s1)
+        for i in range(s1 - s0 - 1, -1, -1):
+            xbar[s0 + i] = a_blk[i] + xbar[s0 + i + 1] * gain[i]
+        xbar_next = xbar[s0 + 1 : s1 + 1]
+
+        drift_adj = (xbar_next * dt).reshape(-1, 1)
+        sigma_adj = (xbar_next * (dw_blk - ell1_blk * k_blk * dt)).reshape(-1) * gate
+        for i, adj in enumerate((drift_adj, sigma_adj.reshape(-1, 1))):
+            bundles[i] = _add_into(bundles[i], mlp_batch_backward(nets[i], acts[i], adj))
+    del records, acts
 
     # Memory adjoint: K_k feeds X_{k+1} and K_{k+1}; suffix-sum the direct
     # contributions to get kbar_{k+1} for the ell2 gradient.
     k_direct = xbar[1:] * (-ell1 * sigma * dt)
     suffix = np.cumsum(k_direct[::-1], axis=0)[::-1]
     kbar_next = np.vstack((suffix[1:], np.zeros((1, mv))))
-
-    drift_adj = (xbar[1:] * dt).reshape(-1, 1)
-    drift_bundle = mlp_batch_backward(model.drift_net, drift_acts, drift_adj)
-    del drift_acts, drift_adj
-
-    sigma_adj = (xbar[1:] * (dws - ell1 * ks[:-1] * dt)).reshape(-1) * gate
-    diff_bundle = mlp_batch_backward(model.diffusion_net, diff_acts, sigma_adj.reshape(-1, 1))
 
     ell1_adj = (xbar[1:] * (-sigma * ks[:-1] * dt)).sum(axis=1).reshape(-1, 1)
     ell1_bundle = mlp_batch_backward(model.ell1_net, tape.ell1_acts, ell1_adj)
@@ -486,4 +488,4 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
         ell2_adj = (kbar_next * dws).sum(axis=1).reshape(-1, 1)
         ell2_bundle = mlp_batch_backward(model.ell2_net, tape.ell2_acts, ell2_adj)
 
-    return ModelGradients(drift_bundle, diff_bundle, ell1_bundle, ell2_bundle)
+    return ModelGradients(*bundles, ell1_bundle, ell2_bundle)

@@ -63,11 +63,7 @@ class MlpParams:
 
     def arrays(self) -> list[np.ndarray]:
         """All parameter tensors in a fixed order (weights then bias, per layer)."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return [a for pair in zip(self.weights, self.biases) for a in pair]
 
     def copy(self) -> "MlpParams":
         return MlpParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
@@ -101,11 +97,7 @@ class GradientBundle:
     b_grads: list[np.ndarray]
 
     def arrays(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.w_grads, self.b_grads):
-            out.append(w)
-            out.append(b)
-        return out
+        return [a for pair in zip(self.w_grads, self.b_grads) for a in pair]
 
     def all_finite(self) -> bool:
         return all(np.isfinite(a).all() for a in self.arrays())

@@ -11,7 +11,7 @@ import pytest
 import nansde as nd
 import nansde.integrator as integrator
 from nansde.integrator import SIGMA_FLOOR, euler_x_step, sigmoid, softplus, softplus_inverse
-from nansde.neural import mlp_batch_backward, zero_gradients
+from nansde.neural import GradientBundle, mlp_batch_backward, zero_gradients
 from conftest import affine_net, brownian_model, build_model, unit_adjoint_input_gradient
 
 # ---------------------------------------------------------------------------
@@ -339,6 +339,44 @@ def test_sigma_bias_gradient_matches_finite_differences():
     assert g == pytest.approx(fd, rel=1e-5)
 
 
+def _fd_model(grid, widths, trial):
+    return nd.NansdeModel(
+        drift_net=nd.init_params(widths, seed=50 + trial, tag=0),
+        diffusion_net=nd.init_params(widths, seed=50 + trial, tag=1),
+        ell1_net=nd.init_params(widths, seed=50 + trial, tag=2),
+        ell2_net=nd.init_params(widths, seed=50 + trial, tag=3),
+        grid=grid,
+        x0=1.0,
+    )
+
+
+def _assert_gradients_match_finite_differences(model, seed, coef, trial):
+    """Gradient of coef . X on one path w.r.t. every trainable parameter
+    agrees with central differences on the same increments to 1e-4."""
+
+    def functional():
+        return float(coef @ nd.simulate_ensemble(model, 1, seed).values_matrix()[:, 0])
+
+    tape = nd.simulate_batch_with_tape(model, 1, seed)
+    grads = nd.backpropagate(tape, coef[:, None])
+
+    for name in model.trainable_names():
+        bundle = grads.bundle(name)
+        for arr, garr in zip(model.net(name).arrays(), bundle.arrays()):
+            flat, gflat = arr.ravel(), garr.ravel()
+            for i in range(flat.size):
+                h = 1e-6 * max(1.0, abs(flat[i]))
+                orig = flat[i]
+                flat[i] = orig + h
+                up = functional()
+                flat[i] = orig - h
+                dn = functional()
+                flat[i] = orig
+                fd = (up - dn) / (2 * h)
+                scale = max(abs(fd), abs(gflat[i]), 1e-8)
+                assert abs(fd - gflat[i]) / scale < 1e-4, (trial, name, i)
+
+
 def test_pathwise_gradients_match_finite_differences_everywhere():
     # Random small models: gradient of a random linear functional of the
     # path w.r.t. every trainable parameter agrees with central FD to 1e-4,
@@ -347,44 +385,33 @@ def test_pathwise_gradients_match_finite_differences_everywhere():
     rng = np.random.default_rng(10)
     depths = ((1, 3, 1), (1, 3, 1), (1, 3, 1), (1, 1), (1, 3, 3, 1))
     for trial, widths in enumerate(depths):
-        model = nd.NansdeModel(
-            drift_net=nd.init_params(widths, seed=50 + trial, tag=0),
-            diffusion_net=nd.init_params(widths, seed=50 + trial, tag=1),
-            ell1_net=nd.init_params(widths, seed=50 + trial, tag=2),
-            ell2_net=nd.init_params(widths, seed=50 + trial, tag=3),
-            grid=grid,
-            x0=1.0,
-        )
+        model = _fd_model(grid, widths, trial)
         seed = nd.NoiseSeed(60 + trial, 0)
         coef = rng.standard_normal(grid.n_points)
-
-        def functional():
-            return float(coef @ nd.simulate_ensemble(model, 1, seed).values_matrix()[:, 0])
-
-        tape = nd.simulate_batch_with_tape(model, 1, seed)
-        grads = nd.backpropagate(tape, coef[:, None])
-
-        for name in model.trainable_names():
-            bundle = grads.bundle(name)
-            for arr, garr in zip(model.net(name).arrays(), bundle.arrays()):
-                flat, gflat = arr.ravel(), garr.ravel()
-                for i in range(flat.size):
-                    h = 1e-6 * max(1.0, abs(flat[i]))
-                    orig = flat[i]
-                    flat[i] = orig + h
-                    up = functional()
-                    flat[i] = orig - h
-                    dn = functional()
-                    flat[i] = orig
-                    fd = (up - dn) / (2 * h)
-                    scale = max(abs(fd), abs(gflat[i]), 1e-8)
-                    assert abs(fd - gflat[i]) / scale < 1e-4, (trial, name, i)
+        _assert_gradients_match_finite_differences(model, seed, coef, trial)
 
 
-def _recomputed_gradients(tape, x_adjoints, columns=None):
+def test_pathwise_gradients_match_finite_differences_across_blocks(monkeypatch):
+    # Five (step, path) rows per block split the one-path, 12-step tape into
+    # blocks of steps [10, 12), [5, 10), [0, 5): a wrong xbar carry across a
+    # block boundary breaks the gradient.  The last trial above, in blocks.
+    monkeypatch.setattr(integrator, "BACKWARD_BLOCK_ROWS", 5)
+    grid = nd.unit_grid(12)
+    rng = np.random.default_rng(10)
+    for _ in range(5):
+        coef = rng.standard_normal(grid.n_points)
+    model = _fd_model(grid, (1, 3, 3, 1), 4)
+    _assert_gradients_match_finite_differences(model, nd.NoiseSeed(64, 0), coef, 4)
+
+
+def _recomputed_gradients(tape, x_adjoints, columns=None, block_steps=None):
     """Oracle: the pathwise gradients with the drift and diffusion networks
     evaluated afresh on the taped states, and b' and sigma' taken from
-    unit-adjoint backward passes.  Reads the tape without consuming it."""
+    unit-adjoint backward passes.  Reads the tape without consuming it.
+
+    With ``block_steps`` the drift and diffusion parameter passes run on
+    blocks of that many steps, [0, s), [s, 2s), ..., and the per-block
+    bundles are added last block first; by default one block holds every step."""
     model = tape.model
     cols = np.flatnonzero(tape.alive if columns is None else columns)
     n, dt = model.grid.n_steps, model.grid.dt
@@ -409,9 +436,19 @@ def _recomputed_gradients(tape, x_adjoints, columns=None):
     suffix = np.cumsum(k_direct[::-1], axis=0)[::-1]
     kbar_next = np.vstack((suffix[1:], np.zeros((1, mv))))
 
-    drift = mlp_batch_backward(model.drift_net, drift_acts, (xbar[1:] * dt).reshape(-1, 1))
-    sigma_adj = (xbar[1:] * (dws - ell1 * ks[:-1] * dt)).reshape(-1) * gate
-    diffusion = mlp_batch_backward(model.diffusion_net, diff_acts, sigma_adj.reshape(-1, 1))
+    block = n if block_steps is None else block_steps
+    drift = diffusion = None
+    for s0 in range(block * ((n - 1) // block), -1, -block):
+        s1 = min(s0 + block, n)
+        rows = slice(s0 * mv, s1 * mv)
+        part = mlp_batch_backward(model.drift_net, [act[rows] for act in drift_acts],
+                                  (xbar[s0 + 1 : s1 + 1] * dt).reshape(-1, 1))
+        drift = part if drift is None else _bundle_sum(drift, part)
+        sigma_adj = (xbar[s0 + 1 : s1 + 1] * (dws[s0:s1] - ell1[s0:s1] * ks[s0:s1] * dt)
+                     ).reshape(-1) * gate[rows]
+        part = mlp_batch_backward(model.diffusion_net, [act[rows] for act in diff_acts],
+                                  sigma_adj.reshape(-1, 1))
+        diffusion = part if diffusion is None else _bundle_sum(diffusion, part)
     ell1_adj = (xbar[1:] * (-sigma * ks[:-1] * dt)).sum(axis=1).reshape(-1, 1)
     ell1_grads = mlp_batch_backward(model.ell1_net, tape.ell1_acts, ell1_adj)
     if model.clamp_ell2:
@@ -420,6 +457,11 @@ def _recomputed_gradients(tape, x_adjoints, columns=None):
         ell2_adj = (kbar_next * dws).sum(axis=1).reshape(-1, 1)
         ell2_grads = mlp_batch_backward(model.ell2_net, tape.ell2_acts, ell2_adj)
     return nd.ModelGradients(drift, diffusion, ell1_grads, ell2_grads)
+
+
+def _bundle_sum(total, part):
+    return GradientBundle([t + p for t, p in zip(total.w_grads, part.w_grads)],
+                          [t + p for t, p in zip(total.b_grads, part.b_grads)])
 
 
 def test_recorded_activations_give_the_recomputed_gradients_bit_for_bit(monkeypatch):
@@ -449,6 +491,67 @@ def test_recorded_activations_give_the_recomputed_gradients_bit_for_bit(monkeypa
                     for got, want in zip(grads.bundle(name).arrays(),
                                          expected.bundle(name).arrays()):
                         assert np.array_equal(got, want), (widths, clamp, name)
+
+
+def test_blocked_backward_is_the_recomputed_gradients_added_block_by_block(monkeypatch):
+    # Three steps per block split the 40-step tapes of the oracle above into
+    # 14 blocks, the last one ragged; the oracle's per-block bundles, added
+    # last block first, must be the backward pass's gradients bit for bit.
+    monkeypatch.setattr(integrator, "DIVERGENCE_GUARD", 1.5)
+    grid = nd.unit_grid(40)
+    rng = np.random.default_rng(21)
+    differs_from_one_block = False
+    for widths in ((1, 1), (1, 3, 1), (1, 2, 2, 1)):
+        for clamp in (False, True):
+            model = nd.NansdeModel(
+                *(nd.init_params(widths, seed=30, tag=tag) for tag in range(4)),
+                grid=grid, x0=0.8, clamp_ell2=clamp,
+            )
+            seed = nd.NoiseSeed(31, 0)
+            probe = nd.simulate_batch_with_tape(model, 16, seed)
+            usable = probe.alive & (probe.x > 0.0).all(axis=0)
+            assert (probe.alive & ~usable).any() and usable.any(), widths
+            adj = rng.standard_normal(probe.x.shape)
+            for columns in (None, usable):
+                mv = np.count_nonzero(probe.alive if columns is None else columns)
+                monkeypatch.setattr(integrator, "BACKWARD_BLOCK_ROWS", 3 * mv)
+                tape = nd.simulate_batch_with_tape(model, 16, seed)
+                expected = _recomputed_gradients(tape, adj, columns, block_steps=3)
+                one_block = _recomputed_gradients(tape, adj, columns)
+                grads = nd.backpropagate(tape, adj, columns=columns)
+                for name in integrator.NET_NAMES:
+                    for got, want, whole in zip(grads.bundle(name).arrays(),
+                                                expected.bundle(name).arrays(),
+                                                one_block.bundle(name).arrays()):
+                        assert np.array_equal(got, want), (widths, clamp, name)
+                        differs_from_one_block |= not np.array_equal(got, whole)
+    # The order of the block sums is visible in the bits.
+    assert differs_from_one_block
+
+
+def test_backward_peak_memory_is_block_sized():
+    # A train-sized tape (width 20, T=250, m=512) with a column mask: the
+    # backward pass holds its whole-grid adjoints and block-sized
+    # temporaries, not (n m, width) temporaries (about 47 matrices).
+    grid = nd.unit_grid(250)
+    m = 512
+    model = nd.NansdeModel(
+        *(nd.init_params((1, 20, 1), seed=3, tag=tag) for tag in range(4)),
+        grid=grid, x0=1.0,
+    )
+    tape = nd.simulate_batch_with_tape(model, m, nd.NoiseSeed(4, 0))
+    columns = tape.alive.copy()
+    columns[::10] = False
+    adj = np.ones_like(tape.x)
+    matrix = grid.n_points * m * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        nd.backpropagate(tape, adj, columns=columns)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * matrix
 
 
 def test_evaluation_records_nothing_and_backward_frees_the_records():
