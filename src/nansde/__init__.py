@@ -20,7 +20,6 @@ ensemble and records the tape that pathwise backpropagation replays.
 
 from .errors import (
     DataError,
-    DivergenceError,
     GenerationError,
     IngestError,
     KernelError,
@@ -84,7 +83,6 @@ from .training import (
     TrainState,
     fit,
     init_state,
-    kde_log_density,
     log_returns,
     loss_and_gradients,
     nll_loss,
@@ -100,7 +98,6 @@ __all__ = [
     "BinSpec",
     "DIVERGENCE_GUARD",
     "DataError",
-    "DivergenceError",
     "Ensemble",
     "FbmConfig",
     "GenerationError",
@@ -141,7 +138,6 @@ __all__ = [
     "init_generator",
     "init_params",
     "init_state",
-    "kde_log_density",
     "kernel_values",
     "log_returns",
     "loss_and_gradients",

@@ -48,20 +48,14 @@ MIN_POINTS = 65
 class Dataset:
     """A CSV series made ready for training: positive values on [0, 1].
 
-    ``shift`` is the additive constant applied to enforce positivity
-    (0 when the raw data was already positive); the raw values are kept so
-    preprocessing is trivially invertible.
+    ``shift`` is the additive constant applied to enforce positivity (0 when
+    the raw data was already positive), so ``path.values - shift`` restores
+    the raw values.
     """
 
     name: str
-    raw_values: np.ndarray
-    raw_times: np.ndarray | None
     shift: float
     path: Path
-
-    def restore_raw(self) -> np.ndarray:
-        """Undo the positivity shift."""
-        return self.path.values - self.shift
 
 
 def ingest_csv(file) -> Dataset:
@@ -106,16 +100,14 @@ def ingest_csv(file) -> Dataset:
             raise IngestError(f"{file} contains only a header")
 
     width = len(rows[start][1])
-    times, values = [], []
+    values = []
     for lineno, cells in rows[start:]:
         if len(cells) != width:
             raise IngestError(
                 f"{file}, line {lineno}: expected {width} columns, got {len(cells)}",
                 line=lineno,
             )
-        t, v = parse_row(lineno, cells)
-        times.append(t)
-        values.append(v)
+        values.append(parse_row(lineno, cells)[1])
 
     if len(values) < MIN_POINTS:
         raise DataError(
@@ -124,29 +116,22 @@ def ingest_csv(file) -> Dataset:
     raw_values = np.array(values)
     if not np.isfinite(raw_values).all():
         raise IngestError(f"{file}: non-finite values present")
-    raw_times = None if width == 1 else np.array(times)
 
     low = raw_values.min()
     shift = 1.0 - low if low <= 0.0 else 0.0
-    shifted = raw_values + shift
     grid = unit_grid(len(values) - 1)
-    return Dataset(file.stem, raw_values, raw_times, float(shift), Path(grid, shifted))
+    return Dataset(file.stem, float(shift), Path(grid, raw_values + shift))
 
 
 # ---------------------------------------------------------------------------
 # Experiment configuration
 # ---------------------------------------------------------------------------
 
+# The training schedule's keys and defaults are TrainConfig's own fields;
+# its noise seed comes from the experiment seed.
+TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")
 CONFIG_DEFAULTS = {
     "widths": [1, 20, 1],
-    "m": 128,
-    "lr": 0.004,
-    "max_iters": 1000,
-    "early_stop_patience": 200,
-    "kde_floor": 1e-12,
-    "adam_beta1": 0.9,
-    "adam_beta2": 0.999,
-    "adam_eps": 1e-8,
     "clamp_ell2": False,
     "eval_m": 128,
     "eval_lags": 0,  # 0 means min(100, T/4)
@@ -160,7 +145,7 @@ CONFIG_OPTIONAL = ("init_seed", "eval_seed")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved flat-key configuration for train/compare runs."""
+    """Resolved configuration for train/compare runs; ``train`` holds the schedule."""
 
     data: str
     seed: int
@@ -168,43 +153,30 @@ class ExperimentConfig:
     init_seed: int
     eval_seed: int
     widths: tuple[int, ...]
-    m: int
-    lr: float
-    max_iters: int
-    early_stop_patience: int
-    kde_floor: float
-    adam_beta1: float
-    adam_beta2: float
-    adam_eps: float
+    train: TrainConfig
     clamp_ell2: bool
     eval_m: int
     eval_lags: int
     eval_bins: int
     r2_pred: int
 
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            seed=NoiseSeed(self.seed, 0),
-            m=self.m,
-            lr=self.lr,
-            max_iters=self.max_iters,
-            early_stop_patience=self.early_stop_patience,
-            kde_floor=self.kde_floor,
-            adam_beta1=self.adam_beta1,
-            adam_beta2=self.adam_beta2,
-            adam_eps=self.adam_eps,
-        )
+    def __post_init__(self):
+        if min(self.widths) < 1:
+            raise ValueError(f"widths must be >= 1, got {list(self.widths)}")
+        for key, low in (("eval_m", 1), ("eval_lags", 0), ("eval_bins", 2), ("r2_pred", 1)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
 
     def manifest_settings(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
+        """The flat keys of the config file, every default filled in."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "train"}
+        out.update((key, getattr(self.train, key)) for key in TRAIN_KEYS)
+        out["widths"] = list(self.widths)
         return out
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    """Read and validate a flat JSON config; unknown keys are rejected."""
+    """Read and validate a flat JSON config; unknown keys and bad values are rejected."""
     path = pathlib.Path(path)
     try:
         raw = json.loads(path.read_text())
@@ -215,7 +187,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise DataError(f"config {path} must be a JSON object")
 
-    known = set(CONFIG_DEFAULTS) | set(CONFIG_REQUIRED) | set(CONFIG_OPTIONAL)
+    known = set(CONFIG_DEFAULTS) | set(TRAIN_KEYS) | set(CONFIG_REQUIRED) | set(CONFIG_OPTIONAL)
     unknown = sorted(set(raw) - known)
     if unknown:
         raise DataError(f"config {path}: unknown keys {unknown}")
@@ -230,8 +202,10 @@ def load_experiment_config(path) -> ExperimentConfig:
     widths = merged.pop("widths")
     if not isinstance(widths, list) or len(widths) < 2:
         raise DataError(f"config {path}: widths must be a list of at least 2 ints")
+    schedule = {key: merged.pop(key) for key in TRAIN_KEYS if key in merged}
     try:
-        return ExperimentConfig(widths=tuple(int(w) for w in widths), **merged)
+        train = TrainConfig(seed=NoiseSeed(merged["seed"], 0), **schedule)
+        return ExperimentConfig(widths=tuple(int(w) for w in widths), train=train, **merged)
     except (TypeError, ValueError) as exc:
         raise DataError(f"config {path}: {exc}") from exc
 
@@ -335,36 +309,11 @@ def cmd_generate_fbm(args) -> int:
     return 0
 
 
-def _evaluate_to_rows(
-    dataset: Dataset,
-    model: NansdeModel,
-    seed: int,
-    eval_m: int,
-    lags: int,
-    bins: int,
-    r2_pred: int,
-):
-    """Report and details of a model on a dataset; ``lags`` 0 means min(100, T/4)."""
-    return compute_report(
-        dataset.path,
-        model,
-        m_eval=eval_m,
-        seed=seed,
-        n_bins=bins,
-        n_lags=lags if lags > 0 else None,
-        m_pred=r2_pred,
-    )
-
-
 def cmd_train(args) -> int:
     cfg = load_experiment_config(args.config)
     dataset = ingest_csv(cfg.data)
     model, state = fit(
-        dataset.path,
-        cfg.train_config(),
-        cfg.init_seed,
-        widths=cfg.widths,
-        clamp_ell2=cfg.clamp_ell2,
+        dataset.path, cfg.train, cfg.init_seed, widths=cfg.widths, clamp_ell2=cfg.clamp_ell2
     )
     write_run_artifacts(cfg.out_dir, cfg, dataset, model, state)
     print(
@@ -378,8 +327,9 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     dataset = ingest_csv(args.data)
     model = load_checkpoint(args.checkpoint, dataset)
-    report, details = _evaluate_to_rows(
-        dataset, model, args.seed, args.eval_m, args.lags, args.bins, args.r2_pred
+    report, details = compute_report(
+        dataset.path, model, args.eval_m, args.seed, args.bins,
+        n_lags=args.lags if args.lags > 0 else None, m_pred=args.r2_pred,
     )
     out_dir = pathlib.Path(args.out)
     label = pathlib.Path(args.checkpoint).name or "model"
@@ -420,15 +370,12 @@ def cmd_compare(args) -> int:
     for label, clamp in (("nansde", False), ("sde", True)):
         sub = replace(cfg, clamp_ell2=clamp, out_dir=str(out_dir / label))
         model, state = fit(
-            dataset.path,
-            sub.train_config(),
-            sub.init_seed,
-            widths=sub.widths,
-            clamp_ell2=clamp,
+            dataset.path, sub.train, sub.init_seed, widths=sub.widths, clamp_ell2=clamp
         )
         write_run_artifacts(sub.out_dir, sub, dataset, model, state)
-        report, details = _evaluate_to_rows(
-            dataset, model, sub.eval_seed, sub.eval_m, sub.eval_lags, sub.eval_bins, sub.r2_pred
+        report, details = compute_report(
+            dataset.path, model, sub.eval_m, sub.eval_seed, sub.eval_bins,
+            n_lags=sub.eval_lags if sub.eval_lags > 0 else None, m_pred=sub.r2_pred,
         )
         rows.append((label, report))
         all_details.update((f"{label}.{key}", value) for key, value in details.items())
@@ -462,11 +409,16 @@ def _hurst_arg(value: str) -> float:
     return h
 
 
-def _positive_int(value: str) -> int:
-    n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {n}")
-    return n
+def _int_at_least(low: int):
+    """An argparse type: integers of at least ``low``."""
+
+    def integer(value: str) -> int:
+        n = int(value)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {n}")
+        return n
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -478,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate-fbm", help="write a fractional Brownian motion ensemble CSV")
     p.add_argument("--hurst", type=_hurst_arg, required=True, help="Hurst index in (0, 1)")
-    p.add_argument("--n-steps", type=_positive_int, default=1000, help="steps on [0, 1]")
-    p.add_argument("--n-paths", type=_positive_int, default=1, help="independent paths")
+    p.add_argument("--n-steps", type=_int_at_least(1), default=1000, help="steps on [0, 1]")
+    p.add_argument("--n-paths", type=_int_at_least(1), default=1, help="independent paths")
     p.add_argument("--seed", type=int, required=True, help="base noise seed")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_generate_fbm)
@@ -492,10 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, help="directory written by train")
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--seed", type=int, required=True, help="evaluation seed")
-    p.add_argument("--eval-m", type=_positive_int, default=128, help="evaluation ensemble size")
-    p.add_argument("--lags", type=int, default=0, help="ACF lag count (0 = min(100, T/4))")
-    p.add_argument("--bins", type=_positive_int, default=50, help="interior histogram bins")
-    p.add_argument("--r2-pred", type=_positive_int, default=64, help="one-step prediction samples")
+    p.add_argument("--eval-m", type=_int_at_least(1), default=128, help="evaluation ensemble size")
+    p.add_argument("--lags", type=_int_at_least(0), default=0, help="ACF lags (0 = min(100, T/4))")
+    p.add_argument("--bins", type=_int_at_least(2), default=50, help="interior histogram bins")
+    p.add_argument("--r2-pred", type=_int_at_least(1), default=64, help="R^2 prediction samples")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_evaluate)
 

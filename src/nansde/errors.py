@@ -18,10 +18,6 @@ class GenerationError(NansdeError):
     """A noise generator failed (e.g. no valid fBm embedding or factorization)."""
 
 
-class DivergenceError(NansdeError):
-    """A simulated noise state left the admissible region."""
-
-
 class DataError(NansdeError):
     """Observed data violates an operation's preconditions."""
 

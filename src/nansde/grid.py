@@ -1,9 +1,9 @@
 """Uniform time grids.
 
 All simulation and training code in this package runs on a uniform grid
-``t_k = t0 + k*dt`` for ``k = 0..n_steps``.  The grid object carries the
-step count and spacing; node coordinates are derived, never stored, so two
-grids with equal ``(t0, dt, n_steps)`` produce bitwise-identical time axes.
+``t_k = k*dt`` for ``k = 0..n_steps``.  The grid object carries the step
+count and spacing; node coordinates are derived, never stored, so two grids
+with equal ``(dt, n_steps)`` produce bitwise-identical time axes.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid with ``n_steps`` steps of width ``dt`` starting at ``t0``."""
+    """Uniform grid on ``[0, n_steps*dt]`` with ``n_steps`` steps of width ``dt``."""
 
     n_steps: int
     dt: float
-    t0: float = 0.0
 
     def __post_init__(self):
         if self.n_steps < 1:
@@ -32,17 +31,13 @@ class TimeGrid:
         """Number of grid nodes, including both endpoints."""
         return self.n_steps + 1
 
-    @property
-    def t_end(self) -> float:
-        return self.t0 + self.n_steps * self.dt
-
     def times(self) -> np.ndarray:
-        """All node coordinates ``t0, t0+dt, ..., t_end`` (length ``n_points``)."""
-        return self.t0 + self.dt * np.arange(self.n_points)
+        """All node coordinates ``0, dt, ..., n_steps*dt`` (length ``n_points``)."""
+        return self.dt * np.arange(self.n_points)
 
     def step_times(self) -> np.ndarray:
         """Left endpoints of each step (length ``n_steps``)."""
-        return self.t0 + self.dt * np.arange(self.n_steps)
+        return self.dt * np.arange(self.n_steps)
 
 
 def unit_grid(n_steps: int) -> TimeGrid:

@@ -133,7 +133,7 @@ def euler_x_step(x, k, b, sigma, ell1, dw, dt: float, out: np.ndarray, scratch: 
     """The X update x + (b - ell1 sigma k) dt + sigma dW, written into ``out``.
 
     The Euler sweep calls it on (m,) vectors and ``metrics.r2_score`` on
-    arrays that broadcast to (m_pred, n_test); ``scratch`` (shaped like
+    arrays that broadcast to (n_test, m_pred); ``scratch`` (shaped like
     ``out``) receives sigma dW.  One order of operations gives both the same bits.
     """
     np.multiply(ell1, sigma, out=out)

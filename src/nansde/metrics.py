@@ -36,7 +36,7 @@ def default_lag_count(n_returns: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def estimate_hurst(path: Path, on_returns: bool = False) -> float:
+def estimate_hurst(path: Path) -> float:
     """Aggregated-variance Hurst estimate of a path.
 
     Computes the mean squared m-lag difference of the (level) path over
@@ -44,16 +44,8 @@ def estimate_hurst(path: Path, on_returns: bool = False) -> float:
     Var(X_{t+m dt} - X_t) ~ m^{2H}.  The second moment is not centered, so
     a deterministic trend reads as strong persistence and the estimate can
     exceed 1 rather than being clipped.
-
-    With ``on_returns`` the path is first mapped through log, i.e. the
-    scaling of aggregated log-returns is analyzed instead of raw levels.
     """
-    values = path.values
-    if on_returns:
-        if np.any(values <= 0.0):
-            raise MetricError("log-return Hurst needs a strictly positive path")
-        values = np.log(values)
-    return float(_hurst_rows(values[None, :])[0])
+    return float(_hurst_rows(path.values[None, :])[0])
 
 
 def _hurst_rows(levels: np.ndarray) -> np.ndarray:
@@ -317,17 +309,18 @@ def r2_score(
         (np.zeros((m_pred, 1)), np.cumsum(ell2[None, :] * dw, axis=1)), axis=1
     )
 
-    # The gathered columns are column-major; the predictions keep that
-    # layout, which fixes the summation order of the means below.
-    k_test = k[:, idx]
+    k_test = np.ascontiguousarray(k[:, idx].T)  # (n_test, m_pred)
     x_hat = np.empty_like(k_test)
-    euler_x_step(x_t, k_test, b, sigma, ell1[idx], dw[:, idx], dt, x_hat, np.empty_like(k_test))
+    euler_x_step(
+        x_t[:, None], k_test, b[:, None], sigma[:, None], ell1[idx, None], dw[:, idx].T, dt,
+        x_hat, np.empty_like(k_test),
+    )
     valid = x_hat > 0.0
-    counts = valid.sum(axis=0)
+    counts = valid.sum(axis=1)
     if np.any(counts == 0):
         raise MetricError("all one-step predictions non-positive at some test index")
-    ratio = np.where(valid, x_hat / x_t[None, :], 1.0)
-    r_tilde = (np.log(ratio) * valid).sum(axis=0) / counts
+    ratio = np.where(valid, x_hat / x_t[:, None], 1.0)
+    r_tilde = (np.log(ratio) * valid).sum(axis=1) / counts
 
     return r2_from_predictions(r[idx], r_tilde)
 

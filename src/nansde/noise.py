@@ -158,10 +158,10 @@ def fbm_increments(cfg: FbmConfig, seed: NoiseSeed) -> np.ndarray:
 
 
 def fbm_path(cfg: FbmConfig, seed: NoiseSeed) -> Path:
-    """Fractional Brownian motion path with B(t0) = 0.
+    """Fractional Brownian motion path with B(0) = 0.
 
     Exact in law: Cov(B_s, B_t) = (s^{2H} + t^{2H} - |t-s|^{2H}) / 2 on the
-    grid nodes (with times measured from t0).
+    grid nodes.
     """
     inc = fbm_increments(cfg, seed)
     values = np.concatenate(([0.0], np.cumsum(inc)))

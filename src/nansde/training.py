@@ -108,29 +108,11 @@ def log_returns(path: Path) -> LogReturnSeries:
     return LogReturnSeries(np.log(values[1:] / values[:-1]))
 
 
-def silverman_bandwidth(samples: np.ndarray) -> float:
-    """1.06 std M^{-1/5}, floored so identical samples stay usable."""
+def silverman_bandwidth(samples: np.ndarray) -> np.ndarray:
+    """1.06 std M^{-1/5} of each row (last axis), floored so identical samples stay usable."""
     samples = np.asarray(samples, dtype=float)
-    h = 1.06 * samples.std() * samples.size ** (-0.2)
-    return max(BANDWIDTH_FLOOR, float(h))
-
-
-def kde_log_density(samples, query: float, floor: float, bandwidth: float | None = None) -> float:
-    """Log of the floored Gaussian-KDE density at one query point.
-
-    The bandwidth defaults to the Silverman rule on ``samples``; passing an
-    explicit value pins it (used e.g. by finite-difference checks, since
-    training treats the bandwidth as a constant).
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 1 or samples.size < 2:
-        raise ValueError(f"need at least 2 samples, got shape {samples.shape}")
-    if floor <= 0.0:
-        raise ValueError(f"floor must be positive, got {floor}")
-    h = silverman_bandwidth(samples) if bandwidth is None else float(bandwidth)
-    z = (query - samples) / h
-    density = np.exp(-0.5 * z * z).mean() / (h * math.sqrt(2.0 * math.pi))
-    return float(np.log(max(floor, density)))
+    h = 1.06 * samples.std(axis=-1) * samples.shape[-1] ** (-0.2)
+    return np.maximum(BANDWIDTH_FLOOR, h)
 
 
 def _nll(
@@ -149,12 +131,9 @@ def _nll(
     t_len, m = samples.shape
     if r_obs.shape != (t_len,):
         raise ValueError(f"observed returns {r_obs.shape} do not match samples {samples.shape}")
-    if bandwidths is None:
-        h = np.maximum(BANDWIDTH_FLOOR, 1.06 * samples.std(axis=1) * m ** (-0.2))
-    else:
-        h = np.asarray(bandwidths, dtype=float)
-        if h.shape != (t_len,):
-            raise ValueError(f"need one bandwidth per step, got shape {h.shape}")
+    h = silverman_bandwidth(samples) if bandwidths is None else np.asarray(bandwidths, dtype=float)
+    if h.shape != (t_len,):
+        raise ValueError(f"need one bandwidth per step, got shape {h.shape}")
     z = (r_obs[:, None] - samples) / h[:, None]
     phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     density = phi.mean(axis=1) / h

@@ -44,7 +44,7 @@ def fast_config(csv, out_dir, **overrides):
         "widths": [1, 3, 1], "eval_m": 8, "r2_pred": 8,
     }
     cfg.update(overrides)
-    return cfg
+    return {key: value for key, value in cfg.items() if value is not None}  # None drops a key
 
 
 # ---------------------------------------------------------------------------
@@ -60,10 +60,17 @@ def test_ingest_two_column_csv_with_header(tmp_path):
     assert ds.name == "prices"
     assert np.array_equal(ds.path.values, values)  # positive: no shift
     assert ds.shift == 0.0
-    assert np.array_equal(ds.raw_times, np.arange(70.0))
     # original timestamps are replaced by the model's uniform unit grid
     assert ds.path.grid == nd.unit_grid(69)
     assert ds.path.grid.dt == pytest.approx(1.0 / 69.0, rel=1e-15)
+
+    # the time cell is still parsed and checked
+    lines = csv.read_text().splitlines()
+    lines[6] = "noon," + lines[6].split(",")[1]
+    csv.write_text("\n".join(lines) + "\n")
+    with pytest.raises(IngestError) as exc:
+        ingest_csv(csv)
+    assert exc.value.line == 7
 
 
 def test_ingest_single_column_and_shift(tmp_path):
@@ -71,12 +78,11 @@ def test_ingest_single_column_and_shift(tmp_path):
     csv = tmp_path / "raw.csv"
     write_series_csv(csv, values)
     ds = ingest_csv(csv)
-    assert ds.raw_times is None
     assert ds.shift == 1.0 - values.min()
     assert np.all(ds.path.values > 0.0)
     assert ds.path.values.min() == pytest.approx(1.0, rel=1e-15)
-    assert np.array_equal(ds.raw_values, values)  # parsing is exact
-    assert ds.restore_raw() == pytest.approx(values, abs=1e-12)
+    assert np.array_equal(ds.path.values, values + ds.shift)  # parsing is exact
+    assert ds.path.values - ds.shift == pytest.approx(values, abs=1e-12)
 
 
 def test_ingest_reports_malformed_line(tmp_path):
@@ -130,11 +136,10 @@ def test_config_defaults_and_seed_fallbacks(tmp_path):
     cfg = load_experiment_config(cfg_path)
     assert cfg.init_seed == 11 and cfg.eval_seed == 11
     assert cfg.widths == (1, 20, 1)
-    assert cfg.m == 128 and cfg.max_iters == 1000
+    assert cfg.train.m == 128 and cfg.train.max_iters == 1000
     assert cfg.clamp_ell2 is False
-    tc = cfg.train_config()
-    assert tc.seed == nd.NoiseSeed(11, 0)
-    assert tc.m == 128 and tc.lr == 0.004
+    assert cfg.train.seed == nd.NoiseSeed(11, 0)
+    assert cfg.train.lr == 0.004
 
 
 def test_config_rejects_unknown_and_missing_keys(tmp_path):
@@ -159,6 +164,68 @@ def test_config_rejects_unknown_and_missing_keys(tmp_path):
 
     with pytest.raises(DataError, match="cannot read"):
         load_experiment_config(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize("bad", [
+    {"m": 1},
+    {"m": "8"},
+    {"max_iters": 50, "early_stop_patience": None},  # default patience 200 > 50
+    {"lr": 0.0},
+    {"kde_floor": -1.0},
+    {"widths": [1, 0, 1]},
+    {"eval_m": 0},
+    {"eval_lags": -2},
+    {"eval_bins": 1},
+    {"r2_pred": 0},
+])
+def test_bad_config_values_fail_before_any_work(tmp_path, series_csv, capsys, bad):
+    csv, _ = series_csv
+    out_dir = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(fast_config(csv, out_dir, **bad)))
+    with pytest.raises(DataError, match="config"):
+        load_experiment_config(cfg_path)
+    for command in ("train", "compare"):
+        assert main([command, "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config {cfg_path}: ")
+        assert not out_dir.exists()
+
+
+# Every flat key of the config file with its default value.
+DEFAULT_SETTINGS = {
+    "widths": [1, 20, 1], "m": 128, "lr": 0.004, "max_iters": 1000,
+    "early_stop_patience": 200, "kde_floor": 1e-12, "adam_beta1": 0.9,
+    "adam_beta2": 0.999, "adam_eps": 1e-8, "clamp_ell2": False, "eval_m": 128,
+    "eval_lags": 0, "eval_bins": 50, "r2_pred": 64,
+}
+
+
+def test_manifests_echo_every_flat_setting(tmp_path, series_csv, capsys):
+    csv, _ = series_csv
+    overrides = {"m": 8, "max_iters": 2, "early_stop_patience": 2, "widths": [1, 3, 1],
+                 "eval_m": 8, "r2_pred": 8}
+    expected = {**DEFAULT_SETTINGS, "data": str(csv), "seed": 4, "init_seed": 4,
+                "eval_seed": 4, **overrides}
+    cfg_path = tmp_path / "cfg.json"
+
+    run_dir = tmp_path / "run"
+    cfg_path.write_text(json.dumps({"data": str(csv), "seed": 4, "out_dir": str(run_dir),
+                                    **overrides}))
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    settings = json.loads((run_dir / "manifest.json").read_text())["settings"]
+    assert len(settings) == 19
+    assert settings == {**expected, "out_dir": str(run_dir)}
+
+    cmp_dir = tmp_path / "cmp"
+    cfg_path.write_text(json.dumps({"data": str(csv), "seed": 4, "out_dir": str(cmp_dir),
+                                    **overrides}))
+    assert main(["compare", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    top = json.loads((cmp_dir / "manifest.json").read_text())["settings"]
+    assert top == {**expected, "out_dir": str(cmp_dir)}
+    for label, clamp in (("nansde", False), ("sde", True)):
+        leg = json.loads((cmp_dir / label / "manifest.json").read_text())["settings"]
+        assert leg == {**expected, "out_dir": str(cmp_dir / label), "clamp_ell2": clamp}
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +338,7 @@ def test_train_writes_complete_artifacts(tmp_path, series_csv, capsys):
     ds = ingest_csv(csv)
     reloaded = load_checkpoint(run_dir, ds)
     cfg = load_experiment_config(cfg_path)
-    best, _ = nd.fit(ds.path, cfg.train_config(), cfg.init_seed,
+    best, _ = nd.fit(ds.path, cfg.train, cfg.init_seed,
                      widths=cfg.widths, clamp_ell2=cfg.clamp_ell2)
     for name in ("drift", "diffusion", "ell1", "ell2"):
         for a, b in zip(reloaded.net(name).arrays(), best.net(name).arrays()):
@@ -366,6 +433,15 @@ def test_cli_errors_exit_with_code_one(tmp_path, capsys):
                "--out", str(tmp_path / "ev")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+    # evaluate's counts are checked as they are parsed
+    for flag, value in (("--lags", "-2"), ("--bins", "1"), ("--eval-m", "0")):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--checkpoint", str(tmp_path / "nope"),
+                  "--data", str(tmp_path / "none.csv"), "--seed", "0",
+                  "--out", str(tmp_path / "ev"), flag, value])
+        assert exc.value.code == 2
+    assert not (tmp_path / "ev").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -50,17 +50,6 @@ def test_hurst_brownian_median_near_half():
     assert abs(float(np.median(estimates)) - 0.5) < 0.05
 
 
-def test_hurst_on_returns_matches_log_levels():
-    grid = nd.unit_grid(128)
-    w = nd.brownian_path(grid, nd.NoiseSeed(5, 0))
-    level = nd.estimate_hurst(w)
-    via_returns = nd.estimate_hurst(nd.Path(grid, np.exp(w.values)), on_returns=True)
-    assert via_returns == pytest.approx(level, rel=1e-12)
-    with pytest.raises(MetricError):
-        nd.estimate_hurst(nd.Path(grid, w.values - w.values.min() - 1.0),
-                          on_returns=True)
-
-
 def _hurst_one_path(values):
     """Oracle: the per-path estimator, one 1-d mean per dyadic lag."""
     n = values.size - 1
@@ -322,17 +311,20 @@ def _r2_oracle(observed, model, m_pred, seed, split=0.8):
     dw = np.stack([nd.eval_generator(seed, tag=j).standard_normal(observed.grid.n_steps)
                    * np.sqrt(dt) for j in range(m_pred)])
     k = np.concatenate((np.zeros((m_pred, 1)), np.cumsum(ell2[None, :] * dw, axis=1)), axis=1)
-    x_hat = (x_t[None, :] + (b[None, :] - ell1[idx][None, :] * sigma[None, :] * k[:, idx]) * dt
-             + sigma[None, :] * dw[:, idx])
+    # One C-ordered row of m_pred predictions per test index.
+    k_test = np.ascontiguousarray(k[:, idx].T)
+    x_hat = (x_t[:, None] + (b[:, None] - ell1[idx][:, None] * sigma[:, None] * k_test) * dt
+             + sigma[:, None] * dw[:, idx].T)
+    assert x_hat.flags.c_contiguous and x_hat.shape == (idx.size, m_pred)
     valid = x_hat > 0.0
-    ratio = np.where(valid, x_hat / x_t[None, :], 1.0)
-    r_tilde = (np.log(ratio) * valid).sum(axis=0) / valid.sum(axis=0)
+    ratio = np.where(valid, x_hat / x_t[:, None], 1.0)
+    r_tilde = (np.log(ratio) * valid).sum(axis=1) / valid.sum(axis=1)
     return nd.r2_from_predictions(r[idx], r_tilde)
 
 
 def test_r2_score_is_the_written_out_recipe_bit_for_bit():
-    # The means over the m_pred predictions are sums along the first axis,
-    # whose rounding depends on the predictions' memory layout.
+    # The means over the m_pred predictions are sums along each contiguous
+    # row, whose rounding is fixed by that layout.
     observed = positive_observed_path(500, scale=0.05, seed=4)
     for clamp in (False, True):
         model = nd.NansdeModel(
@@ -340,7 +332,9 @@ def test_r2_score_is_the_written_out_recipe_bit_for_bit():
             grid=observed.grid, x0=float(observed.values[0]), clamp_ell2=clamp,
         )
         for seed in range(4):
-            assert nd.r2_score(observed, model, seed=seed) == _r2_oracle(observed, model, 64, seed)
+            for m_pred in (1, 7, 64, 200):
+                got = nd.r2_score(observed, model, m_pred=m_pred, seed=seed)
+                assert got == _r2_oracle(observed, model, m_pred, seed)
 
 
 def test_r2_score_rejects_flat_test_block():

@@ -15,13 +15,13 @@ from nansde.rng import DOMAIN_NOISE, noise_generator, stream_generator
 # ---------------------------------------------------------------------------
 
 
-def test_grid_points_follow_t0_plus_k_dt():
-    grid = nd.TimeGrid(n_steps=5, dt=0.25, t0=1.0)
+def test_grid_points_follow_k_dt():
+    grid = nd.TimeGrid(n_steps=5, dt=0.25)
     assert grid.n_points == 6
-    expected = 1.0 + 0.25 * np.arange(6)
+    expected = 0.25 * np.arange(6)
     assert np.array_equal(grid.times(), expected)
     assert np.array_equal(grid.step_times(), expected[:-1])
-    assert grid.t_end == 1.0 + 5 * 0.25
+    assert grid.times()[-1] == 5 * 0.25
 
 
 def test_grid_rejects_degenerate_construction():
@@ -32,7 +32,7 @@ def test_grid_rejects_degenerate_construction():
     with pytest.raises(ValueError):
         nd.TimeGrid(n_steps=0, dt=0.1)
     assert nd.unit_grid(4).dt == 0.25
-    assert nd.unit_grid(4).t_end == pytest.approx(1.0)
+    assert nd.unit_grid(4).times()[-1] == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 import nansde as nd
 from nansde.errors import DataError, TrainingError
-from nansde.training import BANDWIDTH_FLOOR
+from nansde.training import BANDWIDTH_FLOOR, _ensemble_nll, _nll
 from conftest import build_model, positive_observed_path
 
 # ---------------------------------------------------------------------------
@@ -39,23 +39,32 @@ def test_log_returns_rejects_non_positive_values():
 # ---------------------------------------------------------------------------
 
 
+def _kde_log_density(samples, query, floor, bandwidth=None):
+    """log p(query) under the floored KDE of one step's samples, via the training loss."""
+    bandwidths = None if bandwidth is None else np.array([bandwidth])
+    loss, _ = _nll(np.array([query]), np.array([samples], dtype=float), floor, bandwidths)
+    return -loss
+
+
 def test_kde_hand_value_with_pinned_bandwidth():
     # Two samples at -1 and 1, query at 0, bandwidth pinned to 1: the
     # density is exactly phi(1), whose log is -1/2 - log sqrt(2 pi).
-    got = nd.kde_log_density([-1.0, 1.0], 0.0, floor=1e-12, bandwidth=1.0)
+    got = _kde_log_density([-1.0, 1.0], 0.0, floor=1e-12, bandwidth=1.0)
     assert got == pytest.approx(-1.4189385332046727, rel=1e-14)
     assert got == pytest.approx(-0.5 - math.log(math.sqrt(2 * math.pi)), rel=1e-14)
 
 
 def test_kde_floor_and_permutation_invariance():
     samples = [0.01, -0.02, 0.005, 0.0]
-    far = nd.kde_log_density(samples, 1e9, floor=1e-12)
+    far = _kde_log_density(samples, 1e9, floor=1e-12)
     assert far == math.log(1e-12)
-    a = nd.kde_log_density([1.0, 2.0, 3.0], 1.5, floor=1e-12)
-    b = nd.kde_log_density([3.0, 1.0, 2.0], 1.5, floor=1e-12)
+    a = _kde_log_density([1.0, 2.0, 3.0], 1.5, floor=1e-12)
+    b = _kde_log_density([3.0, 1.0, 2.0], 1.5, floor=1e-12)
     assert a == pytest.approx(b, rel=1e-13)
-    with pytest.raises(ValueError):
-        nd.kde_log_density([1.0], 0.0, floor=1e-12)
+    # the KDE needs a spread: fewer than two usable paths is an error
+    x = np.array([[1.0, 1.0], [1.1, 1.2]])
+    with pytest.raises(TrainingError, match="need at least 2"):
+        _ensemble_nll(np.array([0.1]), x, np.array([True, False]), 1e-12)
 
 
 def test_silverman_bandwidth_rule_and_floor():
@@ -63,13 +72,17 @@ def test_silverman_bandwidth_rule_and_floor():
     expected = 1.06 * samples.std() * 4 ** (-0.2)
     assert nd.silverman_bandwidth(samples) == pytest.approx(expected, rel=1e-15)
     assert nd.silverman_bandwidth(np.full(8, 1.23)) == BANDWIDTH_FLOOR
+    # row-wise on the last axis, each row exactly as on its own
+    rows = np.array([samples, np.full(4, 1.23), samples[::-1] * 3.0])
+    assert np.array_equal(nd.silverman_bandwidth(rows),
+                          [nd.silverman_bandwidth(row) for row in rows])
 
 
 def test_kde_density_integrates_to_one():
     rng = np.random.default_rng(15)
     samples = rng.normal(0.002, 0.01, size=64)
     xs = np.linspace(-0.15, 0.15, 6001)
-    dens = np.exp([nd.kde_log_density(samples, float(x), floor=1e-300) for x in xs])
+    dens = np.exp([_kde_log_density(samples, float(x), floor=1e-300) for x in xs])
     assert np.trapezoid(dens, xs) == pytest.approx(1.0, abs=1e-3)
 
 
