@@ -20,6 +20,7 @@ import argparse
 import json
 import pathlib
 import sys
+import typing
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -175,15 +176,39 @@ class ExperimentConfig:
         return out
 
 
+def _json_type_error(key: str, value, hint) -> str | None:
+    """Why a JSON value does not fit a key's annotated type, or None if it does.
+
+    A bool is not an int, and an int counts as a float; a tuple annotation
+    takes a JSON list of its element type.
+    """
+    if typing.get_origin(hint) is tuple:
+        element = typing.get_args(hint)[0]
+        if not isinstance(value, list) or any(_json_type_error(key, v, element) for v in value):
+            return f"{key} must be a list of {element.__name__}s, got {value!r}"
+        return None
+    kinds = (int, float) if hint is float else hint
+    if isinstance(value, kinds) and (hint is bool or not isinstance(value, bool)):
+        return None
+    return f"{key} must be of type {hint.__name__}, got {value!r}"
+
+
+def _no_constant(name: str):
+    """json.loads hook: Python's NaN and Infinity literals are not JSON numbers."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def load_experiment_config(path) -> ExperimentConfig:
     """Read and validate a flat JSON config; unknown keys and bad values are rejected."""
     path = pathlib.Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(), parse_constant=_no_constant)
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"config {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise DataError(f"config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise DataError(f"config {path} must be a JSON object")
 
@@ -199,13 +224,20 @@ def load_experiment_config(path) -> ExperimentConfig:
     merged.update(raw)
     merged.setdefault("init_seed", merged["seed"])
     merged.setdefault("eval_seed", merged["seed"])
+    hints = typing.get_type_hints(ExperimentConfig)
+    hints.update((key, hint) for key, hint in typing.get_type_hints(TrainConfig).items()
+                 if key in TRAIN_KEYS)
+    for key, value in merged.items():
+        problem = _json_type_error(key, value, hints[key])
+        if problem:
+            raise DataError(f"config {path}: {problem}")
     widths = merged.pop("widths")
-    if not isinstance(widths, list) or len(widths) < 2:
+    if len(widths) < 2:
         raise DataError(f"config {path}: widths must be a list of at least 2 ints")
     schedule = {key: merged.pop(key) for key in TRAIN_KEYS if key in merged}
     try:
         train = TrainConfig(seed=NoiseSeed(merged["seed"], 0), **schedule)
-        return ExperimentConfig(widths=tuple(int(w) for w in widths), train=train, **merged)
+        return ExperimentConfig(widths=tuple(widths), train=train, **merged)
     except (TypeError, ValueError) as exc:
         raise DataError(f"config {path}: {exc}") from exc
 

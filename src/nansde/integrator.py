@@ -14,14 +14,14 @@ admissible region is masked as dead rather than stopping the others.  Each
 step maps the states through both state networks' first layers at once,
 with their weights stacked into one (2, m, H) array, and writes the new
 states in place with the one X update, :func:`euler_x_step`.  The sweep
-records a tape, including the drift and diffusion networks' activations at
-every (step, path) pair, written as they are computed into buffers
+records a tape, including the drift and diffusion networks' activations and
+sigma at every (step, path) pair, written as they are computed into buffers
 allocated once; both first layers go to one stacked (2, n, m, H) record.
-:func:`backpropagate` then differentiates any
-scalar functional of the paths with respect to every network parameter
-while holding the Brownian increments fixed (reparameterized gradients):
-one reverse sweep over cache-sized blocks of steps reads b', sigma' and the
-parameter gradients off those records, with no second forward pass.
+:func:`backpropagate` then differentiates any scalar functional of the
+paths with respect to every network parameter while holding the Brownian
+increments fixed (reparameterized gradients): one reverse sweep over
+cache-sized blocks of steps reads b', sigma' and the parameter gradients off
+those records, with no second forward pass.
 """
 
 from __future__ import annotations
@@ -198,9 +198,10 @@ class SimTape:
     written by the sweep as it evaluated b and sigma; the drift head is not
     needed and its entry is None.  The two first-layer records are the
     halves of one stacked (2, n_steps, m, H) record, except that a first
-    layer narrower than H is copied out of its zero-padded half.  Both are
+    layer narrower than H is copied out of its zero-padded half.  ``sigma``
+    records the diffusion coefficient the sweep stepped with.  All three are
     None on a tape simulated without recording; a backward pass takes them
-    off the tape it consumes, reads them block by block and then releases them.
+    off the tape it consumes and releases them when it is done.
 
     ``alive`` marks columns that never tripped the divergence guard; dead
     columns hold frozen placeholder values after their ``death_step`` and
@@ -217,6 +218,7 @@ class SimTape:
     ell2_acts: list[np.ndarray] | None
     drift_acts: list[np.ndarray | None] | None
     diffusion_acts: list[np.ndarray] | None
+    sigma: np.ndarray | None  # (n_steps, m)
     alive: np.ndarray  # (m,) bool
     death_step: np.ndarray  # (m,) int, -1 while alive
     consumed: bool = False
@@ -252,7 +254,7 @@ def simulate_batch_with_tape(
     how many paths are simulated together.  A path that turns non-finite or
     exceeds the divergence guard is marked dead at that step and pinned to
     placeholder values; the others carry on.  With ``record`` the drift and
-    diffusion activations of every step are kept on the tape for
+    diffusion activations and sigma of every step are kept on the tape for
     :func:`backpropagate`.
     """
     if m < 1:
@@ -307,8 +309,9 @@ def simulate_batch_with_tape(
     alive = np.ones(m, dtype=bool)
     dead = None
     death_step = np.full(m, -1)
-    sigma = np.empty(m)
+    sigmas = np.empty((slots, m))
     scratch = np.empty(m)
+    abs_k = np.empty(m)
     ok = np.empty(m, dtype=bool)
     guard = DIVERGENCE_GUARD
 
@@ -321,18 +324,17 @@ def simulate_batch_with_tape(
             h = tanh_first[:, s]
             np.tanh(h, out=h)
         b = _forward_rest(nets[0], outs[0], s)[:, 0]
-        _sigma(_forward_rest(nets[1], outs[1], s)[:, 0], out=sigma)
+        sigma = _sigma(_forward_rest(nets[1], outs[1], s)[:, 0], out=sigmas[s])
 
         new_x, new_k = x[step + 1], k[step + 1]
         euler_x_step(x[step], k[step], b, sigma, ell1[step], dw[step], dt, new_x, scratch)
         np.multiply(ell2[step], dw[step], out=new_k)
         new_k += k[step]
 
-        # A NaN fails the <= test, so this also catches non-finite states;
-        # sigma is spent and holds |K|.
+        # A NaN fails the <= test, so this also catches non-finite states.
         np.abs(new_x, out=scratch)
-        np.abs(new_k, out=sigma)
-        np.maximum(scratch, sigma, out=scratch)
+        np.abs(new_k, out=abs_k)
+        np.maximum(scratch, abs_k, out=scratch)
         np.less_equal(scratch, guard, out=ok)
         if not ok.all():
             bad = ~ok & alive
@@ -354,7 +356,7 @@ def simulate_batch_with_tape(
 
     return SimTape(
         model, x, k, dw, ell1, ell2, ell1_acts, ell2_acts, drift_acts, diffusion_acts,
-        alive, death_step,
+        sigmas if record else None, alive, death_step,
     )
 
 
@@ -407,14 +409,15 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
     done in one reverse sweep over blocks of about ``BACKWARD_BLOCK_ROWS``
     (step, path) rows: steps [0, s), [s, 2s), ... (the last block ragged),
     visited last block first.  A block gathers the participating columns of
-    each record, takes sigma, b' and sigma' from them, runs the xbar
-    recursion over its steps and both parameter passes on the same rows.
-    Each network's gradient is the sum of its per-block bundles, added in
-    the order the sweep visits the blocks.  The records are then released,
-    and the kbar recursion and ell1/ell2 passes run over the whole grid.
+    each record, takes b' and sigma' from them, runs the xbar recursion over
+    its steps and both parameter passes on the same rows.  Each network's
+    gradient is the sum of its per-block bundles, added in the order the
+    sweep visits the blocks.  The activation records are then released, and
+    the kbar recursion and ell1/ell2 passes run over the whole grid with the
+    recorded sigma.
     """
     tape.consume()
-    if tape.drift_acts is None or tape.diffusion_acts is None:
+    if tape.drift_acts is None or tape.diffusion_acts is None or tape.sigma is None:
         raise ValueError("tape was simulated without recording activations")
     model = tape.model
     if columns is None:
@@ -433,17 +436,17 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
         """arr at steps s0..s1-1 and the participating columns."""
         return arr[s0:s1] if mv == m else np.take(arr[s0:s1], cols, axis=1)
 
-    ks, dws = take(tape.k, 0, n + 1), take(tape.dw, 0, n)
+    ks, dws, sigma = take(tape.k, 0, n + 1), take(tape.dw, 0, n), take(tape.sigma, 0, n)
     ell1 = tape.ell1_vals[:, None]  # (n, 1), broadcasts over columns
 
-    # The tape lets go of its records; they are freed after the sweep.
+    # The tape lets go of its records; the activations are freed after the
+    # sweep, sigma on return.
     nets = (model.drift_net, model.diffusion_net)
     records = (tape.drift_acts, tape.diffusion_acts)
-    tape.drift_acts = tape.diffusion_acts = None
+    tape.drift_acts = tape.diffusion_acts = tape.sigma = None
     steps = max(1, BACKWARD_BLOCK_ROWS // mv)
     xbar = np.empty((n + 1, mv))
     xbar[n] = take(a, n, n + 1)[0]
-    sigma = np.empty((n, mv))
     bundles = [None, None]
     for s0 in range(steps * ((n - 1) // steps), -1, -steps):
         s1 = min(s0 + steps, n)
@@ -452,9 +455,7 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
         x_rows = take(tape.x, s0, s1).reshape(rows, 1)
         acts = [[x_rows] + [None if r is None else take(r, s0, s1).reshape(rows, -1) for r in rec]
                 for rec in records]
-        raw = acts[1][-1][:, 0]
-        _sigma(raw, out=sigma[s0:s1].reshape(rows))
-        gate = sigmoid(raw)  # d softplus / d raw
+        gate = sigmoid(acts[1][-1][:, 0])  # d softplus / d raw
         b_prime = mlp_input_derivative(nets[0], acts[0]).reshape(-1, mv)
         raw_prime = mlp_input_derivative(nets[1], acts[1])
         sigma_prime = (gate * raw_prime[:, 0]).reshape(-1, mv)

@@ -10,7 +10,11 @@ and bias, and a second pass the per-row derivative of a scalar network.
 All contractions go through element-wise broadcasting, axis sums, or
 un-optimized ``einsum`` — never a BLAS call — so results are bitwise
 reproducible regardless of how the host's BLAS was built or how many
-threads it uses.
+threads it uses.  The backward pass sums over rows with single ``einsum``
+contractions wherever the summed delta is at least 2 wide: they add the rows
+in sequence, as ``.sum(axis=0)`` does on such a matrix, but without its
+strided walk.  A 1-wide delta is a contiguous column that ``.sum(axis=0)``
+adds pairwise, so its sums stay ``.sum(axis=0)``.
 
 Parameter files are plain text: a format tag, the layer widths, then each
 layer's weight matrix (row-major) and bias vector at full precision.
@@ -157,6 +161,20 @@ def _back_through(w: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return np.einsum("ro,oi->ri", delta, w, optimize=False)
 
 
+def _row_sums(delta: np.ndarray, col: np.ndarray | None = None) -> np.ndarray:
+    """Sum over the rows of delta, or of delta times the (rows, 1) column col.
+
+    A delta at least 2 wide goes through one einsum contraction, which adds
+    the rows in the order ``.sum(axis=0)`` does; a 1-wide delta keeps
+    ``.sum(axis=0)``, which sums its contiguous column pairwise.
+    """
+    if delta.shape[1] == 1:
+        return (delta if col is None else delta * col).sum(axis=0)
+    if col is None:
+        return np.einsum("ro->o", delta, optimize=False)
+    return np.einsum("ro,r->o", delta, col[:, 0], optimize=False)
+
+
 def _tanh_gate(act: np.ndarray, back: np.ndarray) -> np.ndarray:
     """back * (1 - act^2), the adjoint through a tanh layer, in one buffer."""
     gate = np.square(act)
@@ -184,7 +202,9 @@ def mlp_batch_backward(
     """Parameter gradients of sum_r <row_adjoints[r], output[r]>.
 
     ``row_adjoints`` has shape (rows, n_out) and ``acts`` is a cached
-    batched forward; only acts[0..L-1] are read.
+    batched forward; only acts[0..L-1] are read.  The sums over rows are
+    :func:`_row_sums`: one einsum contraction each where the delta is at
+    least 2 wide, ``.sum(axis=0)`` (numpy's pairwise order) where it is 1 wide.
     """
     delta = np.asarray(row_adjoints, dtype=float)
     if delta.ndim == 1:
@@ -194,10 +214,10 @@ def mlp_batch_backward(
     for i in range(params.n_layers - 1, -1, -1):
         w = params.weights[i]
         if w.shape[1] == 1:
-            w_grads[i] = (delta * acts[i]).sum(axis=0)[:, None]
+            w_grads[i] = _row_sums(delta, acts[i])[:, None]
         else:
             w_grads[i] = np.einsum("ro,ri->oi", delta, acts[i], optimize=False)
-        b_grads[i] = delta.sum(axis=0)
+        b_grads[i] = _row_sums(delta)
         if i > 0:
             delta = _tanh_gate(acts[i], _back_through(w, delta))
     return GradientBundle(w_grads, b_grads)

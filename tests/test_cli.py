@@ -177,6 +177,13 @@ def test_config_rejects_unknown_and_missing_keys(tmp_path):
     {"eval_lags": -2},
     {"eval_bins": 1},
     {"r2_pred": 0},
+    {"m": 8.5},
+    {"seed": "x"},
+    {"clamp_ell2": "yes"},
+    {"lr": True},
+    {"widths": [1, 2.7, 1]},
+    {"lr": float("nan")},  # json.dumps writes NaN and Infinity, which JSON lacks
+    {"kde_floor": float("inf")},
 ])
 def test_bad_config_values_fail_before_any_work(tmp_path, series_csv, capsys, bad):
     csv, _ = series_csv

@@ -171,7 +171,7 @@ def _oracle_sweep(model, m, seed):
 
     Fresh new_x/new_k every step and an isfinite-plus-guard divergence test;
     the activations each step computed are stacked into (n, m, width)
-    records, in the tape's layout.
+    records and its sigmas into an (n, m) record, in the tape's layout.
     """
     grid = model.grid
     n, dt = grid.n_steps, grid.dt
@@ -184,12 +184,13 @@ def _oracle_sweep(model, m, seed):
     x[0], k[0] = model.x0, 0.0
     alive = np.ones(m, dtype=bool)
     death_step = np.full(m, -1)
-    drift_steps, diffusion_steps = [], []
+    drift_steps, diffusion_steps, sigmas = [], [], []
     cur_x, cur_k = x[0].copy(), k[0].copy()
     for step in range(n):
         b, sigma, drift_acts, diffusion_acts = nd.coefficients(model, cur_x)
         drift_steps.append(drift_acts[1:-1])
         diffusion_steps.append(diffusion_acts[1:])
+        sigmas.append(sigma)
         new_k = cur_k + ell2[step] * dw[step]
         new_x = cur_x + (b - ell1[step] * sigma * cur_k) * dt + sigma * dw[step]
         bad = ~(np.isfinite(new_x) & np.isfinite(new_k))
@@ -204,11 +205,11 @@ def _oracle_sweep(model, m, seed):
         cur_x, cur_k = new_x.copy(), new_k.copy()
     drift = [np.stack(layer) for layer in zip(*drift_steps)] + [None]
     diffusion = [np.stack(layer) for layer in zip(*diffusion_steps)]
-    return x, k, alive, death_step, drift, diffusion
+    return x, k, alive, death_step, drift, diffusion, np.stack(sigmas)
 
 
 def _assert_sweep_matches_oracle(model, m, seed):
-    x, k, alive, death_step, drift, diffusion = _oracle_sweep(model, m, seed)
+    x, k, alive, death_step, drift, diffusion, sigma = _oracle_sweep(model, m, seed)
     tape = nd.simulate_batch_with_tape(model, m, seed)
     plain = nd.simulate_batch_with_tape(model, m, seed, record=False)
     for got in (tape, plain):
@@ -216,6 +217,9 @@ def _assert_sweep_matches_oracle(model, m, seed):
         assert np.array_equal(got.k, k)
         assert np.array_equal(got.alive, alive)
         assert np.array_equal(got.death_step, death_step)
+    assert plain.sigma is None and plain.drift_acts is None and plain.diffusion_acts is None
+    assert tape.sigma.flags.c_contiguous
+    assert np.array_equal(tape.sigma, sigma)
     for records, want in ((tape.drift_acts, drift), (tape.diffusion_acts, diffusion)):
         assert len(records) == len(want)
         for got, expected in zip(records, want):
@@ -556,7 +560,7 @@ def test_backward_peak_memory_is_block_sized():
 
 def test_evaluation_records_nothing_and_backward_frees_the_records():
     # tracemalloc sees numpy's buffers.  A width-20 model records 20 hidden
-    # activations per state network and the diffusion head: 41 (n, m)
+    # activations per state network, the diffusion head and sigma: 42 (n, m)
     # matrices that only a backward pass may hold.
     grid = nd.unit_grid(500)
     m = 64
@@ -565,7 +569,7 @@ def test_evaluation_records_nothing_and_backward_frees_the_records():
         grid=grid, x0=1.0,
     )
     matrix = grid.n_points * m * 8
-    records = (2 * 20 + 1) * grid.n_steps * m * 8
+    records = (2 * 20 + 2) * grid.n_steps * m * 8
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -579,7 +583,7 @@ def test_evaluation_records_nothing_and_backward_frees_the_records():
         assert held - tracemalloc.get_traced_memory()[0] > 0.99 * records
     finally:
         tracemalloc.stop()
-    assert tape.drift_acts is None and tape.diffusion_acts is None
+    assert tape.drift_acts is None and tape.diffusion_acts is None and tape.sigma is None
     with pytest.raises(ValueError):
         nd.backpropagate(nd.simulate_batch_with_tape(model, 2, nd.NoiseSeed(4, 0), record=False),
                          np.ones((grid.n_points, 2)))

@@ -227,6 +227,77 @@ def test_cached_activations_are_reusable():
     assert np.array_equal(d1, mlp_input_derivative(p, acts))
 
 
+def _pinned_gate(act, back):
+    """(1 - act^2) * back, squared, subtracted and multiplied in this order."""
+    gate = np.square(act)
+    np.subtract(1.0, gate, out=gate)
+    gate *= back
+    return gate
+
+
+def _pinned_back_through(w, delta):
+    if w.shape[0] == 1:
+        return delta * w[0][None, :]
+    return np.einsum("ro,oi->ri", delta, w, optimize=False)
+
+
+def _pinned_backward(p, acts, delta):
+    """The backward pass's arithmetic written out with plain axis sums."""
+    w_grads, b_grads = [None] * p.n_layers, [None] * p.n_layers
+    for i in range(p.n_layers - 1, -1, -1):
+        w = p.weights[i]
+        if w.shape[1] == 1:
+            w_grads[i] = (delta * acts[i]).sum(axis=0)[:, None]
+        else:
+            w_grads[i] = np.einsum("ro,ri->oi", delta, acts[i], optimize=False)
+        b_grads[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = _pinned_gate(acts[i], _pinned_back_through(w, delta))
+    return w_grads + b_grads
+
+
+def _pinned_input_derivative(p, acts):
+    back = p.weights[-1][0][None, :]
+    for i in range(p.n_layers - 1, 0, -1):
+        back = _pinned_back_through(p.weights[i - 1], _pinned_gate(acts[i], back))
+    return np.broadcast_to(back, (acts[0].shape[0], 1))
+
+
+def _same_bits(got, want):
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_backward_passes_keep_the_bits_of_plain_axis_sums():
+    # The passes sum rows with einsum where the delta is at least 2 wide;
+    # every gradient, sign of zero included, must be what .sum(axis=0) and
+    # the broadcast tanh gate give.  Row counts span pairwise-summation
+    # block sizes; some adjoints are +0.0 and -0.0.
+    rng = np.random.default_rng(17)
+    for widths in ((1, 1), (1, 3, 1), (1, 20, 1), (1, 2, 2, 1), (1, 5, 4, 1)):
+        p = nd.init_params(widths, seed=len(widths) + widths[1])
+        for n_rows in (1, 2, 7, 4096, 4097):
+            rows = rng.uniform(-2.0, 2.0, size=(n_rows, 1))
+            adjoints = rng.standard_normal((n_rows, 1))
+            adjoints[rng.random(n_rows) < 0.2] = 0.0
+            adjoints[rng.random(n_rows) < 0.2] = -0.0
+            acts = mlp_forward_batch_cached(p, rows)
+            want = _pinned_backward(p, acts, adjoints)
+            want_x = _pinned_input_derivative(p, acts)
+            got = mlp_batch_backward(p, acts, adjoints)
+            for g, w in zip(got.w_grads + got.b_grads, want):
+                assert _same_bits(g, w), (widths, n_rows)
+            got_x = mlp_input_derivative(p, acts)
+            assert got_x.shape == want_x.shape
+            assert _same_bits(got_x, want_x), (widths, n_rows)
+        # All-zero adjoints of either sign.
+        acts = mlp_forward_batch_cached(p, rng.uniform(-2.0, 2.0, size=(7, 1)))
+        for zero in (0.0, -0.0):
+            adjoints = np.full((7, 1), zero)
+            got = mlp_batch_backward(p, acts, adjoints)
+            for g, w in zip(got.w_grads + got.b_grads, _pinned_backward(p, acts, adjoints)):
+                assert _same_bits(g, w), (widths, zero)
+
+
 # ---------------------------------------------------------------------------
 # Batches of rows
 # ---------------------------------------------------------------------------
