@@ -290,24 +290,37 @@ def load_checkpoint(checkpoint_dir, dataset: Dataset) -> NansdeModel:
     manifest_path = checkpoint_dir / "manifest.json"
     if not manifest_path.exists():
         raise DataError(f"no manifest.json under {checkpoint_dir}")
-    manifest = ioutil.read_manifest(manifest_path)
-    if manifest.get("format") != RUN_MANIFEST_TAG:
+    try:
+        manifest = ioutil.read_manifest(manifest_path)
+    except ValueError as exc:
+        raise DataError(f"{manifest_path}: not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict) or manifest.get("format") != RUN_MANIFEST_TAG:
         raise DataError(f"{manifest_path}: unrecognized manifest format")
+    model = manifest.get("model")
+    clamp_ell2 = model.get("clamp_ell2") if isinstance(model, dict) else None
+    if not isinstance(clamp_ell2, bool):
+        raise DataError(f"{manifest_path}: model.clamp_ell2 must be true or false")
     nets = {}
     for name in NET_NAMES:
         net_path = checkpoint_dir / f"{name}.txt"
         if not net_path.exists():
             raise DataError(f"missing checkpoint file {net_path}")
-        nets[name] = params_from_text(net_path.read_text())
-    return NansdeModel(
-        nets["drift"],
-        nets["diffusion"],
-        nets["ell1"],
-        nets["ell2"],
-        grid=dataset.path.grid,
-        x0=float(dataset.path.values[0]),
-        clamp_ell2=bool(manifest["model"]["clamp_ell2"]),
-    )
+        try:
+            nets[name] = params_from_text(net_path.read_text())
+        except ValueError as exc:
+            raise DataError(f"{net_path}: {exc}") from exc
+    try:
+        return NansdeModel(
+            nets["drift"],
+            nets["diffusion"],
+            nets["ell1"],
+            nets["ell2"],
+            grid=dataset.path.grid,
+            x0=float(dataset.path.values[0]),
+            clamp_ell2=clamp_ell2,
+        )
+    except ValueError as exc:
+        raise DataError(f"{checkpoint_dir}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,7 @@ class TrainState:
     best_iteration: int = -1
     since_improve: int = 0
     iteration: int = 0
+    capped_iterations: int = 0
     history: list[float] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
@@ -285,6 +286,7 @@ def train_step(state: TrainState, observed: LogReturnSeries, cfg: TrainConfig) -
     capped = (cfg.m - n_valid) > DROP_CAP * cfg.m
     finite = bool(np.isfinite(loss)) and grads.all_finite()
     if capped:
+        state.capped_iterations += 1
         state.warnings.append(
             f"iteration {i}: {cfg.m - n_valid}/{cfg.m} paths dropped; not eligible as best"
         )
@@ -324,7 +326,9 @@ def fit(
     consecutive iterations pass without improving the best loss (patience 0
     therefore stops after the first iteration).  ``state.history`` holds one
     loss per completed iteration.  If no iteration was eligible as best, the
-    returned model is the initial one and ``state.warnings`` says so.
+    returned model is the initial one and ``state.warnings`` says so.  So it
+    does when iteration 0 stays the best while more than half of the later
+    iterations were capped: the returned model is then the initial one too.
     """
     observed = log_returns(observed_path)
     if len(observed) != observed_path.grid.n_steps:
@@ -337,6 +341,13 @@ def fit(
     if state.best_iteration == -1:
         state.warnings.append(
             f"no iteration of {state.iteration} was eligible as best; "
+            "returning the initial networks"
+        )
+    later = state.iteration - 1
+    if state.best_iteration == 0 and 2 * state.capped_iterations > later:
+        state.warnings.append(
+            f"no iteration improved on iteration 0: {state.capped_iterations} of the {later} "
+            "later iterations dropped too many paths to be eligible; "
             "returning the initial networks"
         )
     return state.best_model, state

@@ -376,6 +376,51 @@ def test_load_checkpoint_rejects_incomplete_directories(tmp_path, series_csv):
     with pytest.raises(DataError, match="manifest format"):
         load_checkpoint(run_dir, ds)
 
+    (run_dir / "manifest.json").write_text("{not json")
+    with pytest.raises(DataError, match="not valid JSON"):
+        load_checkpoint(run_dir, ds)
+
+    for manifest in ({"format": "nansde-run v1"},
+                     {"format": "nansde-run v1", "model": {"clamp_ell2": "yes"}}):
+        ioutil.write_manifest(run_dir / "manifest.json", manifest)
+        with pytest.raises(DataError, match="clamp_ell2 must be true or false"):
+            load_checkpoint(run_dir, ds)
+
+
+def _replace_line(path, index, text):
+    lines = path.read_text().splitlines()
+    lines[index] = text
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("damage, culprit, message", [
+    (lambda d: _replace_line(d / "drift.txt", 2, "garbage"),
+     "drift.txt", "checkpoint missing 'weight 0' at line 3"),
+    (lambda d: (d / "ell1.txt").write_text(
+        "\n".join((d / "ell1.txt").read_text().splitlines()[:4]) + "\n"),
+     "ell1.txt", "checkpoint truncated in weight 0"),
+    (lambda d: (d / "ell2.txt").write_text(nd.params_to_text(nd.init_params((1, 3, 2), 1))),
+     None, "ell2 network must be scalar-in/scalar-out"),
+    (lambda d: (d / "diffusion.txt").write_text(nd.params_to_text(nd.init_params((1, 5, 1), 1))),
+     None, "drift and diffusion networks must have equal widths"),
+])
+def test_evaluate_reports_a_malformed_checkpoint_without_a_traceback(
+        tmp_path, series_csv, capsys, damage, culprit, message):
+    csv, _ = series_csv
+    run_dir = tmp_path / "run"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(fast_config(csv, run_dir, max_iters=1, early_stop_patience=1)))
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    damage(run_dir)
+    rc = main(["evaluate", "--checkpoint", str(run_dir), "--data", str(csv),
+               "--seed", "7", "--out", str(tmp_path / "ev")])
+    assert rc == 1
+    named = run_dir if culprit is None else run_dir / culprit
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "ev").exists()
+
 
 # ---------------------------------------------------------------------------
 # evaluate

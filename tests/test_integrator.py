@@ -233,8 +233,8 @@ def _assert_sweep_matches_oracle(model, m, seed):
     return tape
 
 
-def _mixed_model(grid, drift, diffusion, x0=0.8, clamp=False, seed=30):
-    nets = [nd.init_params(drift, seed=seed, tag=0), nd.init_params(diffusion, seed=seed, tag=1)]
+def _sweep_model(grid, widths, x0=0.8, clamp=False, seed=30):
+    nets = [nd.init_params(widths, seed=seed, tag=tag) for tag in (0, 1)]
     nets += [nd.init_params((1, 3, 1), seed=seed, tag=tag) for tag in (2, 3)]
     return nd.NansdeModel(*nets, grid=grid, x0=x0, clamp_ell2=clamp)
 
@@ -242,19 +242,26 @@ def _mixed_model(grid, drift, diffusion, x0=0.8, clamp=False, seed=30):
 def test_sweep_matches_the_step_by_step_oracle_bit_for_bit():
     grid = nd.unit_grid(40)
     seed = nd.NoiseSeed(31, 0)
-    for drift, diffusion in (((1, 1), (1, 1)), ((1, 20, 1), (1, 20, 1)),
-                             ((1, 2, 2, 1), (1, 2, 2, 1)), ((1, 1), (1, 3, 1)),
-                             ((1, 3, 1), (1, 1)), ((1, 3, 1), (1, 5, 1)),
-                             ((1, 5, 4, 1), (1, 3, 1, 2, 1))):
+    for widths in ((1, 1), (1, 3, 1), (1, 20, 1), (1, 2, 2, 1), (1, 5, 4, 1), (1, 3, 1, 2, 1)):
         for clamp in (False, True):
-            model = _mixed_model(grid, drift, diffusion, clamp=clamp)
+            model = _sweep_model(grid, widths, clamp=clamp)
             _assert_sweep_matches_oracle(model, 16, seed)
+
+
+def test_model_requires_equal_drift_and_diffusion_widths():
+    grid = nd.unit_grid(4)
+    nets = [nd.init_params(w, seed=1, tag=t) for t, w in enumerate(((1, 3, 1), (1, 5, 1)))]
+    kernels = [nd.init_params((1, 3, 1), seed=1, tag=t) for t in (2, 3)]
+    with pytest.raises(ValueError, match="equal widths"):
+        nd.NansdeModel(*nets, *kernels, grid, 1.0)
+    with pytest.raises(ValueError, match="equal widths"):
+        nd.NansdeModel(*nets[::-1], *kernels, grid, 1.0)
 
 
 def test_sweep_matches_the_oracle_when_one_path_dies(monkeypatch):
     grid = nd.unit_grid(40)
     seed = nd.NoiseSeed(31, 0)
-    model = _mixed_model(grid, (1, 3, 1), (1, 5, 1))
+    model = _sweep_model(grid, (1, 3, 1))
     peaks = np.abs(nd.simulate_ensemble(model, 16, seed).values).max(axis=0)
     top, second = np.sort(peaks)[-2:][::-1]
     monkeypatch.setattr(integrator, "DIVERGENCE_GUARD", (top + second) / 2)
@@ -262,6 +269,44 @@ def test_sweep_matches_the_oracle_when_one_path_dies(monkeypatch):
     assert (~tape.alive).sum() == 1
     dead = np.flatnonzero(~tape.alive)[0]
     assert np.all(tape.x[tape.death_step[dead] + 1 :, dead] == 1.0)
+
+
+def test_sweep_kills_a_path_whose_memory_crosses_the_guard_on_the_last_step(monkeypatch):
+    # ell1 = 0 keeps X = 1 + W small while K = 50 W grows; the guard sits
+    # between a column's last |K| and its earlier peak, far above any |X|.
+    grid = nd.unit_grid(40)
+    n, seed = grid.n_steps, nd.NoiseSeed(31, 0)
+    model = build_model(grid, ell2=(0.0, 50.0))
+    free = nd.simulate_batch_with_tape(model, 16, seed, record=False)
+    k = np.abs(free.k)
+    margin = k[-1] - k[:-1].max(axis=0)
+    j = np.argmax(margin)
+    assert margin[j] > 0.0
+    guard = k[-1, j] - margin[j] / 2
+    assert np.abs(free.x).max() < guard
+    monkeypatch.setattr(integrator, "DIVERGENCE_GUARD", guard)
+    tape = _assert_sweep_matches_oracle(model, 16, seed)
+    assert not tape.alive[j] and tape.death_step[j] == n - 1
+    assert tape.k[n, j] == 0.0 and tape.x[n, j] == 1.0
+    assert np.array_equal(tape.k[:n, j], free.k[:n, j])
+
+
+def test_sweep_ignores_the_memory_of_a_path_whose_state_died_first(monkeypatch):
+    # With sigma = 100 and ell2 = 50, X = 1 + 100 W crosses the guard before
+    # K = 50 W would; the path dies with X, and its K is zero from then on.
+    grid = nd.unit_grid(40)
+    seed = nd.NoiseSeed(31, 0)
+    model = build_model(grid, sigma=100.0, ell2=(0.0, 50.0))
+    free = nd.simulate_batch_with_tape(model, 16, seed, record=False).k
+    j = np.argmax(np.abs(free).max(axis=0))
+    guard = 0.75 * np.abs(free[:, j]).max()
+    monkeypatch.setattr(integrator, "DIVERGENCE_GUARD", guard)
+    tape = _assert_sweep_matches_oracle(model, 16, seed)
+    step = tape.death_step[j]
+    k_would_die = np.flatnonzero(np.abs(free[:, j]) > guard)[0] - 1
+    assert 0 <= step < k_would_die
+    assert np.all(tape.k[step + 1 :, j] == 0.0)
+    assert np.all(tape.x[step + 1 :, j] == 1.0)
 
 
 def _overflowing_model(grid):

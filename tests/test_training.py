@@ -3,6 +3,8 @@ training loop's bookkeeping: early stopping, best-model tracking, dropped
 path capping and full-run determinism."""
 
 import math
+import pathlib
+import runpy
 
 import numpy as np
 import pytest
@@ -296,6 +298,37 @@ def test_fit_flags_a_run_with_no_eligible_iteration():
         "no iteration of 3 was eligible as best; returning the initial networks"
     )
     initial = nd.init_state(observed, cfg, init_seed=7, widths=(1, 3, 1)).model
+    for name in best.trainable_names():
+        for a, b in zip(best.net(name).arrays(), initial.net(name).arrays()):
+            assert np.array_equal(a, b)
+
+
+def _bench_fbm():
+    """The exact fBm of the benchmark's reference module, which drew the inputs below."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "reference.py"
+    return runpy.run_path(str(path))["fbm"]
+
+
+def test_fit_flags_a_run_whose_best_stays_at_iteration_zero():
+    # A rough fBm path shifted to start near its minimum (x0 = 1.01625):
+    # after iteration 0 most iterations drop more than a fifth of their 64
+    # paths below zero, so the initial networks stay the best.  The first
+    # six iterations are those of a 25-iteration run that ends the same way.
+    raw = _bench_fbm()(0.2, 1000, np.random.default_rng([8, 1]))
+    grid = nd.unit_grid(1000)
+    observed = nd.Path(grid, raw + (1.0 - raw.min()))  # the ingest rule's shift
+    assert observed.values[0] == pytest.approx(1.01625, abs=5e-6)
+    cfg = nd.TrainConfig(seed=nd.NoiseSeed(8, 0), m=64, max_iters=6, early_stop_patience=6)
+    best, state = nd.fit(observed, cfg, init_seed=8)
+
+    assert state.iteration == 6 and state.best_iteration == 0
+    capped = [line for line in state.warnings if "not eligible as best" in line]
+    assert len(capped) == state.capped_iterations > 5 / 2
+    assert state.warnings[-1] == (
+        f"no iteration improved on iteration 0: {len(capped)} of the 5 later iterations "
+        "dropped too many paths to be eligible; returning the initial networks"
+    )
+    initial = nd.init_state(observed, cfg, init_seed=8).model
     for name in best.trainable_names():
         for a, b in zip(best.net(name).arrays(), initial.net(name).arrays()):
             assert np.array_equal(a, b)
