@@ -18,6 +18,8 @@ the Euler scheme run on whole batches: one sweep simulates every path of an
 ensemble and records the tape that pathwise backpropagation replays.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DataError,
     GenerationError,
@@ -36,7 +38,6 @@ from .integrator import (
     NansdeModel,
     SimTape,
     backpropagate,
-    coefficients,
     kernel_values,
     simulate_batch_with_tape,
     simulate_ensemble,
@@ -92,68 +93,6 @@ from .training import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Adam",
-    "ArmaKernelParams",
-    "BinSpec",
-    "DIVERGENCE_GUARD",
-    "DataError",
-    "Ensemble",
-    "FbmConfig",
-    "GenerationError",
-    "GradientBundle",
-    "IngestError",
-    "KernelError",
-    "LogReturnSeries",
-    "MetricError",
-    "MetricReport",
-    "MlpParams",
-    "ModelGradients",
-    "NansdeError",
-    "NansdeModel",
-    "NoiseSeed",
-    "Path",
-    "SIGMA_FLOOR",
-    "SimTape",
-    "TimeGrid",
-    "TrainConfig",
-    "TrainState",
-    "TrainingError",
-    "acf_scores",
-    "acf_weights",
-    "arma_ell",
-    "arma_ell_su",
-    "arma_noise_path",
-    "backpropagate",
-    "brownian_increments",
-    "brownian_path",
-    "coefficients",
-    "compute_report",
-    "default_lag_count",
-    "estimate_hurst",
-    "eval_generator",
-    "fbm_increments",
-    "fbm_path",
-    "fit",
-    "init_generator",
-    "init_params",
-    "init_state",
-    "kernel_values",
-    "log_returns",
-    "loss_and_gradients",
-    "mlp_forward_batch",
-    "nll_loss",
-    "noise_generator",
-    "params_from_text",
-    "params_to_text",
-    "r2_from_predictions",
-    "r2_score",
-    "silverman_bandwidth",
-    "simulate_batch_with_tape",
-    "simulate_ensemble",
-    "softplus",
-    "softplus_inverse",
-    "train_step",
-    "tv_distance",
-    "unit_grid",
-]
+# Every public name bound above, submodules aside.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

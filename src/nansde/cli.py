@@ -63,8 +63,8 @@ def ingest_csv(file) -> Dataset:
     """Parse a one-column (value) or two-column (t,value) CSV into a Dataset.
 
     An optional header row is detected by failing to parse as numbers.
-    Values with min <= 0 are shifted by 1 - min so log-returns exist; time
-    is discarded in favor of a uniform [0, 1] grid with dt = 1/T.
+    Values with min <= 0 are shifted by 1 - min so log-returns exist; times,
+    which must increase, give way to a uniform [0, 1] grid with dt = 1/T.
     """
     file = pathlib.Path(file)
     try:
@@ -102,13 +102,19 @@ def ingest_csv(file) -> Dataset:
 
     width = len(rows[start][1])
     values = []
+    last_time = None
     for lineno, cells in rows[start:]:
         if len(cells) != width:
             raise IngestError(
                 f"{file}, line {lineno}: expected {width} columns, got {len(cells)}",
                 line=lineno,
             )
-        values.append(parse_row(lineno, cells)[1])
+        time, value = parse_row(lineno, cells)
+        if last_time is not None and not time > last_time:
+            raise IngestError(f"{file}, line {lineno}: time {cells[0]} is not above the previous",
+                              line=lineno)
+        last_time = time
+        values.append(value)
 
     if len(values) < MIN_POINTS:
         raise DataError(
@@ -162,8 +168,8 @@ class ExperimentConfig:
     r2_pred: int
 
     def __post_init__(self):
-        if min(self.widths) < 1:
-            raise ValueError(f"widths must be >= 1, got {list(self.widths)}")
+        if min(self.widths) < 1 or self.widths[0] != 1 or self.widths[-1] != 1:
+            raise ValueError(f"widths must be >= 1, with 1 first and last, got {list(self.widths)}")
         for key, low in (("eval_m", 1), ("eval_lags", 0), ("eval_bins", 2), ("r2_pred", 1)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")

@@ -12,10 +12,12 @@ K at zero and collapses the system to the plain SDE dX = b dt + sigma dW.
 One batched Euler sweep simulates every path; a path that leaves the
 admissible region is masked as dead rather than stopping the others.  K
 never reads X, so it is filled in whole before the sweep, as the running sum
-of ell2 dW.  The drift and diffusion networks have equal widths and run as
-one stacked network: each step maps the states through both at once, layer
-by layer, and writes the new states in place with the one X update,
-:func:`euler_x_step`.  The sweep records a tape, including the drift and
+of ell2 dW (:func:`memory_integral`).  The drift and diffusion networks have
+equal widths and run as one stacked network (:func:`stacked_state_layers`):
+each step maps the states through both at once, layer by layer
+(:func:`state_heads`), and writes the new states in place with the one X
+update, :func:`euler_x_step`.  The R^2 predictor in ``metrics`` runs on the
+same functions.  The sweep records a tape, including the drift and
 diffusion networks' activations and sigma at every (step, path) pair,
 written as they are computed into buffers allocated once: one stacked
 (2, n, m, width) record per hidden layer, whose halves belong to the two
@@ -122,21 +124,6 @@ def _sigma(raw: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def coefficients(model: NansdeModel, x) -> tuple[np.ndarray, np.ndarray, list, list]:
-    """b and sigma evaluated elementwise on an array of states.
-
-    sigma is the softplus of the diffusion network's head plus the floor.
-    Also returns the drift and diffusion networks' cached activations, from
-    which derivatives and parameter gradients follow by backward passes.
-    """
-    rows = np.asarray(x, dtype=float).reshape(-1, 1)
-    drift_acts = mlp_forward_batch_cached(model.drift_net, rows)
-    diffusion_acts = mlp_forward_batch_cached(model.diffusion_net, rows)
-    b = drift_acts[-1][:, 0]
-    sigma = _sigma(diffusion_acts[-1][:, 0])
-    return b, sigma, drift_acts, diffusion_acts
-
-
 def euler_x_step(x, k, b, sigma, ell1, dw, dt: float, out: np.ndarray, scratch: np.ndarray):
     """The X update x + (b - ell1 sigma k) dt + sigma dW, written into ``out``.
 
@@ -152,6 +139,55 @@ def euler_x_step(x, k, b, sigma, ell1, dw, dt: float, out: np.ndarray, scratch: 
     np.multiply(sigma, dw, out=scratch)
     out += scratch
     return out
+
+
+def stacked_state_layers(model: NansdeModel, m: int, slots: int) -> list[tuple]:
+    """The drift and diffusion networks, of equal widths, stacked for m rows.
+
+    Each layer's weights and biases are stacked along a leading axis of 2.
+    The first layer is a broadcast multiply with its weights and biases
+    repeated over the m rows, which keeps the multiply-add on whole
+    contiguous arrays; a deeper layer is one stacked einsum, or a broadcast
+    multiply for a 1-wide input as in ``layer_apply``.  A layer holds a
+    reused (2, m, width) buffer and, if hidden, a (2, slots, m, width) record.
+    """
+    nets = (model.drift_net, model.diffusion_net)
+    widths = nets[0].widths
+    layers = []
+    for j, width in enumerate(widths[1:]):
+        w = np.stack([net.weights[j] for net in nets])  # (2, n_out, n_in)
+        bias = np.stack([net.biases[j] for net in nets])[:, None, :]
+        contract = w.shape[2] > 1
+        if j == 0:
+            w = np.repeat(w.transpose(0, 2, 1), m, axis=1)
+            bias = np.repeat(bias, m, axis=1)
+        elif not contract:
+            w = w.transpose(0, 2, 1)
+        rec = np.empty((2, slots, m, width)) if j < len(widths) - 2 else None
+        layers.append((contract, w, bias, np.empty((2, m, width)), rec))
+    return layers
+
+
+def state_heads(layers: list[tuple], h: np.ndarray, slot: int) -> np.ndarray:
+    """The (2, m, 1) raw drift and diffusion heads of an (m, 1) block of states,
+    held in the head's buffer; hidden activations go to record slot ``slot``."""
+    for contract, w, bias, z, rec in layers:
+        if contract:
+            np.einsum("kri,koi->kro", h, w, optimize=False, out=z)
+        else:
+            np.multiply(h, w, out=z)
+        z += bias
+        h = z if rec is None else np.tanh(z, out=rec[:, slot])
+    return h
+
+
+def memory_integral(ell2: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """K on the grid: K_0 = 0, K_{k+1} = K_k + ell2_k dW_k, one column per path of dw."""
+    k = np.empty((dw.shape[0] + 1, dw.shape[1]))
+    k[0] = 0.0
+    np.multiply(ell2[:, None], dw, out=k[1:])
+    np.add.accumulate(k, axis=0, out=k)
+    return k
 
 
 def kernel_values(model: NansdeModel, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -272,32 +308,9 @@ def simulate_batch_with_tape(
         ell2_acts = mlp_forward_batch_cached(model.ell2_net, t_rows)
         ell2 = ell2_acts[-1][:, 0]
 
-    # The drift and diffusion networks, of equal widths, run as one stacked
-    # network: each layer's weights and biases are stacked along a leading
-    # axis of 2.  Both take the scalar state, so the first layer is a
-    # broadcast multiply with its weights and biases repeated over the m
-    # paths, which keeps the multiply-add on whole contiguous arrays.  A
-    # deeper layer is one stacked einsum, or a broadcast multiply for a
-    # 1-wide input as in ``layer_apply``.  Each layer's multiply-add goes to
-    # a contiguous buffer that is reused: a hidden layer's tanh writes its
-    # activations into the layer's (2, slots, m, width) record, and of the
-    # head only the diffusion half is recorded, which is all the backward
-    # pass reads.
-    nets = (model.drift_net, model.diffusion_net)
-    widths = nets[0].widths
+    # Of the head only the diffusion half is recorded: the backward pass reads no more.
     slots = n if record else 1
-    layers = []
-    for j, width in enumerate(widths[1:]):
-        w = np.stack([net.weights[j] for net in nets])  # (2, n_out, n_in)
-        bias = np.stack([net.biases[j] for net in nets])[:, None, :]
-        contract = w.shape[2] > 1
-        if j == 0:
-            w = np.repeat(w.transpose(0, 2, 1), m, axis=1)
-            bias = np.repeat(bias, m, axis=1)
-        elif not contract:
-            w = w.transpose(0, 2, 1)
-        rec = np.empty((2, slots, m, width)) if j < len(widths) - 2 else None
-        layers.append((contract, w, bias, np.empty((2, m, width)), rec))
+    layers = stacked_state_layers(model, m, slots)
     head_rec = np.empty((n, m, 1)) if record else None
 
     # x is allocated before k: in the other order the heap reuses the blocks
@@ -307,13 +320,10 @@ def simulate_batch_with_tape(
     x[0] = model.x0
     x_rows = x[:, :, None]
 
-    # K never reads X: it is the running sum of ell2 dW, filled in whole.
-    # Its guard test is one max and one min; only when that fails is each
-    # column's first bad step looked up, for the sweep to kill it there.
-    k = np.empty((n + 1, m))
-    k[0] = 0.0
-    np.multiply(ell2[:, None], dw, out=k[1:])
-    np.add.accumulate(k, axis=0, out=k)
+    # K never reads X, so it is filled in whole.  Its guard test is one max
+    # and one min; only when that fails is each column's first bad step
+    # looked up, for the sweep to kill it there.
+    k = memory_integral(ell2, dw)
     k_deaths = {}
     if not (k.max() <= guard and -guard <= k.min()):
         bad_k = ~(np.abs(k) <= guard)
@@ -329,14 +339,7 @@ def simulate_batch_with_tape(
 
     for step in range(n):
         s = step if record else 0
-        h = x_rows[step]
-        for contract, w, bias, z, rec in layers:
-            if contract:
-                np.einsum("kri,koi->kro", h, w, optimize=False, out=z)
-            else:
-                np.multiply(h, w, out=z)
-            z += bias
-            h = z if rec is None else np.tanh(z, out=rec[:, s])
+        h = state_heads(layers, x_rows[step], s)
         if record:
             head_rec[step] = h[1]
         sigma = _sigma(h[1, :, 0], out=sigmas[s])

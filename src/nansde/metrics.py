@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MetricError
-from .integrator import NansdeModel, coefficients, euler_x_step, kernel_values, simulate_ensemble
+from .integrator import (NansdeModel, _sigma, euler_x_step, kernel_values, memory_integral,
+                         simulate_ensemble, stacked_state_layers, state_heads)
 from .noise import Path
 from .rng import DOMAIN_EVAL, EVAL_ENSEMBLE_STREAM, NoiseSeed, eval_generator
 from .training import LogReturnSeries, log_returns
@@ -300,20 +301,18 @@ def r2_score(
     times = grid.step_times()
     ell1, ell2 = kernel_values(model, times)
     x_t = observed.values[idx]
-    b, sigma, _, _ = coefficients(model, x_t)
+    heads = state_heads(stacked_state_layers(model, idx.size, 1), x_t[:, None], 0)
+    b, sigma = heads[0], _sigma(heads[1])  # (n_test, 1) each
 
-    dw = np.empty((m_pred, grid.n_steps))
+    # One column of increments per prediction stream.
+    dw = np.empty((grid.n_steps, m_pred))
     for j in range(m_pred):
-        dw[j] = eval_generator(seed, tag=j).standard_normal(grid.n_steps) * np.sqrt(dt)
-    k = np.concatenate(
-        (np.zeros((m_pred, 1)), np.cumsum(ell2[None, :] * dw, axis=1)), axis=1
-    )
+        dw[:, j] = eval_generator(seed, tag=j).standard_normal(grid.n_steps) * np.sqrt(dt)
+    k_test = memory_integral(ell2, dw)[idx]  # (n_test, m_pred)
 
-    k_test = np.ascontiguousarray(k[:, idx].T)  # (n_test, m_pred)
     x_hat = np.empty_like(k_test)
     euler_x_step(
-        x_t[:, None], k_test, b[:, None], sigma[:, None], ell1[idx, None], dw[:, idx].T, dt,
-        x_hat, np.empty_like(k_test),
+        x_t[:, None], k_test, b, sigma, ell1[idx, None], dw[idx], dt, x_hat, np.empty_like(k_test)
     )
     valid = x_hat > 0.0
     counts = valid.sum(axis=1)

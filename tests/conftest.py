@@ -8,7 +8,8 @@ fishing them out of randomly initialized networks.
 import numpy as np
 
 import nansde as nd
-from nansde.integrator import SIGMA_FLOOR, softplus_inverse
+from nansde.integrator import SIGMA_FLOOR, softplus, softplus_inverse
+from nansde.neural import mlp_forward_batch_cached
 
 
 def affine_net(w, b):
@@ -41,6 +42,19 @@ def build_model(grid, x0=1.0, drift=(0.0, 0.0), sigma=1.0, ell1=(0.0, 0.0),
 def brownian_model(grid, x0=1.0, sigma=1.0):
     """b = 0, ell1 = ell2 = 0: X is x0 plus a scaled Brownian cumulative sum."""
     return build_model(grid, x0=x0, sigma=sigma)
+
+
+def state_coefficients(model, x):
+    """b and sigma on an array of states, with both networks' activations.
+
+    Each network runs on its own through ``mlp_forward_batch_cached`` and
+    sigma is softplus plus the floor: a reference for the stacked drift and
+    diffusion forward that the Euler sweep and R^2 share."""
+    rows = np.asarray(x, dtype=float).reshape(-1, 1)
+    drift_acts = mlp_forward_batch_cached(model.drift_net, rows)
+    diffusion_acts = mlp_forward_batch_cached(model.diffusion_net, rows)
+    sigma = softplus(diffusion_acts[-1][:, 0]) + SIGMA_FLOOR
+    return drift_acts[-1][:, 0], sigma, drift_acts, diffusion_acts
 
 
 def positive_observed_path(n_steps=80, scale=0.05, seed=123):

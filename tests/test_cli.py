@@ -72,6 +72,18 @@ def test_ingest_two_column_csv_with_header(tmp_path):
         ingest_csv(csv)
     assert exc.value.line == 7
 
+    # and the times must increase: falling or repeated times are rejected
+    write_series_csv(csv, values, times=np.arange(69.0, -1.0, -1.0), header="t,value")
+    with pytest.raises(IngestError, match="line 3: time 68 is not above the previous") as exc:
+        ingest_csv(csv)
+    assert exc.value.line == 3
+    times = np.arange(70.0)
+    times[40] = times[39]
+    write_series_csv(csv, values, times=times)
+    with pytest.raises(IngestError) as exc:
+        ingest_csv(csv)
+    assert exc.value.line == 41
+
 
 def test_ingest_single_column_and_shift(tmp_path):
     values = np.sin(np.linspace(0.0, 3.0, 70)) - 0.5  # dips below zero
@@ -184,6 +196,8 @@ def test_config_rejects_unknown_and_missing_keys(tmp_path):
     {"widths": [1, 2.7, 1]},
     {"lr": float("nan")},  # json.dumps writes NaN and Infinity, which JSON lacks
     {"kde_floor": float("inf")},
+    {"widths": [1, 20, 3]},  # the state networks are scalar-in/scalar-out
+    {"widths": [2, 20, 1]},
 ])
 def test_bad_config_values_fail_before_any_work(tmp_path, series_csv, capsys, bad):
     csv, _ = series_csv

@@ -12,7 +12,13 @@ import nansde as nd
 import nansde.integrator as integrator
 from nansde.integrator import SIGMA_FLOOR, euler_x_step, sigmoid, softplus, softplus_inverse
 from nansde.neural import GradientBundle, mlp_batch_backward, zero_gradients
-from conftest import affine_net, brownian_model, build_model, unit_adjoint_input_gradient
+from conftest import (
+    affine_net,
+    brownian_model,
+    build_model,
+    state_coefficients,
+    unit_adjoint_input_gradient,
+)
 
 # ---------------------------------------------------------------------------
 # Model construction and scalar helpers
@@ -56,9 +62,11 @@ def test_value_helpers_eval_the_nets():
     grid = nd.unit_grid(4)
     m = build_model(grid, drift=(0.0, 0.5), sigma=2.0, ell1=(0.0, 1.0),
                     ell2=(0.0, 0.7))
-    b, sigma, _, _ = nd.coefficients(m, [1.0, 2.0])
-    assert b == pytest.approx([0.5, 0.5])
-    assert sigma == pytest.approx([2.0, 2.0], rel=1e-12)
+    layers = integrator.stacked_state_layers(m, 2, 1)
+    heads = integrator.state_heads(layers, np.array([[1.0], [2.0]]), 0)
+    assert heads.shape == (2, 2, 1)
+    assert heads[0, :, 0] == pytest.approx([0.5, 0.5])
+    assert integrator._sigma(heads[1, :, 0]) == pytest.approx([2.0, 2.0], rel=1e-12)
     ell1, ell2 = nd.kernel_values(m, [0.0, 0.5])
     assert ell1 == pytest.approx([1.0, 1.0])
     assert ell2 == pytest.approx([0.7, 0.7])
@@ -75,7 +83,7 @@ def test_degenerate_model_is_shifted_brownian_motion():
     seed = nd.NoiseSeed(31, 0)
     tape = nd.simulate_batch_with_tape(model, 1, seed)
 
-    sigma = nd.coefficients(model, [2.0])[1][0]
+    sigma = state_coefficients(model, [2.0])[1][0]
     dw = nd.brownian_increments(grid, seed)
     expected = np.empty(grid.n_points)
     expected[0] = 2.0
@@ -91,7 +99,7 @@ def test_hand_euler_step():
     grid = nd.TimeGrid(n_steps=1, dt=0.1)
     model = build_model(grid, x0=1.0, drift=(0.0, 0.5), sigma=2.0,
                         ell1=(0.0, 1.0), ell2=(0.0, 0.7))
-    b, sigma, _, _ = nd.coefficients(model, [1.0])
+    b, sigma, _, _ = state_coefficients(model, [1.0])
     b, sigma = b[0], sigma[0]
     ell1, _ = nd.kernel_values(model, [0.0])
     hand = 1.0 + (b - ell1[0] * sigma * 0.0) * 0.1 + sigma * 0.2
@@ -187,7 +195,7 @@ def _oracle_sweep(model, m, seed):
     drift_steps, diffusion_steps, sigmas = [], [], []
     cur_x, cur_k = x[0].copy(), k[0].copy()
     for step in range(n):
-        b, sigma, drift_acts, diffusion_acts = nd.coefficients(model, cur_x)
+        b, sigma, drift_acts, diffusion_acts = state_coefficients(model, cur_x)
         drift_steps.append(drift_acts[1:-1])
         diffusion_steps.append(diffusion_acts[1:])
         sigmas.append(sigma)
@@ -329,7 +337,7 @@ def test_sweep_marks_a_non_finite_path_dead(monkeypatch):
     tape = _assert_sweep_matches_oracle(model, 16, seed)
     assert tape.alive.any() and not tape.alive.all()
     with np.errstate(over="ignore", invalid="ignore"):
-        b, sigma, _, _ = nd.coefficients(model, tape.x[:-1].ravel())
+        b, sigma, _, _ = state_coefficients(model, tape.x[:-1].ravel())
     for j in np.flatnonzero(~tape.alive):
         step = tape.death_step[j]
         assert np.isinf(sigma.reshape(tape.x[:-1].shape)[step, j])
@@ -469,7 +477,7 @@ def _recomputed_gradients(tape, x_adjoints, columns=None, block_steps=None):
     mv = cols.size
     ell1 = tape.ell1_vals[:, None]
 
-    _, sigma, drift_acts, diff_acts = nd.coefficients(model, xs[:-1])
+    _, sigma, drift_acts, diff_acts = state_coefficients(model, xs[:-1])
     b_prime = unit_adjoint_input_gradient(model.drift_net, drift_acts).reshape(n, mv)
     gate = sigmoid(diff_acts[-1][:, 0])
     sigma = sigma.reshape(n, mv)

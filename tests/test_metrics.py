@@ -2,6 +2,7 @@
 absolute-return autocorrelation scores, predictive R^2, and the report."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 import nansde as nd
 from nansde import integrator, metrics
 from nansde.errors import MetricError
-from conftest import build_model, positive_observed_path
+from conftest import build_model, positive_observed_path, state_coefficients
 
 # ---------------------------------------------------------------------------
 # Hurst index
@@ -307,7 +308,7 @@ def _r2_oracle(observed, model, m_pred, seed, split=0.8):
     dt = observed.grid.dt
     ell1, ell2 = nd.kernel_values(model, observed.grid.step_times())
     x_t = observed.values[idx]
-    b, sigma, _, _ = nd.coefficients(model, x_t)
+    b, sigma, _, _ = state_coefficients(model, x_t)
     dw = np.stack([nd.eval_generator(seed, tag=j).standard_normal(observed.grid.n_steps)
                    * np.sqrt(dt) for j in range(m_pred)])
     k = np.concatenate((np.zeros((m_pred, 1)), np.cumsum(ell2[None, :] * dw, axis=1)), axis=1)
@@ -325,10 +326,12 @@ def _r2_oracle(observed, model, m_pred, seed, split=0.8):
 def test_r2_score_is_the_written_out_recipe_bit_for_bit():
     # The means over the m_pred predictions are sums along each contiguous
     # row, whose rounding is fixed by that layout.
+    # Deeper widths take b and sigma through the stacked einsum layers.
     observed = positive_observed_path(500, scale=0.05, seed=4)
-    for clamp in (False, True):
+    for widths, clamp in itertools.product(((1, 20, 1), (1, 3, 1, 2, 1), (1, 20, 20, 1)),
+                                           (False, True)):
         model = nd.NansdeModel(
-            *(nd.init_params((1, 20, 1), seed=9, tag=tag) for tag in range(4)),
+            *(nd.init_params(widths, seed=9, tag=tag) for tag in range(4)),
             grid=observed.grid, x0=float(observed.values[0]), clamp_ell2=clamp,
         )
         for seed in range(4):
