@@ -59,10 +59,18 @@ class Dataset:
     path: Path
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def ingest_csv(file) -> Dataset:
     """Parse a one-column (value) or two-column (t,value) CSV into a Dataset.
 
-    An optional header row is detected by failing to parse as numbers.
+    A first row none of whose cells parses as a number is a header.
     Values with min <= 0 are shifted by 1 - min so log-returns exist; times,
     which must increase, give way to a uniform [0, 1] grid with dt = 1/T.
     """
@@ -96,7 +104,10 @@ def ingest_csv(file) -> Dataset:
     try:
         parse_row(*rows[0])
     except IngestError:
-        start = 1  # header row
+        # A header has no numeric cell; a first row with one is malformed data.
+        if any(_is_number(cell) for cell in rows[0][1]):
+            raise
+        start = 1
         if len(rows) == 1:
             raise IngestError(f"{file} contains only a header")
 
@@ -380,7 +391,7 @@ def cmd_evaluate(args) -> int:
     model = load_checkpoint(args.checkpoint, dataset)
     report, details = compute_report(
         dataset.path, model, args.eval_m, args.seed, args.bins,
-        n_lags=args.lags if args.lags > 0 else None, m_pred=args.r2_pred,
+        n_lags=args.lags, m_pred=args.r2_pred,
     )
     out_dir = pathlib.Path(args.out)
     label = pathlib.Path(args.checkpoint).name or "model"
@@ -426,7 +437,7 @@ def cmd_compare(args) -> int:
         write_run_artifacts(sub.out_dir, sub, dataset, model, state)
         report, details = compute_report(
             dataset.path, model, sub.eval_m, sub.eval_seed, sub.eval_bins,
-            n_lags=sub.eval_lags if sub.eval_lags > 0 else None, m_pred=sub.r2_pred,
+            n_lags=sub.eval_lags, m_pred=sub.r2_pred,
         )
         rows.append((label, report))
         all_details.update((f"{label}.{key}", value) for key, value in details.items())

@@ -15,7 +15,7 @@ class KernelError(NansdeError):
 
 
 class GenerationError(NansdeError):
-    """A noise generator failed (e.g. no valid fBm embedding or factorization)."""
+    """A noise generator failed (e.g. no valid fBm circulant embedding)."""
 
 
 class DataError(NansdeError):

@@ -13,9 +13,9 @@ One batched Euler sweep simulates every path; a path that leaves the
 admissible region is masked as dead rather than stopping the others.  K
 never reads X, so it is filled in whole before the sweep, as the running sum
 of ell2 dW (:func:`memory_integral`).  The drift and diffusion networks have
-equal widths and run as one stacked network (:func:`stacked_state_layers`):
-each step maps the states through both at once, layer by layer
-(:func:`state_heads`), and writes the new states in place with the one X
+equal widths and run as one stack of two networks through the package's one
+network forward (``neural.stacked_forward``): each step maps the states
+through both at once and writes the new states in place with the one X
 update, :func:`euler_x_step`.  The R^2 predictor in ``metrics`` runs on the
 same functions.  The sweep records a tape, including the drift and
 diffusion networks' activations and sigma at every (step, path) pair,
@@ -43,6 +43,8 @@ from .neural import (
     mlp_forward_batch,
     mlp_forward_batch_cached,
     mlp_input_derivative,
+    stacked_forward,
+    stacked_layers,
     zero_gradients,
 )
 from .noise import brownian_increments
@@ -139,46 +141,6 @@ def euler_x_step(x, k, b, sigma, ell1, dw, dt: float, out: np.ndarray, scratch: 
     np.multiply(sigma, dw, out=scratch)
     out += scratch
     return out
-
-
-def stacked_state_layers(model: NansdeModel, m: int, slots: int) -> list[tuple]:
-    """The drift and diffusion networks, of equal widths, stacked for m rows.
-
-    Each layer's weights and biases are stacked along a leading axis of 2.
-    The first layer is a broadcast multiply with its weights and biases
-    repeated over the m rows, which keeps the multiply-add on whole
-    contiguous arrays; a deeper layer is one stacked einsum, or a broadcast
-    multiply for a 1-wide input as in ``layer_apply``.  A layer holds a
-    reused (2, m, width) buffer and, if hidden, a (2, slots, m, width) record.
-    """
-    nets = (model.drift_net, model.diffusion_net)
-    widths = nets[0].widths
-    layers = []
-    for j, width in enumerate(widths[1:]):
-        w = np.stack([net.weights[j] for net in nets])  # (2, n_out, n_in)
-        bias = np.stack([net.biases[j] for net in nets])[:, None, :]
-        contract = w.shape[2] > 1
-        if j == 0:
-            w = np.repeat(w.transpose(0, 2, 1), m, axis=1)
-            bias = np.repeat(bias, m, axis=1)
-        elif not contract:
-            w = w.transpose(0, 2, 1)
-        rec = np.empty((2, slots, m, width)) if j < len(widths) - 2 else None
-        layers.append((contract, w, bias, np.empty((2, m, width)), rec))
-    return layers
-
-
-def state_heads(layers: list[tuple], h: np.ndarray, slot: int) -> np.ndarray:
-    """The (2, m, 1) raw drift and diffusion heads of an (m, 1) block of states,
-    held in the head's buffer; hidden activations go to record slot ``slot``."""
-    for contract, w, bias, z, rec in layers:
-        if contract:
-            np.einsum("kri,koi->kro", h, w, optimize=False, out=z)
-        else:
-            np.multiply(h, w, out=z)
-        z += bias
-        h = z if rec is None else np.tanh(z, out=rec[:, slot])
-    return h
 
 
 def memory_integral(ell2: np.ndarray, dw: np.ndarray) -> np.ndarray:
@@ -310,7 +272,7 @@ def simulate_batch_with_tape(
 
     # Of the head only the diffusion half is recorded: the backward pass reads no more.
     slots = n if record else 1
-    layers = stacked_state_layers(model, m, slots)
+    layers = stacked_layers((model.drift_net, model.diffusion_net), m, slots)
     head_rec = np.empty((n, m, 1)) if record else None
 
     # x is allocated before k: in the other order the heap reuses the blocks
@@ -339,7 +301,7 @@ def simulate_batch_with_tape(
 
     for step in range(n):
         s = step if record else 0
-        h = state_heads(layers, x_rows[step], s)
+        h = stacked_forward(layers, x_rows[step], s)
         if record:
             head_rec[step] = h[1]
         sigma = _sigma(h[1, :, 0], out=sigmas[s])
@@ -365,9 +327,8 @@ def simulate_batch_with_tape(
 
     drift_acts = diffusion_acts = None
     if record:
-        hidden_recs = [layer[4] for layer in layers[:-1]]
-        drift_acts = [rec[0] for rec in hidden_recs] + [None]
-        diffusion_acts = [rec[1] for rec in hidden_recs] + [head_rec]
+        drift_acts = [layer[4][0] for layer in layers[:-1]] + [None]
+        diffusion_acts = [layer[4][1] for layer in layers[:-1]] + [head_rec]
 
     return SimTape(
         model, x, k, dw, ell1, ell2, ell1_acts, ell2_acts, drift_acts, diffusion_acts,

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import MetricError
 from .integrator import (NansdeModel, _sigma, euler_x_step, kernel_values, memory_integral,
-                         simulate_ensemble, stacked_state_layers, state_heads)
+                         simulate_ensemble)
+from .neural import stacked_forward, stacked_layers
 from .noise import Path
 from .rng import DOMAIN_EVAL, EVAL_ENSEMBLE_STREAM, NoiseSeed, eval_generator
 from .training import LogReturnSeries, log_returns
@@ -97,14 +98,14 @@ class BinSpec:
             raise ValueError(f"need at least 2 bins, got {self.k}")
 
     @classmethod
-    def from_samples(cls, samples, k: int = DEFAULT_BINS, span: float = BIN_SPAN_STDS) -> "BinSpec":
-        """Bins spanning mean +/- span standard deviations of ``samples``."""
+    def from_samples(cls, samples, k: int = DEFAULT_BINS) -> "BinSpec":
+        """Bins spanning mean +/- ``BIN_SPAN_STDS`` standard deviations of ``samples``."""
         samples = np.asarray(samples, dtype=float)
         center = float(samples.mean())
         spread = float(samples.std())
         if spread == 0.0:
-            spread = 1.0 / span  # degenerate sample: fall back to unit width
-        return cls(center - span * spread, center + span * spread, k)
+            spread = 1.0 / BIN_SPAN_STDS  # degenerate sample: fall back to unit width
+        return cls(center - BIN_SPAN_STDS * spread, center + BIN_SPAN_STDS * spread, k)
 
     @property
     def n_bins(self) -> int:
@@ -269,14 +270,9 @@ def r2_from_predictions(r_test, r_pred) -> float:
     return 1.0 - float((resid * resid).sum()) / denom
 
 
-def r2_score(
-    observed: Path,
-    model: NansdeModel,
-    split: float = DEFAULT_SPLIT,
-    m_pred: int = 64,
-    seed: int = 0,
-) -> float:
-    """R^2 of one-step-ahead return predictions over the final test block.
+def r2_score(observed: Path, model: NansdeModel, m_pred: int = 64, seed: int = 0) -> float:
+    """R^2 of one-step-ahead return predictions over the final test block
+    (the last ``1 - DEFAULT_SPLIT`` of the returns).
 
     For every test index t the predictor restarts the generator at the
     observed level X_t and averages log(X-hat_{t+1} / X_t) over ``m_pred``
@@ -285,13 +281,11 @@ def r2_score(
     with fresh noise.  Compared against the test-mean baseline:
     R^2 = 1 - sum (r_t - r~_t)^2 / sum (r_t - rbar)^2.
     """
-    if not 0.0 < split < 1.0:
-        raise ValueError(f"split must lie in (0, 1), got {split}")
     if m_pred < 1:
         raise ValueError(f"m_pred must be >= 1, got {m_pred}")
     r = log_returns(observed).r
     n_ret = r.size
-    start = int(math.floor(split * n_ret))
+    start = int(math.floor(DEFAULT_SPLIT * n_ret))
     if start >= n_ret:
         raise MetricError("test segment is empty")
     idx = np.arange(start, n_ret)
@@ -301,7 +295,8 @@ def r2_score(
     times = grid.step_times()
     ell1, ell2 = kernel_values(model, times)
     x_t = observed.values[idx]
-    heads = state_heads(stacked_state_layers(model, idx.size, 1), x_t[:, None], 0)
+    layers = stacked_layers((model.drift_net, model.diffusion_net), idx.size, 1)
+    heads = stacked_forward(layers, x_t[:, None], 0)
     b, sigma = heads[0], _sigma(heads[1])  # (n_test, 1) each
 
     # One column of increments per prediction stream.
@@ -358,15 +353,15 @@ def compute_report(
     m_eval: int,
     seed: int,
     n_bins: int = DEFAULT_BINS,
-    n_lags: int | None = None,
-    split: float = DEFAULT_SPLIT,
+    n_lags: int = 0,
     m_pred: int = 64,
 ) -> tuple[MetricReport, dict]:
     """Simulate an evaluation ensemble and compute all metrics.
 
     The ensemble draws ``DOMAIN_EVAL`` streams, held out from training noise
     and from the R^2 resampling.  Diverged paths are left out of every
-    metric and counted; if none survives the report is undefined.  Returns
+    metric and counted; if none survives the report is undefined.
+    ``n_lags = 0`` scores ``default_lag_count`` lags of the ACF.  Returns
     the report plus a detail mapping (ensemble Hurst percentiles, usable and
     diverged path counts, the observed path's own Hurst estimate).
     """
@@ -376,25 +371,26 @@ def compute_report(
     )
     # One C-ordered row per surviving path, as the Hurst pass needs; the
     # ensemble's own matrix goes, so the copy costs no peak memory.
-    levels = np.ascontiguousarray(ensemble.values_matrix().T[ensemble.alive])
+    levels = np.ascontiguousarray(ensemble.values.T[ensemble.alive])
     del ensemble
     if levels.shape[0] == 0:
         raise MetricError(f"all {m_eval} evaluation paths diverged")
-    paths = [Path(model.grid, row) for row in levels]
 
     hurst = _hurst_rows(levels)
-    gen_returns = []
-    for p in paths:
-        if np.all(p.values > 0.0):
-            gen_returns.append(log_returns(p))
-    if not gen_returns:
+    positive = (levels > 0.0).all(axis=1)
+    if not positive.any():
         raise MetricError("no generated path stayed positive; return metrics undefined")
+    if not positive.all():
+        levels = levels[positive]
+    gen_r = levels[:, 1:] / levels[:, :-1]
+    del levels  # not read again: the returns take its place in memory
+    gen_returns = [LogReturnSeries(r) for r in np.log(gen_r, out=gen_r)]
 
     bins = BinSpec.from_samples(obs_returns.r, k=n_bins)
     tv = tv_distance(obs_returns, gen_returns, bins)
-    s = default_lag_count(len(obs_returns)) if n_lags is None else n_lags
+    s = n_lags or default_lag_count(len(obs_returns))
     acf, weighted_acf = acf_scores(obs_returns, gen_returns, s)
-    r2 = r2_score(observed, model, split=split, m_pred=m_pred, seed=seed)
+    r2 = r2_score(observed, model, m_pred=m_pred, seed=seed)
 
     report = MetricReport(
         hurst_mean=float(hurst.mean()),
@@ -415,6 +411,6 @@ def compute_report(
         "hurst_p95": float(np.percentile(hurst, 95)),
         "hurst_observed": estimate_hurst(observed),
         "n_return_paths": len(gen_returns),
-        "n_diverged_paths": m_eval - len(paths),
+        "n_diverged_paths": m_eval - hurst.size,
     }
     return report, details

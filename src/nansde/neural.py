@@ -2,10 +2,11 @@
 
 A network is a list of affine layers; tanh is applied after every layer
 except the last, which stays affine so outputs are unbounded.  Every pass
-maps a whole (rows, n_in) matrix of inputs at once.  The cached forward pass
-keeps the per-layer activations; a backward pass over them yields exact
-gradients of ``sum_r <adjoint_r, output_r>`` with respect to every weight
-and bias, and a second pass the per-row derivative of a scalar network.
+maps a whole (rows, n_in) matrix of inputs at once.  The one forward pass
+runs a stack of equal-width networks and keeps their activations; a backward
+pass over them yields exact gradients of ``sum_r <adjoint_r, output_r>``
+with respect to every weight and bias, and a second pass the per-row
+derivative of a scalar network.
 
 All contractions go through element-wise broadcasting, axis sums, or
 un-optimized ``einsum`` — never a BLAS call — so results are bitwise
@@ -114,39 +115,56 @@ def zero_gradients(params: MlpParams) -> GradientBundle:
     )
 
 
-def _check_input(params: MlpParams, x: np.ndarray):
-    n_in = params.widths[0]
-    if x.shape[-1] != n_in:
-        raise ValueError(f"network expects {n_in} inputs, got shape {x.shape}")
+def stacked_layers(nets, m: int, slots: int) -> list[tuple]:
+    """A tuple of k networks of equal widths, stacked to run on m rows at once.
 
-
-def layer_apply(w: np.ndarray, b: np.ndarray, h: np.ndarray, out=None) -> np.ndarray:
-    """Affine layer on a (rows, n_in) batch without BLAS, into ``out`` if given.
-
-    Width-1 inputs reduce to a broadcast multiply; wider layers use a fixed
-    single-threaded einsum contraction.
+    Each layer's weights and biases are stacked along a leading axis of k.  A
+    layer with a 1-wide input is a broadcast multiply; the first such layer
+    has its weights and biases repeated over the m rows, which keeps the
+    multiply-add on whole contiguous arrays.  A wider input goes through one
+    un-optimized einsum contraction (the first layer's (m, n_in) input is
+    shared by all k).  A layer holds a reused (k, m, width) buffer and, if
+    hidden, a (k, slots, m, width) record.
     """
-    if w.shape[1] == 1:
-        z = np.multiply(h, w[:, 0][None, :], out=out)
-    else:
-        z = np.einsum("ri,oi->ro", h, w, optimize=False, out=out)
-    z += b[None, :]
-    return z
+    widths = nets[0].widths
+    layers = []
+    for j, width in enumerate(widths[1:]):
+        w = np.stack([net.weights[j] for net in nets])  # (k, n_out, n_in)
+        bias = np.stack([net.biases[j] for net in nets])[:, None, :]
+        if w.shape[2] > 1:
+            subscripts = "ri,koi->kro" if j == 0 else "kri,koi->kro"
+        else:
+            subscripts = None
+            w = w.transpose(0, 2, 1)
+            if j == 0:
+                w = np.repeat(w, m, axis=1)
+                bias = np.repeat(bias, m, axis=1)
+        rec = np.empty((len(nets), slots, m, width)) if j < len(widths) - 2 else None
+        layers.append((subscripts, w, bias, np.empty((len(nets), m, width)), rec))
+    return layers
+
+
+def stacked_forward(layers: list[tuple], h: np.ndarray, slot: int) -> np.ndarray:
+    """The (k, m, n_out) heads of :func:`stacked_layers` on (m, n_in) rows, in the
+    head's buffer; the tanh of each hidden layer goes to record slot ``slot``."""
+    for subscripts, w, bias, z, rec in layers:
+        if subscripts is None:
+            np.multiply(h, w, out=z)
+        else:
+            np.einsum(subscripts, h, w, optimize=False, out=z)
+        z += bias
+        h = z if rec is None else np.tanh(z, out=rec[:, slot])
+    return h
 
 
 def mlp_forward_batch_cached(params: MlpParams, rows: np.ndarray) -> list[np.ndarray]:
     """Batched forward returning all activation matrices a_0..a_L."""
     rows = np.asarray(rows, dtype=float)
-    _check_input(params, rows)
-    acts = [rows]
-    h = rows
-    last = params.n_layers - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = layer_apply(w, b, h)
-        if i != last:
-            h = np.tanh(h, out=h)
-        acts.append(h)
-    return acts
+    if rows.shape[-1] != params.widths[0]:
+        raise ValueError(f"network expects {params.widths[0]} inputs, got shape {rows.shape}")
+    layers = stacked_layers((params,), rows.shape[0], 1)
+    head = stacked_forward(layers, rows, 0)
+    return [rows] + [layer[4][0, 0] for layer in layers[:-1]] + [head[0]]
 
 
 def mlp_forward_batch(params: MlpParams, rows: np.ndarray) -> np.ndarray:

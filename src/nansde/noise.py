@@ -97,22 +97,24 @@ def _fgn_autocov(hurst: float, n: int) -> np.ndarray:
     return 0.5 * ((k + 1.0) ** two_h - 2.0 * k**two_h + np.abs(k - 1.0) ** two_h)
 
 
-def _fgn_circulant(hurst: float, n: int, gen: np.random.Generator) -> np.ndarray | None:
-    """Exact fractional Gaussian noise via circulant embedding, or None.
+def _fgn_circulant(hurst: float, n: int, gen: np.random.Generator) -> np.ndarray:
+    """Exact fractional Gaussian noise via circulant embedding.
 
     Embeds the n-point covariance into a 2n circulant, whose eigenvalues are
     the FFT of the wrapped autocovariance.  A Hermitian-symmetric complex
     Gaussian vector scaled by the eigenvalue square roots transforms back to
-    a sample with exactly the target covariance.  Returns None when the
-    embedding has a materially negative eigenvalue (then the caller falls
-    back to a dense factorization).
+    a sample with exactly the target covariance.  A materially negative
+    eigenvalue means the embedding failed: ``GenerationError``.
     """
     rho = _fgn_autocov(hurst, n)
     circ = np.concatenate((rho, rho[-2:0:-1]))  # length 2n, symmetric
     lam = np.fft.fft(circ).real
     lam_max = lam.max()
     if lam.min() < -_EMBED_TOL * lam_max:
-        return None
+        raise GenerationError(
+            f"no valid circulant embedding of fBm increments for hurst={hurst}, n={n} "
+            f"(min eigenvalue {lam.min():.3g} of max {lam_max:.3g})"
+        )
     lam = np.clip(lam, 0.0, None)
 
     # Draw order is part of the reproducibility contract: one normal for the
@@ -130,30 +132,9 @@ def _fgn_circulant(hurst: float, n: int, gen: np.random.Generator) -> np.ndarray
     return np.fft.fft(spectrum).real[:n] / np.sqrt(2 * n)
 
 
-def _fgn_cholesky(hurst: float, n: int, gen: np.random.Generator) -> np.ndarray:
-    """Dense-covariance fallback for grids where the embedding fails."""
-    rho = _fgn_autocov(hurst, n - 1)
-    cov = rho[np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])]
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise GenerationError(
-            f"no valid embedding and covariance factorization failed for "
-            f"hurst={hurst}, n={n}: {exc}"
-        ) from exc
-    z = gen.standard_normal(n)
-    # Row-wise multiply-and-sum instead of a BLAS matvec keeps the result
-    # independent of the BLAS build and its thread count.
-    return (chol * z[None, :]).sum(axis=1)
-
-
 def fbm_increments(cfg: FbmConfig, seed: NoiseSeed) -> np.ndarray:
     """Increments of fractional Brownian motion over each grid step."""
-    gen = noise_generator(seed)
-    n = cfg.grid.n_steps
-    sample = _fgn_circulant(cfg.hurst, n, gen)
-    if sample is None:
-        sample = _fgn_cholesky(cfg.hurst, n, gen)
+    sample = _fgn_circulant(cfg.hurst, cfg.grid.n_steps, noise_generator(seed))
     return sample * cfg.grid.dt**cfg.hurst
 
 

@@ -196,7 +196,7 @@ def nll_loss(
     usable paths raises :class:`TrainingError`.
     """
     loss, _, _ = _ensemble_nll(
-        observed.r, ensemble.values_matrix(), ensemble.alive, floor, bandwidths
+        observed.r, ensemble.values, ensemble.alive, floor, bandwidths
     )
     return loss
 

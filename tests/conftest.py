@@ -9,7 +9,6 @@ import numpy as np
 
 import nansde as nd
 from nansde.integrator import SIGMA_FLOOR, softplus, softplus_inverse
-from nansde.neural import mlp_forward_batch_cached
 
 
 def affine_net(w, b):
@@ -44,15 +43,32 @@ def brownian_model(grid, x0=1.0, sigma=1.0):
     return build_model(grid, x0=x0, sigma=sigma)
 
 
+def reference_forward(params, rows):
+    """Every activation a_0..a_L of one network, one plain layer at a time.
+
+    A 1-wide input is a broadcast multiply, a wider one a single-network
+    einsum; tanh follows every layer but the last.  An oracle for the
+    package's stacked forward that shares none of its code."""
+    acts = [np.asarray(rows, dtype=float)]
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        if w.shape[1] == 1:
+            z = acts[-1] * w[:, 0][None, :]
+        else:
+            z = np.einsum("ri,oi->ro", acts[-1], w, optimize=False)
+        z = z + b[None, :]
+        acts.append(z if i == params.n_layers - 1 else np.tanh(z))
+    return acts
+
+
 def state_coefficients(model, x):
     """b and sigma on an array of states, with both networks' activations.
 
-    Each network runs on its own through ``mlp_forward_batch_cached`` and
-    sigma is softplus plus the floor: a reference for the stacked drift and
+    Each network runs on its own through :func:`reference_forward` and sigma
+    is softplus plus the floor: a reference for the stacked drift and
     diffusion forward that the Euler sweep and R^2 share."""
     rows = np.asarray(x, dtype=float).reshape(-1, 1)
-    drift_acts = mlp_forward_batch_cached(model.drift_net, rows)
-    diffusion_acts = mlp_forward_batch_cached(model.diffusion_net, rows)
+    drift_acts = reference_forward(model.drift_net, rows)
+    diffusion_acts = reference_forward(model.diffusion_net, rows)
     sigma = softplus(diffusion_acts[-1][:, 0]) + SIGMA_FLOOR
     return drift_acts[-1][:, 0], sigma, drift_acts, diffusion_acts
 

@@ -18,9 +18,8 @@ from scipy.integrate import quad
 
 import nansde as nd
 from nansde import ioutil
-from nansde.integrator import SIGMA_FLOOR, softplus
 from nansde.neural import mlp_batch_backward, mlp_forward_batch_cached, mlp_input_derivative
-from conftest import affine_net, constant_sigma_net, positive_observed_path
+from conftest import affine_net, constant_sigma_net, positive_observed_path, state_coefficients
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +232,7 @@ def test_criterion_5_reductions_are_bitwise():
     x = np.array([1.0])
     collapsed = [1.0]
     for step in range(grid.n_steps):
-        b = nd.mlp_forward_batch(model.drift_net, x[:, None])[:, 0]
-        sigma = softplus(nd.mlp_forward_batch(model.diffusion_net, x[:, None])[:, 0]) + SIGMA_FLOOR
+        b, sigma, _, _ = state_coefficients(model, x)
         x = x + (b - 0.0) * grid.dt + sigma * dw[step]
         collapsed.append(float(x[0]))
     assert np.array_equal(path, np.array(collapsed))

@@ -84,6 +84,18 @@ def test_ingest_two_column_csv_with_header(tmp_path):
         ingest_csv(csv)
     assert exc.value.line == 41
 
+    # a header has no numeric cell: a malformed first data row is an error,
+    # not a header whose point is dropped
+    write_series_csv(csv, values, times=np.arange(70.0))
+    lines = csv.read_text().splitlines()
+    lines[0] = "0,1.0x"
+    csv.write_text("\n".join(lines) + "\n")
+    with pytest.raises(IngestError, match="line 1") as exc:
+        ingest_csv(csv)
+    assert exc.value.line == 1
+    write_series_csv(csv, values, times=np.arange(70.0), header="t,value")
+    assert np.array_equal(ingest_csv(csv).path.values, values)
+
 
 def test_ingest_single_column_and_shift(tmp_path):
     values = np.sin(np.linspace(0.0, 3.0, 70)) - 0.5  # dips below zero
@@ -95,6 +107,9 @@ def test_ingest_single_column_and_shift(tmp_path):
     assert ds.path.values.min() == pytest.approx(1.0, rel=1e-15)
     assert np.array_equal(ds.path.values, values + ds.shift)  # parsing is exact
     assert ds.path.values - ds.shift == pytest.approx(values, abs=1e-12)
+
+    write_series_csv(csv, values, header="value")
+    assert np.array_equal(ingest_csv(csv).path.values, ds.path.values)
 
 
 def test_ingest_reports_malformed_line(tmp_path):

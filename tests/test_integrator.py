@@ -10,8 +10,14 @@ import pytest
 
 import nansde as nd
 import nansde.integrator as integrator
-from nansde.integrator import SIGMA_FLOOR, euler_x_step, sigmoid, softplus, softplus_inverse
-from nansde.neural import GradientBundle, mlp_batch_backward, zero_gradients
+from nansde.integrator import euler_x_step, sigmoid, softplus, softplus_inverse
+from nansde.neural import (
+    GradientBundle,
+    mlp_batch_backward,
+    stacked_forward,
+    stacked_layers,
+    zero_gradients,
+)
 from conftest import (
     affine_net,
     brownian_model,
@@ -62,8 +68,8 @@ def test_value_helpers_eval_the_nets():
     grid = nd.unit_grid(4)
     m = build_model(grid, drift=(0.0, 0.5), sigma=2.0, ell1=(0.0, 1.0),
                     ell2=(0.0, 0.7))
-    layers = integrator.stacked_state_layers(m, 2, 1)
-    heads = integrator.state_heads(layers, np.array([[1.0], [2.0]]), 0)
+    layers = stacked_layers((m.drift_net, m.diffusion_net), 2, 1)
+    heads = stacked_forward(layers, np.array([[1.0], [2.0]]), 0)
     assert heads.shape == (2, 2, 1)
     assert heads[0, :, 0] == pytest.approx([0.5, 0.5])
     assert integrator._sigma(heads[1, :, 0]) == pytest.approx([2.0, 2.0], rel=1e-12)
@@ -667,8 +673,7 @@ def test_clamped_model_equals_collapsed_two_term_scheme():
     x = np.array([1.0])
     collapsed = [1.0]
     for step in range(grid.n_steps):
-        b = nd.mlp_forward_batch(model.drift_net, x[:, None])[:, 0]
-        sigma = softplus(nd.mlp_forward_batch(model.diffusion_net, x[:, None])[:, 0]) + SIGMA_FLOOR
+        b, sigma, _, _ = state_coefficients(model, x)
         x = x + (b - 0.0) * grid.dt + sigma * dw[step]
         collapsed.append(float(x[0]))
     assert np.array_equal(path, np.array(collapsed))

@@ -11,6 +11,7 @@ import pytest
 import nansde as nd
 from nansde import integrator, metrics
 from nansde.errors import MetricError
+from nansde.rng import DOMAIN_EVAL, EVAL_ENSEMBLE_STREAM, NoiseSeed
 from conftest import build_model, positive_observed_path, state_coefficients
 
 # ---------------------------------------------------------------------------
@@ -85,12 +86,12 @@ def test_hurst_of_an_ensemble_equals_the_per_path_estimates_bit_for_bit():
 
 
 def test_binspec_from_samples_and_validation():
-    spec = nd.BinSpec.from_samples([-1.0, 1.0], k=10, span=5.0)
+    spec = nd.BinSpec.from_samples([-1.0, 1.0], k=10)
     assert spec.lo == pytest.approx(-5.0, rel=1e-15)
     assert spec.hi == pytest.approx(5.0, rel=1e-15)
     assert spec.n_bins == 12
 
-    degenerate = nd.BinSpec.from_samples(np.full(6, 2.0), k=10, span=5.0)
+    degenerate = nd.BinSpec.from_samples(np.full(6, 2.0), k=10)
     assert degenerate.lo == pytest.approx(1.0)
     assert degenerate.hi == pytest.approx(3.0)
 
@@ -296,15 +297,13 @@ def test_r2_score_is_deterministic():
     assert a == b
     assert math.isfinite(a)
     with pytest.raises(ValueError):
-        nd.r2_score(observed, model, split=1.0)
-    with pytest.raises(ValueError):
         nd.r2_score(observed, model, m_pred=0)
 
 
-def _r2_oracle(observed, model, m_pred, seed, split=0.8):
+def _r2_oracle(observed, model, m_pred, seed):
     """r2_score written out as one expression per step of the recipe."""
     r = nd.log_returns(observed).r
-    idx = np.arange(int(math.floor(split * r.size)), r.size)
+    idx = np.arange(int(math.floor(0.8 * r.size)), r.size)
     dt = observed.grid.dt
     ell1, ell2 = nd.kernel_values(model, observed.grid.step_times())
     x_t = observed.values[idx]
@@ -379,6 +378,8 @@ def test_compute_report_bounds_and_determinism():
     assert report1.hurst_std >= 0.0
     assert report1.n_paths == 8
     assert report1.n_lags == nd.default_lag_count(100)
+    assert nd.compute_report(observed, model, m_eval=8, seed=11, n_lags=0)[0] == report1
+    assert nd.compute_report(observed, model, m_eval=8, seed=11, n_lags=5)[0].n_lags == 5
     assert report1.n_bins == 52
     assert math.isfinite(report1.r2)
 
@@ -406,6 +407,18 @@ def test_compute_report_skips_diverged_paths():
     runaway = build_model(observed.grid, drift=(0.0, 1e14))
     with pytest.raises(MetricError, match="diverged"):
         nd.compute_report(observed, runaway, m_eval=4, seed=11)
+
+    # Brownian paths from 0.3 with sigma = 1: most cross zero but stay alive.
+    # The return metrics must be those of the positive paths' own returns.
+    model = build_model(observed.grid, x0=0.3, sigma=1.0)
+    report, details = nd.compute_report(observed, model, m_eval=16, seed=11)
+    ens = nd.simulate_ensemble(model, 16, NoiseSeed(11, EVAL_ENSEMBLE_STREAM, DOMAIN_EVAL))
+    gen = [nd.log_returns(nd.Path(observed.grid, x)) for x in ens.values.T if np.all(x > 0.0)]
+    assert details["n_diverged_paths"] == 0
+    assert details["n_return_paths"] == len(gen) and 0 < len(gen) < 16
+    obs = nd.log_returns(observed)
+    assert report.tv == nd.tv_distance(obs, gen, nd.BinSpec.from_samples(obs.r))
+    assert (report.acf_score, report.weighted_acf_score) == nd.acf_scores(obs, gen, report.n_lags)
 
 
 def test_evaluation_noise_is_held_out_from_training(monkeypatch):

@@ -8,13 +8,14 @@ import pytest
 
 import nansde as nd
 from nansde.neural import (
-    layer_apply,
     mlp_batch_backward,
     mlp_forward_batch_cached,
     mlp_input_derivative,
+    stacked_forward,
+    stacked_layers,
     zero_gradients,
 )
-from conftest import unit_adjoint_input_gradient
+from conftest import reference_forward, unit_adjoint_input_gradient
 
 # ---------------------------------------------------------------------------
 # Initialization
@@ -103,20 +104,44 @@ def test_forward_stays_finite_and_hidden_activations_bounded():
 
 
 def test_forward_into_destinations_is_the_fresh_forward():
-    # The Euler sweep records activations by computing each layer into its
-    # step's rows of a record; a None destination gets a fresh array.
-    p = nd.init_params((1, 4, 3, 1), seed=6)
-    rows = np.random.default_rng(4).uniform(-2, 2, size=(9, 1))
-    fresh = mlp_forward_batch_cached(p, rows)
-    out = [np.full((9, 4), np.nan), None, np.full((9, 1), np.nan)]
-    h = rows
-    for i, (w, b, dest) in enumerate(zip(p.weights, p.biases, out)):
-        h = layer_apply(w, b, h, dest)
-        if dest is not None:
-            assert h is dest
-        if i != p.n_layers - 1:
-            np.tanh(h, out=h)
-        assert np.array_equal(h, fresh[i + 1])
+    # The Euler sweep records activations by writing each hidden layer into
+    # its step's slot of a record; each network of a stack of k must read as
+    # its own plain forward there, and the other slots stay untouched.
+    for widths in ((1, 4, 3, 1), (1, 3, 1, 2, 1), (2, 5, 1)):
+        rows = np.random.default_rng(4).uniform(-2, 2, size=(9, widths[0]))
+        for k in (1, 2, 3):
+            nets = tuple(nd.init_params(widths, seed=6, tag=i) for i in range(k))
+            layers = stacked_layers(nets, 9, 3)
+            for layer in layers[:-1]:
+                layer[4].fill(np.nan)
+            head = stacked_forward(layers, rows, 1)
+            assert head.shape == (k, 9, widths[-1])
+            for i, net in enumerate(nets):
+                ref = reference_forward(net, rows)
+                for layer, act in zip(layers[:-1], ref[1:-1]):
+                    assert np.array_equal(layer[4][i, 1], act)
+                    assert np.isnan(layer[4][i, [0, 2]]).all()
+                assert np.array_equal(head[i], ref[-1])
+
+
+@pytest.mark.parametrize(
+    "widths",
+    [(1, 1), (1, 3, 1), (1, 20, 1), (1, 2, 2, 1), (1, 5, 4, 1), (1, 3, 1, 2, 1),
+     (1, 20, 20, 1), (1, 40, 1)],
+)
+def test_cached_forward_is_the_reference_bit_for_bit(widths):
+    # 144 cases: 8 widths, 6 row counts, 3 seeds, every activation compared.
+    for n_rows in (1, 7, 64, 250, 1000, 2000):
+        for seed in range(3):
+            p = nd.init_params(widths, seed=seed)
+            p.biases = [b + 0.1 * (seed + 1) for b in p.biases]
+            rows = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(n_rows, 1))
+            acts = mlp_forward_batch_cached(p, rows)
+            ref = reference_forward(p, rows)
+            assert len(acts) == len(ref)
+            for got, want in zip(acts, ref):
+                assert got.shape == want.shape
+                assert np.array_equal(got, want), (widths, n_rows, seed)
 
 
 # ---------------------------------------------------------------------------

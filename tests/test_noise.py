@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import nansde as nd
-from nansde.errors import KernelError
+from nansde.errors import GenerationError, KernelError
 from nansde.rng import DOMAIN_NOISE, noise_generator, stream_generator
 
 # ---------------------------------------------------------------------------
@@ -120,6 +120,14 @@ def test_fbm_is_deterministic_per_seed():
     b = nd.fbm_path(cfg, nd.NoiseSeed(4, 1))
     assert np.array_equal(a.values, b.values)
     assert a.values[0] == 0.0
+
+
+def test_fbm_reports_a_failed_circulant_embedding():
+    # The one failure found over n = 1..200,000 and 1,003 values of H: the
+    # embedding's minimum eigenvalue is -1.19e-8 of the maximum.
+    cfg = nd.FbmConfig(1.0 - 1e-6, nd.unit_grid(200_000))
+    with pytest.raises(GenerationError, match=r"hurst=0\.999999, n=200000"):
+        nd.fbm_increments(cfg, nd.NoiseSeed(0, 0))
 
 
 def test_fbm_h_half_increments_look_brownian():
