@@ -1,12 +1,15 @@
 """Generative modeling of time series with memory via neural SDEs.
 
-The generator couples a state equation and a learned memory process,
+The generator is a neural SDE driven by NA-noise Z, whose memory process K
+is learned,
 
-    dX = (b(X) - ell1(t) sigma(X) K(t)) dt + sigma(X) dW,
+    dX = b(X) dt + sigma(X) dZ,
+    dZ = dW - ell1(t) K(t) dt,
     dK = ell2(t) dW,
 
 with all four coefficient functions given by small tanh networks.  Setting
-ell2 to zero removes the memory channel and recovers a plain neural SDE.
+ell2 to zero removes the memory channel, so Z is W and the model is a plain
+neural SDE.
 Training maximizes a kernel-density likelihood of observed log-returns
 against simulated ensembles; evaluation covers Hurst-index recovery,
 marginal total variation, autocorrelation structure, and one-step R^2.
@@ -36,13 +39,11 @@ from .integrator import (
     Ensemble,
     ModelGradients,
     NansdeModel,
-    SimTape,
     backpropagate,
     kernel_values,
     simulate_batch_with_tape,
     simulate_ensemble,
     softplus,
-    softplus_inverse,
 )
 from .metrics import (
     BinSpec,
@@ -72,7 +73,6 @@ from .noise import (
     arma_ell_su,
     arma_noise_path,
     brownian_increments,
-    brownian_path,
     fbm_increments,
     fbm_path,
 )
@@ -86,7 +86,6 @@ from .training import (
     init_state,
     log_returns,
     loss_and_gradients,
-    nll_loss,
     silverman_bandwidth,
     train_step,
 )

@@ -1,23 +1,26 @@
 """Euler simulation of the neural SDE generator, with pathwise gradients.
 
-The generator couples a state and a memory process,
+The generator is driven by the NA-noise Z of a learned memory process K,
 
-    X_{k+1} = X_k + (b(X_k) - ell1(t_k) sigma(X_k) K_k) dt + sigma(X_k) dW_k
-    K_{k+1} = K_k + ell2(t_k) dW_k,          X_0 = x0,  K_0 = 0,
+    X_{k+1} = X_k + b(X_k) dt + sigma(X_k) dZ_k,     X_0 = x0,
+    dZ_k = dW_k - ell1(t_k) K_k dt,
+    K_{k+1} = K_k + ell2(t_k) dW_k,                  K_0 = 0,
 
 where b, sigma, ell1, ell2 are scalar networks and sigma is kept strictly
 positive by a softplus with a small floor.  Clamping ell2 to zero freezes
-K at zero and collapses the system to the plain SDE dX = b dt + sigma dW.
+K at zero, so dZ is dW and the system collapses to the plain SDE
+dX = b dt + sigma dW.
 
 One batched Euler sweep simulates every path; a path that leaves the
-admissible region is masked as dead rather than stopping the others.  K
-never reads X, so it is filled in whole before the sweep, as the running sum
-of ell2 dW (:func:`memory_integral`).  The drift and diffusion networks have
-equal widths and run as one stack of two networks through the package's one
-network forward (``neural.stacked_forward``): each step maps the states
-through both at once and writes the new states in place with the one X
-update, :func:`euler_x_step`.  The R^2 predictor in ``metrics`` runs on the
-same functions.  The sweep records a tape, including the drift and
+admissible region is masked as dead rather than stopping the others.  Z
+never reads X, so K (``noise.memory_integral``) and then dZ
+(``noise.na_increments``) are filled in whole before the sweep.  The drift
+and diffusion networks have equal widths and run as one stack of two
+networks through the package's one network forward
+(``neural.stacked_forward``): each step maps the states through both at once
+and writes the new states in place with the one X update,
+:func:`euler_x_step`.  The R^2 predictor in ``metrics`` runs on the same
+functions.  The sweep records a tape, including the drift and
 diffusion networks' activations and sigma at every (step, path) pair,
 written as they are computed into buffers allocated once: one stacked
 (2, n, m, width) record per hidden layer, whose halves belong to the two
@@ -47,7 +50,7 @@ from .neural import (
     stacked_layers,
     zero_gradients,
 )
-from .noise import brownian_increments
+from .noise import brownian_increments, memory_integral, na_increments
 from .rng import NoiseSeed
 
 SIGMA_FLOOR = 1e-4
@@ -70,13 +73,6 @@ def sigmoid(x):
     """Logistic function, overflow-free on both tails."""
     t = np.exp(-np.abs(x))
     return np.where(x >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
-
-
-def softplus_inverse(y: float) -> float:
-    """Scalar inverse of softplus; handy for pinning sigma to a target value."""
-    if y <= 0.0:
-        raise ValueError(f"softplus is positive, got target {y}")
-    return float(np.log(np.expm1(y)))
 
 
 @dataclass
@@ -126,30 +122,18 @@ def _sigma(raw: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def euler_x_step(x, k, b, sigma, ell1, dw, dt: float, out: np.ndarray, scratch: np.ndarray):
-    """The X update x + (b - ell1 sigma k) dt + sigma dW, written into ``out``.
+def euler_x_step(x, b, sigma, dz, dt: float, out: np.ndarray, scratch: np.ndarray):
+    """The X update x + b dt + sigma dZ, written into ``out``.
 
     The Euler sweep calls it on (m,) vectors and ``metrics.r2_score`` on
     arrays that broadcast to (n_test, m_pred); ``scratch`` (shaped like
-    ``out``) receives sigma dW.  One order of operations gives both the same bits.
+    ``out``) receives sigma dZ.  One order of operations gives both the same bits.
     """
-    np.multiply(ell1, sigma, out=out)
-    out *= k
-    np.subtract(b, out, out=out)
-    out *= dt
+    np.multiply(b, dt, out=out)
     out += x
-    np.multiply(sigma, dw, out=scratch)
+    np.multiply(sigma, dz, out=scratch)
     out += scratch
     return out
-
-
-def memory_integral(ell2: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """K on the grid: K_0 = 0, K_{k+1} = K_k + ell2_k dW_k, one column per path of dw."""
-    k = np.empty((dw.shape[0] + 1, dw.shape[1]))
-    k[0] = 0.0
-    np.multiply(ell2[:, None], dw, out=k[1:])
-    np.add.accumulate(k, axis=0, out=k)
-    return k
 
 
 def kernel_values(model: NansdeModel, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,8 +180,8 @@ class Ensemble:
 
 @dataclass
 class SimTape:
-    """Everything a backward pass needs: states, increments, kernel values
-    and the state networks' activations.
+    """Everything a backward pass needs: states, Brownian and NA-noise
+    increments, kernel values and the state networks' activations.
 
     ``drift_acts`` and ``diffusion_acts`` hold one contiguous (n_steps, m,
     width) record per layer 1..L of the drift and diffusion networks,
@@ -209,8 +193,9 @@ class SimTape:
     recording; a backward pass takes them off the tape it consumes and
     releases them when it is done.
 
-    ``k`` is filled in before the sweep; a dead column's K is zero after its
-    ``death_step``, like the placeholder values of its X.
+    ``dz`` holds the NA-noise increments the sweep stepped with; ``dw`` is
+    kept for the ell2 gradient.  A path whose K crossed the divergence guard
+    has K = 0 from its ``death_step`` on, so its dZ there is its dW.
 
     ``alive`` marks columns that never tripped the divergence guard; dead
     columns hold frozen placeholder values after their ``death_step`` and
@@ -219,7 +204,7 @@ class SimTape:
 
     model: NansdeModel
     x: np.ndarray  # (n_steps + 1, m)
-    k: np.ndarray  # (n_steps + 1, m)
+    dz: np.ndarray  # (n_steps, m)
     dw: np.ndarray  # (n_steps, m)
     ell1_vals: np.ndarray  # (n_steps,)
     ell2_vals: np.ndarray  # (n_steps,)
@@ -290,8 +275,13 @@ def simulate_batch_with_tape(
     if not (k.max() <= guard and -guard <= k.min()):
         bad_k = ~(np.abs(k) <= guard)
         for j in np.flatnonzero(bad_k.any(axis=0)):
-            # K_{s+1} is step s's update.
-            k_deaths.setdefault(int(bad_k[:, j].argmax()) - 1, []).append(j)
+            # K_{s+1} is step s's update.  From there on the column's K is
+            # zero, so its dZ is its dW and the sweep stays silent.
+            death = int(bad_k[:, j].argmax()) - 1
+            k_deaths.setdefault(death, []).append(j)
+            k[death + 1 :, j] = 0.0
+    # dZ goes over K's first n rows, so the sweep allocates no (n, m) array for it.
+    dz = na_increments(dw, ell1, k, dt)
 
     alive = np.ones(m, dtype=bool)
     dead = None
@@ -307,7 +297,7 @@ def simulate_batch_with_tape(
         sigma = _sigma(h[1, :, 0], out=sigmas[s])
 
         new_x = x[step + 1]
-        euler_x_step(x[step], k[step], h[0, :, 0], sigma, ell1[step], dw[step], dt, new_x, scratch)
+        euler_x_step(x[step], h[0, :, 0], sigma, dz[step], dt, new_x, scratch)
 
         # A NaN fails the <= test, so this also catches non-finite states.
         np.abs(new_x, out=scratch)
@@ -318,7 +308,6 @@ def simulate_batch_with_tape(
             if bad.any():
                 alive[bad] = False
                 death_step[bad] = step
-                k[step + 1 :, bad] = 0.0
                 dead = ~alive
         if dead is not None:
             # Pin dead columns to harmless values so the remaining steps stay
@@ -331,7 +320,7 @@ def simulate_batch_with_tape(
         diffusion_acts = [layer[4][1] for layer in layers[:-1]] + [head_rec]
 
     return SimTape(
-        model, x, k, dw, ell1, ell2, ell1_acts, ell2_acts, drift_acts, diffusion_acts,
+        model, x, dz, dw, ell1, ell2, ell1_acts, ell2_acts, drift_acts, diffusion_acts,
         sigmas if record else None, alive, death_step,
     )
 
@@ -377,7 +366,7 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
 
     The reverse sweep uses the recursion
 
-        xbar_k = a_k + xbar_{k+1} (1 + (b' - ell1 sigma' K) dt + sigma' dW)
+        xbar_k = a_k + xbar_{k+1} (1 + b' dt + sigma' dZ_k)
         kbar_k = kbar_{k+1} - xbar_{k+1} ell1 sigma dt,   kbar_n = 0,
 
     and each network's parameter gradient is a batched backward pass with
@@ -390,7 +379,8 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
     gradient is the sum of its per-block bundles, added in the order the
     sweep visits the blocks.  The activation records are then released, and
     the kbar recursion and ell1/ell2 passes run over the whole grid with the
-    recorded sigma.
+    recorded sigma, and K, which only the ell1 gradient reads, is recomputed
+    from dW: it never reads X, so it has the sweep's bits.
     """
     tape.consume()
     if tape.drift_acts is None or tape.diffusion_acts is None or tape.sigma is None:
@@ -412,8 +402,7 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
         """arr at steps s0..s1-1 and the participating columns."""
         return arr[s0:s1] if mv == m else np.take(arr[s0:s1], cols, axis=1)
 
-    ks, dws, sigma = take(tape.k, 0, n + 1), take(tape.dw, 0, n), take(tape.sigma, 0, n)
-    ell1 = tape.ell1_vals[:, None]  # (n, 1), broadcasts over columns
+    dzs, dws, sigma = take(tape.dz, 0, n), take(tape.dw, 0, n), take(tape.sigma, 0, n)
 
     # The tape lets go of its records; the activations are freed after the
     # sweep, sigma on return.
@@ -437,25 +426,28 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
         sigma_prime = (gate * raw_prime[:, 0]).reshape(-1, mv)
 
         # State adjoint, swept backward through the block's steps.
-        k_blk, dw_blk, ell1_blk = ks[s0:s1], dws[s0:s1], ell1[s0:s1]
-        gain = 1.0 + (b_prime - ell1_blk * sigma_prime * k_blk) * dt + sigma_prime * dw_blk
+        dz_blk = dzs[s0:s1]
+        gain = 1.0 + b_prime * dt + sigma_prime * dz_blk
         a_blk = take(a, s0, s1)
         for i in range(s1 - s0 - 1, -1, -1):
             xbar[s0 + i] = a_blk[i] + xbar[s0 + i + 1] * gain[i]
         xbar_next = xbar[s0 + 1 : s1 + 1]
 
         drift_adj = (xbar_next * dt).reshape(-1, 1)
-        sigma_adj = (xbar_next * (dw_blk - ell1_blk * k_blk * dt)).reshape(-1) * gate
+        sigma_adj = (xbar_next * dz_blk).reshape(-1) * gate
         for i, adj in enumerate((drift_adj, sigma_adj.reshape(-1, 1))):
             bundles[i] = _add_into(bundles[i], mlp_batch_backward(nets[i], acts[i], adj))
     del records, acts
 
     # Memory adjoint: K_k feeds X_{k+1} and K_{k+1}; suffix-sum the direct
     # contributions to get kbar_{k+1} for the ell2 gradient.
+    ell1 = tape.ell1_vals[:, None]  # (n, 1), broadcasts over columns
     k_direct = xbar[1:] * (-ell1 * sigma * dt)
     suffix = np.cumsum(k_direct[::-1], axis=0)[::-1]
     kbar_next = np.vstack((suffix[1:], np.zeros((1, mv))))
 
+    # K never reads X, so on paths that never diverged this is the sweep's K.
+    ks = memory_integral(tape.ell2_vals, dws)
     ell1_adj = (xbar[1:] * (-sigma * ks[:-1] * dt)).sum(axis=1).reshape(-1, 1)
     ell1_bundle = mlp_batch_backward(model.ell1_net, tape.ell1_acts, ell1_adj)
 

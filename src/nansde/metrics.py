@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MetricError
-from .integrator import (NansdeModel, _sigma, euler_x_step, kernel_values, memory_integral,
-                         simulate_ensemble)
+from .integrator import NansdeModel, _sigma, euler_x_step, kernel_values, simulate_ensemble
 from .neural import stacked_forward, stacked_layers
-from .noise import Path
+from .noise import Path, memory_integral, na_increments
 from .rng import DOMAIN_EVAL, EVAL_ENSEMBLE_STREAM, NoiseSeed, eval_generator
 from .training import LogReturnSeries, log_returns
 
@@ -270,15 +269,20 @@ def r2_from_predictions(r_test, r_pred) -> float:
     return 1.0 - float((resid * resid).sum()) / denom
 
 
-def r2_score(observed: Path, model: NansdeModel, m_pred: int = 64, seed: int = 0) -> float:
+def r2_score(
+    observed: Path, model: NansdeModel, m_pred: int = 64, seed: int = 0
+) -> tuple[float, int]:
     """R^2 of one-step-ahead return predictions over the final test block
-    (the last ``1 - DEFAULT_SPLIT`` of the returns).
+    (the last ``1 - DEFAULT_SPLIT`` of the returns), and the number of
+    predictions it dropped.
 
     For every test index t the predictor restarts the generator at the
     observed level X_t and averages log(X-hat_{t+1} / X_t) over ``m_pred``
     simulations.  The latent memory K_t is not observable from X alone, so
-    each simulation carries its own K reconstructed along the full grid
-    with fresh noise.  Compared against the test-mean baseline:
+    each simulation steps with its own NA-noise increment dZ_t, built along
+    the full grid from fresh noise.  A non-positive X-hat has no log-return
+    and is dropped from its index's mean; the count of those is returned.
+    Compared against the test-mean baseline:
     R^2 = 1 - sum (r_t - r~_t)^2 / sum (r_t - rbar)^2.
     """
     if m_pred < 1:
@@ -303,12 +307,10 @@ def r2_score(observed: Path, model: NansdeModel, m_pred: int = 64, seed: int = 0
     dw = np.empty((grid.n_steps, m_pred))
     for j in range(m_pred):
         dw[:, j] = eval_generator(seed, tag=j).standard_normal(grid.n_steps) * np.sqrt(dt)
-    k_test = memory_integral(ell2, dw)[idx]  # (n_test, m_pred)
+    dz = na_increments(dw, ell1, memory_integral(ell2, dw), dt)[idx]  # (n_test, m_pred)
 
-    x_hat = np.empty_like(k_test)
-    euler_x_step(
-        x_t[:, None], k_test, b, sigma, ell1[idx, None], dw[idx], dt, x_hat, np.empty_like(k_test)
-    )
+    x_hat = np.empty_like(dz)
+    euler_x_step(x_t[:, None], b, sigma, dz, dt, x_hat, np.empty_like(dz))
     valid = x_hat > 0.0
     counts = valid.sum(axis=1)
     if np.any(counts == 0):
@@ -316,7 +318,7 @@ def r2_score(observed: Path, model: NansdeModel, m_pred: int = 64, seed: int = 0
     ratio = np.where(valid, x_hat / x_t[:, None], 1.0)
     r_tilde = (np.log(ratio) * valid).sum(axis=1) / counts
 
-    return r2_from_predictions(r[idx], r_tilde)
+    return r2_from_predictions(r[idx], r_tilde), int(valid.size - counts.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +365,8 @@ def compute_report(
     metric and counted; if none survives the report is undefined.
     ``n_lags = 0`` scores ``default_lag_count`` lags of the ACF.  Returns
     the report plus a detail mapping (ensemble Hurst percentiles, usable and
-    diverged path counts, the observed path's own Hurst estimate).
+    diverged path counts, the observed path's own Hurst estimate, and the
+    one-step predictions R^2 dropped as non-positive).
     """
     obs_returns = log_returns(observed)
     ensemble = simulate_ensemble(
@@ -390,7 +393,7 @@ def compute_report(
     tv = tv_distance(obs_returns, gen_returns, bins)
     s = n_lags or default_lag_count(len(obs_returns))
     acf, weighted_acf = acf_scores(obs_returns, gen_returns, s)
-    r2 = r2_score(observed, model, m_pred=m_pred, seed=seed)
+    r2, r2_dropped = r2_score(observed, model, m_pred=m_pred, seed=seed)
 
     report = MetricReport(
         hurst_mean=float(hurst.mean()),
@@ -412,5 +415,6 @@ def compute_report(
         "hurst_observed": estimate_hurst(observed),
         "n_return_paths": len(gen_returns),
         "n_diverged_paths": m_eval - hurst.size,
+        "r2_dropped_predictions": r2_dropped,
     }
     return report, details

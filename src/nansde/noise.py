@@ -5,12 +5,12 @@ Three noise families, all reproducible from a :class:`~nansde.rng.NoiseSeed`:
 * Brownian increments (``brownian_increments``),
 * fractional Brownian motion, exact in law via circulant embedding of the
   increment covariance (``fbm_path``),
-* the closed-form ARMA-type Gaussian noise ``Z`` with its auxiliary memory
-  process ``K``, simulated through the Markov pair
-  ``dZ = -exp(-p t) K dt + dW``, ``dK = ell(t) dW`` (``arma_noise_path``).
-
-The neural-kernel generalization, where both kernel factors are networks of
-time, is stepped by the generator's own Euler sweep (``nansde.integrator``).
+* the NA-noise ``Z`` with its auxiliary memory process ``K``, the Markov
+  pair ``dZ = dW - ell1(t) K dt``, ``dK = ell2(t) dW``.  On a grid K is
+  :func:`memory_integral` and the increments of Z are :func:`na_increments`;
+  the generator's Euler sweep (``nansde.integrator``) and its R^2 predictor
+  drive X with them, and ``arma_noise_path`` is the closed-form case
+  ``ell1 = exp(-p t)``, ``ell2 = ell(t)``.
 
 The closed-form kernel is
 
@@ -66,11 +66,27 @@ def brownian_increments(grid: TimeGrid, seed: NoiseSeed) -> np.ndarray:
     return gen.standard_normal(grid.n_steps) * np.sqrt(grid.dt)
 
 
-def brownian_path(grid: TimeGrid, seed: NoiseSeed) -> Path:
-    """Standard Brownian motion started at 0: cumulative sum of increments."""
-    dw = brownian_increments(grid, seed)
-    values = np.concatenate(([0.0], np.cumsum(dw)))
-    return Path(grid, values)
+def memory_integral(ell2: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """K on the grid: K_0 = 0, K_{k+1} = K_k + ell2_k dW_k, one column per path of dw."""
+    k = np.empty((dw.shape[0] + 1, dw.shape[1]))
+    k[0] = 0.0
+    np.multiply(ell2[:, None], dw, out=k[1:])
+    np.add.accumulate(k, axis=0, out=k)
+    return k
+
+
+def na_increments(dw: np.ndarray, ell1: np.ndarray, k: np.ndarray, dt: float) -> np.ndarray:
+    """The NA-noise increments dZ_k = dW_k - ell1_k K_k dt, written over K's first n rows.
+
+    ``k`` is the (n + 1, m) output of :func:`memory_integral` for the (n, m)
+    increments ``dw``; the returned (n, m) view of it holds dZ, and its last
+    row K_n is left as it was.  Where K is zero, dZ is dW bit for bit.
+    """
+    dz = k[: dw.shape[0]]
+    np.multiply(ell1[:, None], dz, out=dz)
+    dz *= dt
+    np.subtract(dw, dz, out=dz)
+    return dz
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +257,15 @@ def arma_noise_path(
 ) -> tuple[Path, Path]:
     """Euler path of the Markov pair driving the closed-form ARMA-type noise.
 
-    Discretizes dZ = -e^{-p t} K dt + dW, dK = ell(t) dW from Z(0)=K(0)=0
-    with shared increments, stepping with the left-endpoint values of t.
-    Returns the (Z, K) paths.
+    Discretizes dZ = dW - e^{-p t} K dt, dK = ell(t) dW from Z(0)=K(0)=0
+    with shared increments, stepping with the left-endpoint values of t:
+    :func:`na_increments` with ell1 = e^{-p t} and ell2 = ell.  Returns the
+    (Z, K) paths.
     """
-    dw = brownian_increments(grid, seed)
+    dw = brownian_increments(grid, seed)[:, None]
     t = grid.step_times()
-    ell = np.asarray(arma_ell(t, params), dtype=float)
-    k = np.concatenate(([0.0], np.cumsum(ell * dw)))
-    z_inc = -np.exp(-params.p * t) * k[:-1] * grid.dt + dw
-    z = np.concatenate(([0.0], np.cumsum(z_inc)))
-    return Path(grid, z), Path(grid, k)
+    k = memory_integral(np.asarray(arma_ell(t, params), dtype=float), dw)
+    k_path = Path(grid, k[:, 0].copy())  # dZ overwrites K's first n rows
+    dz = na_increments(dw, np.exp(-params.p * t), k, grid.dt)
+    z = np.concatenate(([0.0], np.cumsum(dz[:, 0])))
+    return Path(grid, z), k_path

@@ -26,13 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, TrainingError
-from .integrator import (
-    Ensemble,
-    ModelGradients,
-    NansdeModel,
-    backpropagate,
-    simulate_batch_with_tape,
-)
+from .integrator import ModelGradients, NansdeModel, backpropagate, simulate_batch_with_tape
 from .neural import init_params
 from .noise import Path
 from .optim import Adam
@@ -185,20 +179,6 @@ def _ensemble_nll(
     adj_valid[:-1] -= return_grad / xs[:-1]
     adj[:, valid] = adj_valid
     return loss, valid, adj
-
-
-def nll_loss(
-    observed: LogReturnSeries, ensemble: Ensemble, floor: float, bandwidths=None
-) -> float:
-    """The training loss of one observed series against a simulated ensemble.
-
-    Diverged and non-positive generated paths are dropped; fewer than two
-    usable paths raises :class:`TrainingError`.
-    """
-    loss, _, _ = _ensemble_nll(
-        observed.r, ensemble.values, ensemble.alive, floor, bandwidths
-    )
-    return loss
 
 
 @dataclass

@@ -8,7 +8,19 @@ fishing them out of randomly initialized networks.
 import numpy as np
 
 import nansde as nd
-from nansde.integrator import SIGMA_FLOOR, softplus, softplus_inverse
+from nansde.integrator import SIGMA_FLOOR, softplus
+
+
+def softplus_inverse(y):
+    """Scalar inverse of softplus; pins sigma to a target value."""
+    if y <= 0.0:
+        raise ValueError(f"softplus is positive, got target {y}")
+    return float(np.log(np.expm1(y)))
+
+
+def brownian_path_values(grid, seed):
+    """Standard Brownian motion from 0: the cumulative sum of the increments."""
+    return np.concatenate(([0.0], np.cumsum(nd.brownian_increments(grid, seed))))
 
 
 def affine_net(w, b):
@@ -76,8 +88,8 @@ def state_coefficients(model, x):
 def positive_observed_path(n_steps=80, scale=0.05, seed=123):
     """Strictly positive synthetic data: the exponential of a scaled Bm."""
     grid = nd.unit_grid(n_steps)
-    w = nd.brownian_path(grid, nd.NoiseSeed(seed, 0))
-    return nd.Path(grid, np.exp(scale * w.values))
+    w = brownian_path_values(grid, nd.NoiseSeed(seed, 0))
+    return nd.Path(grid, np.exp(scale * w))
 
 
 def unit_adjoint_input_gradient(params, acts):

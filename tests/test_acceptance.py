@@ -19,7 +19,14 @@ from scipy.integrate import quad
 import nansde as nd
 from nansde import ioutil
 from nansde.neural import mlp_batch_backward, mlp_forward_batch_cached, mlp_input_derivative
-from conftest import affine_net, constant_sigma_net, positive_observed_path, state_coefficients
+from nansde.training import _ensemble_nll
+from conftest import (
+    affine_net,
+    brownian_path_values,
+    constant_sigma_net,
+    positive_observed_path,
+    state_coefficients,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +247,7 @@ def test_criterion_5_reductions_are_bitwise():
     # (b) q = 0 collapses the closed-form noise to plain Brownian motion.
     params = nd.ArmaKernelParams(2.0, 0.0)
     z, k = nd.arma_noise_path(grid, params, seed)
-    assert np.array_equal(z.values, nd.brownian_path(grid, seed).values)
+    assert np.array_equal(z.values, brownian_path_values(grid, seed))
     assert np.array_equal(k.values, np.zeros(grid.n_points))
     print("criterion 5: both reductions bitwise exact")
 
@@ -347,10 +354,11 @@ def test_criterion_8_training_improves_on_frozen_model_data():
 
         eval_cfg = nd.TrainConfig(seed=nd.NoiseSeed(999, 0), m=64,
                                   max_iters=300, early_stop_patience=300)
-        nll_initial = nd.nll_loss(obs_r, nd.simulate_ensemble(
-            initial, eval_cfg.m, eval_cfg.iteration_seed(0)), eval_cfg.kde_floor)
-        nll_best = nd.nll_loss(obs_r, nd.simulate_ensemble(
-            best, eval_cfg.m, eval_cfg.iteration_seed(0)), eval_cfg.kde_floor)
+        def nll_of(model):
+            ens = nd.simulate_ensemble(model, eval_cfg.m, eval_cfg.iteration_seed(0))
+            return _ensemble_nll(obs_r.r, ens.values, ens.alive, eval_cfg.kde_floor)[0]
+
+        nll_initial, nll_best = nll_of(initial), nll_of(best)
         if nll_best < nll_initial and state.best_loss < state.history[0]:
             loss_wins += 1
 

@@ -10,7 +10,8 @@ import pytest
 
 import nansde as nd
 import nansde.integrator as integrator
-from nansde.integrator import euler_x_step, sigmoid, softplus, softplus_inverse
+from nansde.integrator import euler_x_step, sigmoid, softplus
+from nansde.noise import memory_integral, na_increments
 from nansde.neural import (
     GradientBundle,
     mlp_batch_backward,
@@ -22,6 +23,7 @@ from conftest import (
     affine_net,
     brownian_model,
     build_model,
+    softplus_inverse,
     state_coefficients,
     unit_adjoint_input_gradient,
 )
@@ -96,7 +98,7 @@ def test_degenerate_model_is_shifted_brownian_motion():
     for i, inc in enumerate(dw):  # accumulate in simulation order
         expected[i + 1] = expected[i] + sigma * inc
     assert np.array_equal(tape.x[:, 0], expected)
-    assert np.array_equal(tape.k[:, 0], np.zeros(grid.n_points))
+    assert np.array_equal(tape.dz[:, 0], dw)
 
 
 def test_hand_euler_step():
@@ -108,50 +110,52 @@ def test_hand_euler_step():
     b, sigma, _, _ = state_coefficients(model, [1.0])
     b, sigma = b[0], sigma[0]
     ell1, _ = nd.kernel_values(model, [0.0])
-    hand = 1.0 + (b - ell1[0] * sigma * 0.0) * 0.1 + sigma * 0.2
+    hand = b * 0.1 + 1.0 + sigma * (0.2 - ell1[0] * 0.0 * 0.1)
     assert hand == pytest.approx(1.45, rel=1e-12)
 
     seed = nd.NoiseSeed(12, 0)
     dw = nd.brownian_increments(grid, seed)
     x = nd.simulate_ensemble(model, 1, seed).values_matrix()
-    expected = 1.0 + (b - ell1[0] * sigma * 0.0) * 0.1 + sigma * dw[0]
-    assert x[1, 0] == pytest.approx(expected, rel=1e-15)
+    assert x[1, 0] == b * 0.1 + 1.0 + sigma * (dw[0] - ell1[0] * 0.0 * 0.1)
 
 
-def _x_step(x, k, b, sigma, ell1, dw, dt):
-    out, scratch = np.empty(np.shape(x)), np.empty(np.shape(x))
-    return euler_x_step(x, k, b, sigma, ell1, dw, dt, out, scratch)
+def _x_step(x, b, sigma, dz, dt):
+    out, scratch = np.empty(np.shape(dz)), np.empty(np.shape(dz))
+    return euler_x_step(x, b, sigma, dz, dt, out, scratch)
 
 
 def test_euler_step_hand_values():
-    # b = 0 and sigma = 1 leave the memory-noise update z - ell1 k dt + dW.
-    z = _x_step(np.array([0.0]), 1.0, 0.0, 1.0, 2.0, 0.3, 0.1)[0]
-    assert z == pytest.approx(0.1, abs=1e-15)  # 0 - 2*1*0.1 + 0.3
+    # x + b dt + sigma dZ: 1 + 2*0.1 + 0.5*0.4.
+    assert _x_step(1.0, 2.0, 0.5, np.array([0.4]), 0.1)[0] == pytest.approx(1.4, abs=1e-15)
 
-    # ell1 = 0 reduces to a plain Brownian step.
-    assert _x_step(np.array([0.4]), 2.0, 0.0, 1.0, 0.0, 0.25, 0.1)[0] == 0.4 + 0.25
+    # b = 0 and sigma = 1 move X by dZ = dW - ell1 K dt: 0.3 - 2*1*0.1.
+    dz = na_increments(np.array([[0.3]]), np.array([2.0]), np.array([[1.0], [0.0]]), 0.1)
+    assert _x_step(0.0, 0.0, 1.0, dz[0], 0.1)[0] == pytest.approx(0.1, abs=1e-15)
 
-    # no increment and no accumulated memory: nothing moves.
-    assert _x_step(np.array([0.7]), 0.0, 0.0, 1.0, 123.0, 0.0, 0.1)[0] == 0.7
+    # no drift and no noise: nothing moves.
+    assert _x_step(0.7, 0.0, 1.0, np.array([0.0]), 0.1)[0] == 0.7
 
-    # The memory update k + ell2 dW, through a one-step sweep.
-    grid = nd.TimeGrid(n_steps=1, dt=0.1)
-    model = build_model(grid, ell2=(0.0, 0.5))
+    # The increments a two-step sweep steps with: K_1 = ell2 dW_0 feeds dZ_1.
+    grid = nd.TimeGrid(n_steps=2, dt=0.1)
+    model = build_model(grid, ell1=(0.0, 3.0), ell2=(0.0, 0.5))
     seed = nd.NoiseSeed(12, 0)
     tape = nd.simulate_batch_with_tape(model, 1, seed, record=False)
-    assert tape.k[1, 0] == 0.5 * nd.brownian_increments(grid, seed)[0]
+    dw = nd.brownian_increments(grid, seed)
+    assert tape.dz[0, 0] == dw[0]
+    assert tape.dz[1, 0] == dw[1] - 3.0 * (0.5 * dw[0]) * 0.1
 
 
 def test_euler_step_broadcasts_in_the_sweep_order():
-    # The one-step predictor calls the step on (m_pred, n_test) arrays built
-    # from per-index vectors; each entry is the scalar update, bit for bit.
+    # The one-step predictor calls the step on (n_test, 1) states and
+    # coefficients against (n_test, m_pred) increments; each entry is the
+    # scalar update, bit for bit.
     rng = np.random.default_rng(3)
-    x, b, sigma, ell1 = (rng.standard_normal(5) for _ in range(4))
-    k, dw = rng.standard_normal((2, 4, 5))
-    got = _x_step(np.broadcast_to(x, (4, 5)), k, b, sigma, ell1, dw, 0.01)
-    for i in range(4):
-        for j in range(5):
-            want = x[j] + (b[j] - ell1[j] * sigma[j] * k[i, j]) * 0.01 + sigma[j] * dw[i, j]
+    x, b, sigma = (rng.standard_normal((5, 1)) for _ in range(3))
+    dz = rng.standard_normal((5, 4))
+    got = _x_step(x, b, sigma, dz, 0.01)
+    for i in range(5):
+        for j in range(4):
+            want = x[i, 0] + b[i, 0] * 0.01 + sigma[i, 0] * dz[i, j]
             assert got[i, j] == want
 
 
@@ -184,8 +188,10 @@ def _oracle_sweep(model, m, seed):
     """The Euler sweep one step at a time, each network evaluated afresh.
 
     Fresh new_x/new_k every step and an isfinite-plus-guard divergence test;
-    the activations each step computed are stacked into (n, m, width)
-    records and its sigmas into an (n, m) record, in the tape's layout.
+    a path's K is zero from the step its K diverges, whatever its X did.
+    The activations each step computed are stacked into (n, m, width)
+    records, its sigmas into an (n, m) record and its dZ into the (n, m)
+    increments, in the tape's layout.
     """
     grid = model.grid
     n, dt = grid.n_steps, grid.dt
@@ -194,41 +200,44 @@ def _oracle_sweep(model, m, seed):
         dw[:, j] = nd.brownian_increments(grid, seed.child(j))
     ell1, ell2 = nd.kernel_values(model, grid.step_times())
     x = np.empty((n + 1, m))
-    k = np.empty((n + 1, m))
-    x[0], k[0] = model.x0, 0.0
+    dz = np.empty((n, m))
+    x[0] = model.x0
     alive = np.ones(m, dtype=bool)
+    k_dead = np.zeros(m, dtype=bool)
     death_step = np.full(m, -1)
     drift_steps, diffusion_steps, sigmas = [], [], []
-    cur_x, cur_k = x[0].copy(), k[0].copy()
+    cur_x, cur_k = x[0].copy(), np.zeros(m)
     for step in range(n):
         b, sigma, drift_acts, diffusion_acts = state_coefficients(model, cur_x)
         drift_steps.append(drift_acts[1:-1])
         diffusion_steps.append(diffusion_acts[1:])
         sigmas.append(sigma)
         new_k = cur_k + ell2[step] * dw[step]
-        new_x = cur_x + (b - ell1[step] * sigma * cur_k) * dt + sigma * dw[step]
-        bad = ~(np.isfinite(new_x) & np.isfinite(new_k))
+        dz[step] = dw[step] - ell1[step] * cur_k * dt
+        new_x = cur_x + b * dt + sigma * dz[step]
         guard = integrator.DIVERGENCE_GUARD
-        bad |= (np.abs(new_x) > guard) | (np.abs(new_k) > guard)
+        bad_k = ~np.isfinite(new_k) | (np.abs(new_k) > guard)
+        bad = ~np.isfinite(new_x) | (np.abs(new_x) > guard) | bad_k
         bad &= alive
         alive[bad] = False
         death_step[bad] = step
         new_x[~alive] = 1.0
-        new_k[~alive] = 0.0
-        x[step + 1], k[step + 1] = new_x, new_k
+        k_dead |= bad_k
+        new_k[k_dead] = 0.0
+        x[step + 1] = new_x
         cur_x, cur_k = new_x.copy(), new_k.copy()
     drift = [np.stack(layer) for layer in zip(*drift_steps)] + [None]
     diffusion = [np.stack(layer) for layer in zip(*diffusion_steps)]
-    return x, k, alive, death_step, drift, diffusion, np.stack(sigmas)
+    return x, dz, alive, death_step, drift, diffusion, np.stack(sigmas)
 
 
 def _assert_sweep_matches_oracle(model, m, seed):
-    x, k, alive, death_step, drift, diffusion, sigma = _oracle_sweep(model, m, seed)
+    x, dz, alive, death_step, drift, diffusion, sigma = _oracle_sweep(model, m, seed)
     tape = nd.simulate_batch_with_tape(model, m, seed)
     plain = nd.simulate_batch_with_tape(model, m, seed, record=False)
     for got in (tape, plain):
         assert np.array_equal(got.x, x)
-        assert np.array_equal(got.k, k)
+        assert np.array_equal(got.dz, dz)
         assert np.array_equal(got.alive, alive)
         assert np.array_equal(got.death_step, death_step)
     assert plain.sigma is None and plain.drift_acts is None and plain.diffusion_acts is None
@@ -285,6 +294,11 @@ def test_sweep_matches_the_oracle_when_one_path_dies(monkeypatch):
     assert np.all(tape.x[tape.death_step[dead] + 1 :, dead] == 1.0)
 
 
+def _memory(tape):
+    """The tape's K, recomputed from its increments as the sweep builds it."""
+    return memory_integral(tape.ell2_vals, tape.dw)
+
+
 def test_sweep_kills_a_path_whose_memory_crosses_the_guard_on_the_last_step(monkeypatch):
     # ell1 = 0 keeps X = 1 + W small while K = 50 W grows; the guard sits
     # between a column's last |K| and its earlier peak, far above any |X|.
@@ -292,7 +306,7 @@ def test_sweep_kills_a_path_whose_memory_crosses_the_guard_on_the_last_step(monk
     n, seed = grid.n_steps, nd.NoiseSeed(31, 0)
     model = build_model(grid, ell2=(0.0, 50.0))
     free = nd.simulate_batch_with_tape(model, 16, seed, record=False)
-    k = np.abs(free.k)
+    k = np.abs(_memory(free))
     margin = k[-1] - k[:-1].max(axis=0)
     j = np.argmax(margin)
     assert margin[j] > 0.0
@@ -301,17 +315,20 @@ def test_sweep_kills_a_path_whose_memory_crosses_the_guard_on_the_last_step(monk
     monkeypatch.setattr(integrator, "DIVERGENCE_GUARD", guard)
     tape = _assert_sweep_matches_oracle(model, 16, seed)
     assert not tape.alive[j] and tape.death_step[j] == n - 1
-    assert tape.k[n, j] == 0.0 and tape.x[n, j] == 1.0
-    assert np.array_equal(tape.k[:n, j], free.k[:n, j])
+    assert tape.x[n, j] == 1.0
+    # Only K_n crossed, and no step reads it: every dZ is the guard-free one.
+    assert np.array_equal(tape.dz, free.dz)
 
 
 def test_sweep_ignores_the_memory_of_a_path_whose_state_died_first(monkeypatch):
     # With sigma = 100 and ell2 = 50, X = 1 + 100 W crosses the guard before
-    # K = 50 W would; the path dies with X, and its K is zero from then on.
+    # K = 50 W would; the path dies with X, and its K goes on until it crosses
+    # too, from where its dZ is its dW.
     grid = nd.unit_grid(40)
     seed = nd.NoiseSeed(31, 0)
     model = build_model(grid, sigma=100.0, ell2=(0.0, 50.0))
-    free = nd.simulate_batch_with_tape(model, 16, seed, record=False).k
+    plain = nd.simulate_batch_with_tape(model, 16, seed, record=False)
+    free = _memory(plain)
     j = np.argmax(np.abs(free).max(axis=0))
     guard = 0.75 * np.abs(free[:, j]).max()
     monkeypatch.setattr(integrator, "DIVERGENCE_GUARD", guard)
@@ -319,8 +336,9 @@ def test_sweep_ignores_the_memory_of_a_path_whose_state_died_first(monkeypatch):
     step = tape.death_step[j]
     k_would_die = np.flatnonzero(np.abs(free[:, j]) > guard)[0] - 1
     assert 0 <= step < k_would_die
-    assert np.all(tape.k[step + 1 :, j] == 0.0)
     assert np.all(tape.x[step + 1 :, j] == 1.0)
+    assert np.array_equal(tape.dz[: k_would_die + 1, j], plain.dz[: k_would_die + 1, j])
+    assert np.array_equal(tape.dz[k_would_die + 1 :, j], tape.dw[k_would_die + 1 :, j])
 
 
 def _overflowing_model(grid):
@@ -348,13 +366,17 @@ def test_sweep_marks_a_non_finite_path_dead(monkeypatch):
         step = tape.death_step[j]
         assert np.isinf(sigma.reshape(tape.x[:-1].shape)[step, j])
         assert np.all(tape.x[step + 1 :, j] == 1.0)
-        assert np.all(tape.k[step + 1 :, j] == 0.0)
+    assert np.isfinite(tape.dz).all()
 
-    # A memory state that overflows while X stays finite kills its path too.
-    k_model = build_model(nd.TimeGrid(n_steps=10, dt=1.0), ell2=(0.0, 1e308))
+    # A memory state that overflows while X stays finite kills its path too,
+    # and from its death on the path steps with its dW.
+    k_model = build_model(nd.TimeGrid(n_steps=10, dt=1.0), ell1=(0.0, 1e-300), ell2=(0.0, 1e308))
     tape = _assert_sweep_matches_oracle(k_model, 16, seed)
     assert tape.alive.any() and not tape.alive.all()
-    assert np.isfinite(tape.x).all()
+    assert np.isfinite(tape.x).all() and np.isfinite(tape.dz).all()
+    for j in np.flatnonzero(~tape.alive):
+        step = tape.death_step[j]
+        assert np.array_equal(tape.dz[step + 1 :, j], tape.dw[step + 1 :, j])
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +501,8 @@ def _recomputed_gradients(tape, x_adjoints, columns=None, block_steps=None):
     cols = np.flatnonzero(tape.alive if columns is None else columns)
     n, dt = model.grid.n_steps, model.grid.dt
     a = np.asarray(x_adjoints, dtype=float)[:, cols]
-    xs, ks, dws = tape.x[:, cols], tape.k[:, cols], tape.dw[:, cols]
+    xs, dzs, dws = tape.x[:, cols], tape.dz[:, cols], tape.dw[:, cols]
+    ks = np.cumsum(np.vstack((np.zeros((1, cols.size)), tape.ell2_vals[:, None] * dws)), axis=0)
     mv = cols.size
     ell1 = tape.ell1_vals[:, None]
 
@@ -490,7 +513,7 @@ def _recomputed_gradients(tape, x_adjoints, columns=None, block_steps=None):
     raw_prime = unit_adjoint_input_gradient(model.diffusion_net, diff_acts)
     sigma_prime = (gate * raw_prime[:, 0]).reshape(n, mv)
 
-    gain = 1.0 + (b_prime - ell1 * sigma_prime * ks[:-1]) * dt + sigma_prime * dws
+    gain = 1.0 + b_prime * dt + sigma_prime * dzs
     xbar = np.empty((n + 1, mv))
     xbar[n] = a[n]
     for step in range(n - 1, -1, -1):
@@ -507,8 +530,7 @@ def _recomputed_gradients(tape, x_adjoints, columns=None, block_steps=None):
         part = mlp_batch_backward(model.drift_net, [act[rows] for act in drift_acts],
                                   (xbar[s0 + 1 : s1 + 1] * dt).reshape(-1, 1))
         drift = part if drift is None else _bundle_sum(drift, part)
-        sigma_adj = (xbar[s0 + 1 : s1 + 1] * (dws[s0:s1] - ell1[s0:s1] * ks[s0:s1] * dt)
-                     ).reshape(-1) * gate[rows]
+        sigma_adj = (xbar[s0 + 1 : s1 + 1] * dzs[s0:s1]).reshape(-1) * gate[rows]
         part = mlp_batch_backward(model.diffusion_net, [act[rows] for act in diff_acts],
                                   sigma_adj.reshape(-1, 1))
         diffusion = part if diffusion is None else _bundle_sum(diffusion, part)
@@ -633,7 +655,8 @@ def test_evaluation_records_nothing_and_backward_frees_the_records():
     try:
         base = tracemalloc.get_traced_memory()[0]
         nd.simulate_ensemble(model, m, nd.NoiseSeed(4, 0))
-        assert tracemalloc.get_traced_memory()[1] - base < 8 * matrix
+        # x, K with dZ over its first rows, dW: one more whole (n, m) array breaks this.
+        assert tracemalloc.get_traced_memory()[1] - base < 4.75 * matrix
 
         tape = nd.simulate_batch_with_tape(model, m, nd.NoiseSeed(4, 0))
         held = tracemalloc.get_traced_memory()[0]

@@ -12,7 +12,7 @@ import nansde as nd
 from nansde import integrator, metrics
 from nansde.errors import MetricError
 from nansde.rng import DOMAIN_EVAL, EVAL_ENSEMBLE_STREAM, NoiseSeed
-from conftest import build_model, positive_observed_path, state_coefficients
+from conftest import brownian_path_values, build_model, positive_observed_path, state_coefficients
 
 # ---------------------------------------------------------------------------
 # Hurst index
@@ -46,7 +46,7 @@ def test_hurst_needs_at_least_64_steps():
 def test_hurst_brownian_median_near_half():
     grid = nd.unit_grid(512)
     estimates = [
-        nd.estimate_hurst(nd.brownian_path(grid, nd.NoiseSeed(99, j)))
+        nd.estimate_hurst(nd.Path(grid, brownian_path_values(grid, nd.NoiseSeed(99, j))))
         for j in range(100)
     ]
     assert abs(float(np.median(estimates)) - 0.5) < 0.05
@@ -295,13 +295,14 @@ def test_r2_score_is_deterministic():
     a = nd.r2_score(observed, model, seed=12)
     b = nd.r2_score(observed, model, seed=12)
     assert a == b
-    assert math.isfinite(a)
+    assert math.isfinite(a[0]) and a[1] == 0
     with pytest.raises(ValueError):
         nd.r2_score(observed, model, m_pred=0)
 
 
 def _r2_oracle(observed, model, m_pred, seed):
-    """r2_score written out as one expression per step of the recipe."""
+    """r2_score written out as one expression per step of the recipe: the
+    R^2 and the number of non-positive predictions left out of it."""
     r = nd.log_returns(observed).r
     idx = np.arange(int(math.floor(0.8 * r.size)), r.size)
     dt = observed.grid.dt
@@ -311,15 +312,15 @@ def _r2_oracle(observed, model, m_pred, seed):
     dw = np.stack([nd.eval_generator(seed, tag=j).standard_normal(observed.grid.n_steps)
                    * np.sqrt(dt) for j in range(m_pred)])
     k = np.concatenate((np.zeros((m_pred, 1)), np.cumsum(ell2[None, :] * dw, axis=1)), axis=1)
+    dz = dw - ell1[None, :] * k[:, :-1] * dt
     # One C-ordered row of m_pred predictions per test index.
-    k_test = np.ascontiguousarray(k[:, idx].T)
-    x_hat = (x_t[:, None] + (b[:, None] - ell1[idx][:, None] * sigma[:, None] * k_test) * dt
-             + sigma[:, None] * dw[:, idx].T)
+    dz_test = np.ascontiguousarray(dz[:, idx].T)
+    x_hat = x_t[:, None] + b[:, None] * dt + sigma[:, None] * dz_test
     assert x_hat.flags.c_contiguous and x_hat.shape == (idx.size, m_pred)
     valid = x_hat > 0.0
     ratio = np.where(valid, x_hat / x_t[:, None], 1.0)
     r_tilde = (np.log(ratio) * valid).sum(axis=1) / valid.sum(axis=1)
-    return nd.r2_from_predictions(r[idx], r_tilde)
+    return nd.r2_from_predictions(r[idx], r_tilde), int((~valid).sum())
 
 
 def test_r2_score_is_the_written_out_recipe_bit_for_bit():
@@ -337,6 +338,20 @@ def test_r2_score_is_the_written_out_recipe_bit_for_bit():
             for m_pred in (1, 7, 64, 200):
                 got = nd.r2_score(observed, model, m_pred=m_pred, seed=seed)
                 assert got == _r2_oracle(observed, model, m_pred, seed)
+
+
+def test_r2_score_counts_the_predictions_it_drops():
+    # sigma = 5 on dt = 0.01 puts a few percent of the one-step predictions
+    # from X ~ 1 below zero; each is left out of its index's mean and counted.
+    observed = positive_observed_path(100, scale=0.05, seed=3)
+    model = build_model(observed.grid, x0=float(observed.values[0]), sigma=5.0,
+                        ell1=(0.0, 1.0), ell2=(0.0, 0.5))
+    r2, dropped = nd.r2_score(observed, model, m_pred=64, seed=5)
+    assert (r2, dropped) == _r2_oracle(observed, model, 64, 5)
+    assert 0 < dropped < 20 * 64
+
+    _, details = nd.compute_report(observed, model, m_eval=64, seed=5, m_pred=64)
+    assert details["r2_dropped_predictions"] == dropped
 
 
 def test_r2_score_rejects_flat_test_block():
@@ -385,8 +400,9 @@ def test_compute_report_bounds_and_determinism():
 
     expected_keys = {"hurst_p5", "hurst_p25", "hurst_median", "hurst_p75",
                      "hurst_p95", "hurst_observed", "n_return_paths",
-                     "n_diverged_paths"}
+                     "n_diverged_paths", "r2_dropped_predictions"}
     assert set(details1) == expected_keys
+    assert details1["r2_dropped_predictions"] == 0
     assert details1["hurst_p5"] <= details1["hurst_median"] <= details1["hurst_p95"]
     assert 1 <= details1["n_return_paths"] <= 8
     assert details1["n_diverged_paths"] == 0

@@ -8,6 +8,7 @@ import pytest
 
 import nansde as nd
 from nansde.errors import GenerationError, KernelError
+from nansde.noise import memory_integral, na_increments
 from nansde.rng import DOMAIN_NOISE, noise_generator, stream_generator
 
 # ---------------------------------------------------------------------------
@@ -81,15 +82,6 @@ def test_brownian_increment_moments():
     assert dw.shape == (20_000,)
     assert abs(dw.mean()) < 4 * math.sqrt(grid.dt / dw.size)
     assert dw.var() == pytest.approx(grid.dt, rel=0.05)
-
-
-def test_brownian_path_is_cumulative_sum_of_increments():
-    grid = nd.unit_grid(64)
-    seed = nd.NoiseSeed(9, 0)
-    path = nd.brownian_path(grid, seed)
-    dw = nd.brownian_increments(grid, seed)
-    assert path.values[0] == 0.0
-    assert np.array_equal(path.values[1:], np.cumsum(dw))
 
 
 def test_path_validates_length_and_finiteness():
@@ -260,3 +252,48 @@ def test_arma_noise_k_accumulates_kernel_weighted_increments():
     ell = nd.arma_ell(grid.step_times(), params)
     assert np.array_equal(k.values[1:], np.cumsum(ell * dw))
     assert k.values[0] == 0.0
+
+
+def test_arma_noise_is_the_written_out_markov_pair_bit_for_bit():
+    # The pair as the closed form states it: K the running sum of ell dW,
+    # each Z increment -e^{-p t} K dt + dW, Z their running sum.
+    grid = nd.TimeGrid(n_steps=400, dt=0.0025)
+    for i, (p, q) in enumerate(((2.0, 1.0), (2.0, 0.0), (0.5, -1.5), (3.0, 2.9), (8.0, 4.0))):
+        params = nd.ArmaKernelParams(p, q)
+        seed = nd.NoiseSeed(40 + i, 0)
+        z, k = nd.arma_noise_path(grid, params, seed)
+        dw = nd.brownian_increments(grid, seed)
+        t = grid.step_times()
+        k_want = np.concatenate(([0.0], np.cumsum(nd.arma_ell(t, params) * dw)))
+        z_inc = -np.exp(-p * t) * k_want[:-1] * grid.dt + dw
+        assert np.array_equal(k.values, k_want), (p, q)
+        assert np.array_equal(z.values, np.concatenate(([0.0], np.cumsum(z_inc)))), (p, q)
+
+
+# ---------------------------------------------------------------------------
+# NA-noise increments
+# ---------------------------------------------------------------------------
+
+
+def test_na_increments_without_memory_are_the_brownian_increments():
+    rng = np.random.default_rng(5)
+    dw = rng.standard_normal((30, 4)) * 0.1
+    for ell1 in (rng.standard_normal(30), np.zeros(30), np.full(30, -2.0)):
+        k = np.zeros((31, 4))
+        dz = na_increments(dw, ell1, k, 0.01)
+        assert dz.shape == dw.shape and np.shares_memory(dz, k)
+        assert np.array_equal(dz, dw)
+
+
+def test_na_increments_subtract_the_memory_drift_over_k():
+    rng = np.random.default_rng(6)
+    dw = rng.standard_normal((20, 3)) * 0.1
+    ell1, ell2 = rng.standard_normal((2, 20))
+    k = memory_integral(ell2, dw)
+    k_n = k[-1].copy()
+    want = np.empty_like(dw)
+    for step in range(20):  # one row at a time: K, then dW - ell1 K dt
+        want[step] = dw[step] - ell1[step] * k[step] * 0.05
+    dz = na_increments(dw, ell1, k, 0.05)
+    assert np.array_equal(dz, want)
+    assert np.array_equal(k[-1], k_n)  # K_n stays in the last row

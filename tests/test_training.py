@@ -12,7 +12,7 @@ import pytest
 import nansde as nd
 from nansde.errors import DataError, TrainingError
 from nansde.training import BANDWIDTH_FLOOR, _ensemble_nll, _nll
-from conftest import build_model, positive_observed_path
+from conftest import brownian_path_values, build_model, positive_observed_path
 
 # ---------------------------------------------------------------------------
 # Log returns
@@ -98,20 +98,25 @@ def _ensemble_of(paths):
     return nd.Ensemble(paths[0].grid, values, np.ones(len(paths), dtype=bool))
 
 
+def nll_loss(observed, ensemble, floor):
+    """The training loss of an observed series against a simulated ensemble."""
+    return _ensemble_nll(observed.r, ensemble.values, ensemble.alive, floor)[0]
+
+
 def test_nll_degenerate_ensemble_hits_peak_density():
     observed = positive_observed_path(16, scale=0.2, seed=1)
     obs = nd.log_returns(observed)
     ens = _ensemble_of([observed] * 4)
     # identical samples: zero std, floored bandwidth, density = phi(0)/h
     per_t = -(math.log(1.0 / math.sqrt(2 * math.pi)) - math.log(BANDWIDTH_FLOOR))
-    assert nd.nll_loss(obs, ens, floor=1e-12) == pytest.approx(per_t, rel=1e-12)
+    assert nll_loss(obs, ens, floor=1e-12) == pytest.approx(per_t, rel=1e-12)
 
 
 def test_nll_floor_dominates_far_observations():
     observed = positive_observed_path(16, scale=0.2, seed=1)
     far = nd.LogReturnSeries(np.full(16, 50.0))
     ens = _ensemble_of([observed] * 4)
-    assert nd.nll_loss(far, ens, floor=1e-12) == pytest.approx(-math.log(1e-12), rel=1e-14)
+    assert nll_loss(far, ens, floor=1e-12) == pytest.approx(-math.log(1e-12), rel=1e-14)
 
 
 def test_nll_is_invariant_to_path_order():
@@ -119,10 +124,10 @@ def test_nll_is_invariant_to_path_order():
     model = build_model(grid, sigma=0.3, x0=1.0)
     ens = nd.simulate_ensemble(model, 6, nd.NoiseSeed(8, 0))
     obs = nd.log_returns(positive_observed_path(16, scale=0.2, seed=2))
-    loss = nd.nll_loss(obs, ens, floor=1e-12)
+    loss = nll_loss(obs, ens, floor=1e-12)
     order = [4, 0, 5, 2, 1, 3]
     shuffled = nd.Ensemble(ens.grid, ens.values_matrix()[:, order], ens.alive[order])
-    assert nd.nll_loss(obs, shuffled, floor=1e-12) == pytest.approx(loss, rel=1e-13)
+    assert nll_loss(obs, shuffled, floor=1e-12) == pytest.approx(loss, rel=1e-13)
 
 
 def test_nll_drops_non_positive_paths():
@@ -135,16 +140,16 @@ def test_nll_drops_non_positive_paths():
     keep_a = nd.Path(grid, observed.values * 1.1)
     keep_b = nd.Path(grid, observed.values * 0.9)
 
-    with_bad = nd.nll_loss(obs, _ensemble_of([keep_a, bad, keep_b]), floor=1e-12)
-    without = nd.nll_loss(obs, _ensemble_of([keep_a, keep_b]), floor=1e-12)
+    with_bad = nll_loss(obs, _ensemble_of([keep_a, bad, keep_b]), floor=1e-12)
+    without = nll_loss(obs, _ensemble_of([keep_a, keep_b]), floor=1e-12)
     assert with_bad == without
     # a diverged path is dropped the same way, whatever its values
     ens = _ensemble_of([keep_a, observed, keep_b])
     dead = nd.Ensemble(grid, ens.values_matrix(), np.array([True, False, True]))
-    assert nd.nll_loss(obs, dead, floor=1e-12) == without
+    assert nll_loss(obs, dead, floor=1e-12) == without
 
     with pytest.raises(TrainingError):
-        nd.nll_loss(obs, _ensemble_of([keep_a, bad]), floor=1e-12)
+        nll_loss(obs, _ensemble_of([keep_a, bad]), floor=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +256,7 @@ def test_best_model_contract_and_monotone_best():
     assert state.best_loss == min(state.history)
 
     ens = nd.simulate_ensemble(best, cfg.m, cfg.iteration_seed(state.best_iteration))
-    recomputed = nd.nll_loss(nd.log_returns(observed), ens, cfg.kde_floor)
+    recomputed = nll_loss(nd.log_returns(observed), ens, cfg.kde_floor)
     assert recomputed == pytest.approx(state.best_loss, rel=1e-12)
 
 
@@ -284,8 +289,8 @@ def test_fit_flags_a_run_with_no_eligible_iteration():
     # softplus(0) = 0.69, so every iteration loses more than a fifth of its
     # paths below zero and none can become the best.
     grid = nd.unit_grid(40)
-    w = nd.brownian_path(grid, nd.NoiseSeed(123, 0))
-    observed = nd.Path(grid, 0.5 * np.exp(0.05 * w.values))
+    w = brownian_path_values(grid, nd.NoiseSeed(123, 0))
+    observed = nd.Path(grid, 0.5 * np.exp(0.05 * w))
     cfg = nd.TrainConfig(seed=nd.NoiseSeed(6, 0), m=32, max_iters=3,
                          early_stop_patience=3)
     best, state = nd.fit(observed, cfg, init_seed=7, widths=(1, 3, 1))
