@@ -29,7 +29,7 @@ from . import ioutil
 from .errors import DataError, IngestError, NansdeError
 from .grid import unit_grid
 from .integrator import NET_NAMES, NansdeModel
-from .metrics import compute_report
+from .metrics import DEFAULT_BINS, DEFAULT_PREDICTIONS, compute_report
 from .neural import params_from_text, params_to_text
 from .noise import FbmConfig, Path, fbm_path
 from .rng import NoiseSeed
@@ -153,8 +153,8 @@ CONFIG_DEFAULTS = {
     "clamp_ell2": False,
     "eval_m": 128,
     "eval_lags": 0,  # 0 means min(100, T/4)
-    "eval_bins": 50,
-    "r2_pred": 64,
+    "eval_bins": DEFAULT_BINS,
+    "r2_pred": DEFAULT_PREDICTIONS,
 }
 CONFIG_REQUIRED = ("data", "seed", "out_dir")
 # init_seed and eval_seed default to the main seed when absent.
@@ -264,6 +264,37 @@ def load_experiment_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
+def dataset_block(dataset: Dataset) -> dict:
+    """The manifest's record of the series a model was trained or evaluated on."""
+    return {
+        "name": dataset.name,
+        "n_points": int(dataset.path.values.size),
+        "shift": ioutil.fmt(dataset.shift),
+        "x0": ioutil.fmt(dataset.path.values[0]),
+    }
+
+
+def reanchor_warnings(checkpoint_dir, evaluated: dict) -> list[str]:
+    """One line for each of ``n_points`` and ``shift`` in which the series
+    recorded in the checkpoint's manifest differs from the evaluated one,
+    compared as ``ioutil.fmt`` writes them; ``load_checkpoint`` re-anchors
+    the model to the evaluated series without a word.
+    """
+    trained = ioutil.read_manifest(pathlib.Path(checkpoint_dir) / "manifest.json").get("dataset")
+    if not isinstance(trained, dict):
+        return []
+    warnings = []
+    for key in ("n_points", "shift"):
+        try:
+            same = key not in trained or ioutil.fmt(trained[key]) == ioutil.fmt(evaluated[key])
+        except (TypeError, ValueError):  # not a number: as good as different
+            same = False
+        if not same:
+            warnings.append(f"checkpoint trained on a series with {key} {trained[key]}, "
+                            f"evaluated on {key} {evaluated[key]}")
+    return warnings
+
+
 def write_run_artifacts(
     out_dir, cfg: ExperimentConfig, dataset: Dataset, model: NansdeModel, state: TrainState
 ):
@@ -276,12 +307,7 @@ def write_run_artifacts(
         "format": RUN_MANIFEST_TAG,
         "command": "train",
         "settings": cfg.manifest_settings(),
-        "dataset": {
-            "name": dataset.name,
-            "n_points": int(dataset.path.values.size),
-            "shift": ioutil.fmt(dataset.shift),
-            "x0": ioutil.fmt(dataset.path.values[0]),
-        },
+        "dataset": dataset_block(dataset),
         "results": {
             "best_loss": ioutil.fmt(state.best_loss),
             "best_iteration": state.best_iteration,
@@ -389,6 +415,10 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     dataset = ingest_csv(args.data)
     model = load_checkpoint(args.checkpoint, dataset)
+    evaluated = dataset_block(dataset)
+    warnings = reanchor_warnings(args.checkpoint, evaluated)
+    for line in warnings:
+        print(f"warning: {line}", file=sys.stderr)
     report, details = compute_report(
         dataset.path, model, args.eval_m, args.seed, args.bins,
         n_lags=args.lags, m_pred=args.r2_pred,
@@ -412,6 +442,8 @@ def cmd_evaluate(args) -> int:
                 "r2_pred": args.r2_pred,
                 "out": str(args.out),
             },
+            "dataset": evaluated,
+            "warnings": warnings,
         },
     )
     print(
@@ -506,10 +538,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, help="directory written by train")
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--seed", type=int, required=True, help="evaluation seed")
-    p.add_argument("--eval-m", type=_int_at_least(1), default=128, help="evaluation ensemble size")
-    p.add_argument("--lags", type=_int_at_least(0), default=0, help="ACF lags (0 = min(100, T/4))")
-    p.add_argument("--bins", type=_int_at_least(2), default=50, help="interior histogram bins")
-    p.add_argument("--r2-pred", type=_int_at_least(1), default=64, help="R^2 prediction samples")
+    p.add_argument("--eval-m", type=_int_at_least(1), default=CONFIG_DEFAULTS["eval_m"],
+                   help="evaluation ensemble size")
+    p.add_argument("--lags", type=_int_at_least(0), default=CONFIG_DEFAULTS["eval_lags"],
+                   help="ACF lags (0 = min(100, T/4))")
+    p.add_argument("--bins", type=_int_at_least(2), default=CONFIG_DEFAULTS["eval_bins"],
+                   help="interior histogram bins")
+    p.add_argument("--r2-pred", type=_int_at_least(1), default=CONFIG_DEFAULTS["r2_pred"],
+                   help="R^2 prediction samples")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_evaluate)
 

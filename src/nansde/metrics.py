@@ -22,6 +22,7 @@ from .rng import DOMAIN_EVAL, EVAL_ENSEMBLE_STREAM, NoiseSeed, eval_generator
 from .training import LogReturnSeries, log_returns
 
 DEFAULT_BINS = 50
+DEFAULT_PREDICTIONS = 64  # R^2 simulations per test index
 DEFAULT_SPLIT = 0.8
 BIN_SPAN_STDS = 5.0
 ILL_CONDITIONED = 10.0  # row sum of squares / window variance that calls for two passes
@@ -111,31 +112,28 @@ class BinSpec:
         """Total bin count including the two overflow bins."""
         return self.k + 2
 
-    def counts(self, samples) -> np.ndarray:
-        """Sample counts over the k + 2 bins."""
-        samples = np.asarray(samples, dtype=float)
+    def distribution(self, samples) -> np.ndarray:
+        """Empirical probabilities of all entries of ``samples`` over the k + 2 bins."""
+        samples = np.asarray(samples, dtype=float).ravel()
         if samples.size == 0:
             raise ValueError("cannot bin an empty sample")
         edges = np.linspace(self.lo, self.hi, self.k + 1)
         idx = np.digitize(samples, edges)  # 0 = underflow, k+1 = overflow
-        return np.bincount(idx, minlength=self.k + 2)
-
-    def distribution(self, samples) -> np.ndarray:
-        """Empirical probabilities over the k + 2 bins."""
-        counts = self.counts(samples)
+        counts = np.bincount(idx, minlength=self.k + 2)
         return counts / counts.sum()
 
 
 def tv_distance(observed: LogReturnSeries, generated, bins: BinSpec) -> float:
     """Total variation between binned observed and pooled generated returns.
 
-    The generated series are pooled into one sample and binned in one call.
+    Every row of every generated series, of any length, is pooled into one
+    sample and binned in one call.
     """
     generated = list(generated)
     if not generated:
         raise ValueError("need at least one generated series")
     p = bins.distribution(observed.r)
-    p_hat = bins.distribution(np.concatenate([g.r for g in generated]))
+    p_hat = bins.distribution(np.concatenate([g.r for g in generated], axis=None))
     return 0.5 * float(np.abs(p - p_hat).sum())
 
 
@@ -150,18 +148,18 @@ def _leading_run(a: np.ndarray) -> np.ndarray:
     return np.where(differs.any(axis=1), differs.argmax(axis=1), a.shape[1])
 
 
-def _abs_corr_profiles(rows, s: int) -> np.ndarray:
-    """Corr(|r_t|, |r_{t+tau}|) for tau = 1..s of m equal-length series.
+def _abs_corr_profiles(a: np.ndarray, s: int) -> np.ndarray:
+    """Corr(|r_t|, |r_{t+tau}|) for tau = 1..s of each row of an (m, n)
+    matrix of returns, which is overwritten.
 
-    Stacks |r| into one (m, n) matrix and scores every lag of every row at
-    once.  With x = a[:n-tau] and y = a[tau:], the sums of x, x^2, y and y^2
-    are row totals minus running sums over the last and first s columns;
+    Takes |r| in place and scores every lag of every row at once.  With
+    x = a[:n-tau] and y = a[tau:], the sums of x, x^2, y and y^2 are row
+    totals minus running sums over the last and first s columns;
     only sum(x y) takes one pass per lag.  Rows are centred on their full
     mean first, which leaves the correlations unchanged and keeps these
     one-pass sums well conditioned; the (row, lag) pairs where they are not
     are summed again in two passes.  Returns an (m, s) array.
     """
-    a = np.stack(rows)
     np.abs(a, out=a)
     m, n = a.shape
     if n <= s:
@@ -208,19 +206,6 @@ def _abs_corr_profiles(rows, s: int) -> np.ndarray:
     return cov / denom
 
 
-def _mean_abs_corr_profile(series, s: int) -> np.ndarray:
-    """Mean of ``_abs_corr_profiles`` over return vectors of any lengths.
-
-    Series of one length share a matrix; the per-length profile sums are
-    added before dividing by the series count.
-    """
-    by_length: dict[int, list[np.ndarray]] = {}
-    for r in series:
-        by_length.setdefault(r.size, []).append(r)
-    total = sum(_abs_corr_profiles(rows, s).sum(axis=0) for rows in by_length.values())
-    return total / len(series)
-
-
 def acf_weights(s: int) -> np.ndarray:
     """Linearly increasing lag weights w_tau = 2 tau / (S + 1), unit mean."""
     return 2.0 * np.arange(1, s + 1) / (s + 1)
@@ -230,15 +215,21 @@ def acf_scores(observed: LogReturnSeries, generated, s: int) -> tuple[float, flo
     """L2 gaps between observed and mean-generated |return| correlations.
 
     Returns the plain score ||C(obs) - mean_i C(gen_i)||_2 and the variant
-    with each lag scaled by ``acf_weights`` before taking the norm.
+    with each lag scaled by ``acf_weights`` before taking the norm.  The
+    mean runs over the rows of the generated series, which must share one
+    length.
     """
     generated = list(generated)
     if not generated:
         raise ValueError("need at least one generated series")
     if s < 1:
         raise ValueError(f"lag count must be >= 1, got {s}")
-    profile = _mean_abs_corr_profile([observed.r], s)
-    diff = profile - _mean_abs_corr_profile([g.r for g in generated], s)
+    lengths = sorted({len(g) for g in generated})
+    if len(lengths) > 1:
+        raise ValueError(f"generated series must share one length, got lengths {lengths}")
+    obs = _abs_corr_profiles(np.vstack([observed.r]), s)
+    gen = _abs_corr_profiles(np.vstack([g.r for g in generated]), s)
+    diff = obs.sum(axis=0) / obs.shape[0] - gen.sum(axis=0) / gen.shape[0]
     plain = float(np.sqrt((diff * diff).sum()))
     weighted_diff = acf_weights(s) * diff
     weighted = float(np.sqrt((weighted_diff * weighted_diff).sum()))
@@ -270,7 +261,7 @@ def r2_from_predictions(r_test, r_pred) -> float:
 
 
 def r2_score(
-    observed: Path, model: NansdeModel, m_pred: int = 64, seed: int = 0
+    observed: Path, model: NansdeModel, m_pred: int = DEFAULT_PREDICTIONS, seed: int = 0
 ) -> tuple[float, int]:
     """R^2 of one-step-ahead return predictions over the final test block
     (the last ``1 - DEFAULT_SPLIT`` of the returns), and the number of
@@ -356,7 +347,7 @@ def compute_report(
     seed: int,
     n_bins: int = DEFAULT_BINS,
     n_lags: int = 0,
-    m_pred: int = 64,
+    m_pred: int = DEFAULT_PREDICTIONS,
 ) -> tuple[MetricReport, dict]:
     """Simulate an evaluation ensemble and compute all metrics.
 
@@ -387,12 +378,12 @@ def compute_report(
         levels = levels[positive]
     gen_r = levels[:, 1:] / levels[:, :-1]
     del levels  # not read again: the returns take its place in memory
-    gen_returns = [LogReturnSeries(r) for r in np.log(gen_r, out=gen_r)]
+    gen_returns = LogReturnSeries(np.log(gen_r, out=gen_r))
 
     bins = BinSpec.from_samples(obs_returns.r, k=n_bins)
-    tv = tv_distance(obs_returns, gen_returns, bins)
+    tv = tv_distance(obs_returns, [gen_returns], bins)
     s = n_lags or default_lag_count(len(obs_returns))
-    acf, weighted_acf = acf_scores(obs_returns, gen_returns, s)
+    acf, weighted_acf = acf_scores(obs_returns, [gen_returns], s)
     r2, r2_dropped = r2_score(observed, model, m_pred=m_pred, seed=seed)
 
     report = MetricReport(
@@ -413,7 +404,7 @@ def compute_report(
         "hurst_p75": float(np.percentile(hurst, 75)),
         "hurst_p95": float(np.percentile(hurst, 95)),
         "hurst_observed": estimate_hurst(observed),
-        "n_return_paths": len(gen_returns),
+        "n_return_paths": gen_returns.r.shape[0],
         "n_diverged_paths": m_eval - hurst.size,
         "r2_dropped_predictions": r2_dropped,
     }

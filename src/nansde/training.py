@@ -77,20 +77,22 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class LogReturnSeries:
-    """Log-differences r_t = log(X_{t+1} / X_t) of a positive path."""
+    """Log-differences r_t = log(X_{t+1} / X_t) of a positive path, shape
+    (n,), or of equal-length paths, shape (paths, n) with one row each."""
 
     r: np.ndarray
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=float)
         object.__setattr__(self, "r", r)
-        if r.ndim != 1 or r.size == 0:
-            raise ValueError(f"returns must be a nonempty vector, got shape {r.shape}")
+        if r.ndim not in (1, 2) or r.size == 0:
+            raise ValueError(f"returns must be a nonempty vector or matrix, got shape {r.shape}")
         if not np.isfinite(r).all():
             raise ValueError("returns must be finite")
 
     def __len__(self) -> int:
-        return self.r.size
+        """Returns per path."""
+        return self.r.shape[-1]
 
 
 def log_returns(path: Path) -> LogReturnSeries:

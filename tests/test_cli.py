@@ -498,6 +498,50 @@ def test_evaluate_writes_report_and_details(tmp_path, series_csv, capsys):
     assert (eval_dir / "report.csv").read_bytes() == before
 
 
+def test_evaluate_records_its_dataset_and_warns_on_a_reanchor(tmp_path, series_csv, capsys):
+    # load_checkpoint takes the grid and start value from the evaluated
+    # series; the manifest says which series that was, and what differs
+    # from the one the checkpoint was trained on.
+    csv, observed = series_csv
+    run_dir = tmp_path / "run"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(fast_config(csv, run_dir, max_iters=1, early_stop_patience=1)))
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    trained = json.loads((run_dir / "manifest.json").read_text())["dataset"]
+    capsys.readouterr()
+
+    def evaluate(data, name):
+        argv = ["evaluate", "--checkpoint", str(run_dir), "--data", str(data), "--seed", "7",
+                "--eval-m", "4", "--r2-pred", "4", "--out", str(tmp_path / name)]
+        assert main(argv) == 0
+        return json.loads((tmp_path / name / "manifest.json").read_text()), capsys.readouterr().err
+
+    manifest, err = evaluate(csv, "same")
+    assert manifest["dataset"] == trained
+    assert manifest["warnings"] == [] and err == ""
+
+    # Ten more points, shifted below zero: both n_points and shift differ.
+    other = tmp_path / "other.csv"
+    write_series_csv(other, np.concatenate([observed.values, observed.values[-10:]]) - 2.0)
+    manifest, err = evaluate(other, "other")
+    shift = ioutil.fmt(1.0 - (observed.values.min() - 2.0))
+    assert manifest["dataset"] == {"name": "other", "n_points": 80, "shift": shift,
+                                   "x0": ioutil.fmt(observed.values[0] - 2.0 + float(shift))}
+    assert manifest["warnings"] == [
+        "checkpoint trained on a series with n_points 70, evaluated on n_points 80",
+        f"checkpoint trained on a series with shift 0, evaluated on shift {shift}",
+    ]
+    assert err == "".join(f"warning: {line}\n" for line in manifest["warnings"])
+
+    # A checkpoint manifest without a dataset block gets only the new keys.
+    written = json.loads((run_dir / "manifest.json").read_text())
+    del written["dataset"]
+    ioutil.write_manifest(run_dir / "manifest.json", written)
+    manifest, err = evaluate(other, "bare")
+    assert manifest["dataset"]["n_points"] == 80
+    assert manifest["warnings"] == [] and err == ""
+
+
 def test_cli_errors_exit_with_code_one(tmp_path, capsys):
     rc = main(["train", "--config", str(tmp_path / "missing.json")])
     assert rc == 1

@@ -220,12 +220,12 @@ def test_acf_profiles_match_per_lag_corrcoef():
         # Windows of one value have no variance, so n - 2 is the last lag
         # with a defined correlation.
         for s in sorted({1, n // 4, n - 2}):
-            got = metrics._abs_corr_profiles(rows, s)
+            got = metrics._abs_corr_profiles(np.array(rows), s)
             assert got.shape == (4, s)
             for row, r in zip(got, rows):
                 np.testing.assert_allclose(row, _corrcoef_profile(r, s), rtol=1e-12, atol=0.0)
         with pytest.raises(MetricError, match=f"zero variance at lag {n - 1};"):
-            metrics._abs_corr_profiles(rows, n - 1)
+            metrics._abs_corr_profiles(np.array(rows), n - 1)
 
 
 def test_acf_profiles_stay_exact_for_windows_far_from_the_row_mean():
@@ -236,22 +236,68 @@ def test_acf_profiles_stay_exact_for_windows_far_from_the_row_mean():
     rows = [np.concatenate([1.0 + 1e-6 * rng.normal(size=60), 1e-3 * rng.normal(size=20)])
             for _ in range(3)]
     rows.append(rng.normal(size=80))
-    got = metrics._abs_corr_profiles(rows, 30)
+    got = metrics._abs_corr_profiles(np.array(rows), 30)
     for row, r in zip(got, rows):
         np.testing.assert_allclose(row, _corrcoef_profile(r, 30), rtol=1e-12, atol=0.0)
 
 
 def test_acf_scores_mix_series_lengths():
+    # The generated series are one matrix: mixed lengths are refused, named.
     rng = np.random.default_rng(42)
     obs = nd.LogReturnSeries(rng.normal(size=60))
     gen = [nd.LogReturnSeries(rng.normal(size=size)) for size in (60, 45, 45, 60, 45)]
-    s = 8
-    diff = _corrcoef_profile(obs.r, s) - np.mean([_corrcoef_profile(g.r, s) for g in gen], axis=0)
-    plain = math.sqrt(float((diff * diff).sum()))
-    weighted = math.sqrt(float(((nd.acf_weights(s) * diff) ** 2).sum()))
-    got_plain, got_weighted = nd.acf_scores(obs, gen, s)
-    assert got_plain == pytest.approx(plain, rel=1e-12, abs=0.0)
-    assert got_weighted == pytest.approx(weighted, rel=1e-12, abs=0.0)
+    with pytest.raises(ValueError, match=r"one length, got lengths \[45, 60\]"):
+        nd.acf_scores(obs, gen, 8)
+    # A matrix and a vector of its row length mix freely; other lengths do not.
+    rows = nd.LogReturnSeries(rng.normal(size=(3, 60)))
+    assert nd.acf_scores(obs, [rows, gen[0]], 8) == nd.acf_scores(
+        obs, [nd.LogReturnSeries(np.vstack([rows.r, gen[0].r]))], 8)
+    with pytest.raises(ValueError, match=r"got lengths \[45, 60\]"):
+        nd.acf_scores(obs, [rows, gen[1]], 8)
+    # TV still pools any lengths.
+    bins = nd.BinSpec(-3.0, 3.0, 20)
+    pooled = nd.LogReturnSeries(np.concatenate([g.r for g in gen]))
+    assert nd.tv_distance(obs, gen, bins) == nd.tv_distance(obs, [pooled], bins)
+
+
+@pytest.mark.parametrize("shape", [(1, 40), (2, 40), (7, 33), (16, 200)])
+def test_one_return_matrix_scores_as_its_rows(shape):
+    # One series holding a (paths, n) matrix gives the same TV and ACF
+    # scores, bit for bit, as its rows passed as separate series.
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    obs = nd.LogReturnSeries(rng.standard_t(4, shape[1] + 5) * 0.1)
+    matrix = rng.standard_t(4, shape) * 0.1
+    before = matrix.copy()
+    whole = nd.LogReturnSeries(matrix)
+    rows = [nd.LogReturnSeries(r) for r in matrix]
+    assert len(whole) == shape[1] and all(len(r) == shape[1] for r in rows)
+    bins = nd.BinSpec.from_samples(obs.r, k=30)
+    assert nd.tv_distance(obs, [whole], bins) == nd.tv_distance(obs, rows, bins)
+    s = shape[1] // 4
+    got = nd.acf_scores(obs, [whole], s)
+    assert got == nd.acf_scores(obs, rows, s)
+    # ... and the same as the per-row correlations written out
+    diff = _corrcoef_profile(obs.r, s) - np.mean([_corrcoef_profile(r, s) for r in matrix], axis=0)
+    assert got[0] == pytest.approx(math.sqrt(float((diff * diff).sum())), rel=1e-10)
+    assert np.array_equal(matrix, before)  # the scores copy what they overwrite
+    # An observed matrix is binned whole, and its ACF is the mean of its
+    # rows: the gap only changes sign.
+    assert nd.tv_distance(whole, [obs], bins) == nd.tv_distance(
+        nd.LogReturnSeries(matrix.ravel()), [obs], bins)
+    assert nd.acf_scores(whole, [obs], s) == got
+
+
+def test_log_return_series_checks_the_whole_matrix():
+    assert len(nd.LogReturnSeries(np.zeros((3, 7)))) == 7
+    assert len(nd.LogReturnSeries([0.1, 0.2])) == 2
+    for bad in (np.zeros((2, 3, 4)), np.zeros(0), np.zeros((0, 5)), np.zeros((3, 0)), 0.5):
+        with pytest.raises(ValueError, match="nonempty vector or matrix"):
+            nd.LogReturnSeries(bad)
+    for value in (math.nan, math.inf, -math.inf):
+        matrix = np.zeros((4, 6))
+        matrix[3, 5] = value
+        with pytest.raises(ValueError, match="finite"):
+            nd.LogReturnSeries(matrix)
 
 
 def test_acf_zero_variance_rule_is_exact():
