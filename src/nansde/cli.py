@@ -33,7 +33,7 @@ from .metrics import DEFAULT_BINS, DEFAULT_PREDICTIONS, compute_report
 from .neural import params_from_text, params_to_text
 from .noise import FbmConfig, Path, fbm_path
 from .rng import NoiseSeed
-from .training import TrainConfig, TrainState, fit
+from .training import DEFAULT_WIDTHS, TrainConfig, TrainState, fit
 
 RUN_MANIFEST_TAG = "nansde-run v1"
 
@@ -100,16 +100,9 @@ def ingest_csv(file) -> Dataset:
             line=lineno,
         )
 
-    start = 0
-    try:
-        parse_row(*rows[0])
-    except IngestError:
-        # A header has no numeric cell; a first row with one is malformed data.
-        if any(_is_number(cell) for cell in rows[0][1]):
-            raise
-        start = 1
-        if len(rows) == 1:
-            raise IngestError(f"{file} contains only a header")
+    start = 0 if any(_is_number(cell) for cell in rows[0][1]) else 1
+    if start == len(rows):
+        raise IngestError(f"{file} contains only a header")
 
     width = len(rows[start][1])
     values = []
@@ -148,35 +141,29 @@ def ingest_csv(file) -> Dataset:
 # The training schedule's keys and defaults are TrainConfig's own fields;
 # its noise seed comes from the experiment seed.
 TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")
-CONFIG_DEFAULTS = {
-    "widths": [1, 20, 1],
-    "clamp_ell2": False,
-    "eval_m": 128,
-    "eval_lags": 0,  # 0 means min(100, T/4)
-    "eval_bins": DEFAULT_BINS,
-    "r2_pred": DEFAULT_PREDICTIONS,
-}
 CONFIG_REQUIRED = ("data", "seed", "out_dir")
-# init_seed and eval_seed default to the main seed when absent.
-CONFIG_OPTIONAL = ("init_seed", "eval_seed")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved configuration for train/compare runs; ``train`` holds the schedule."""
+    """Resolved configuration for train/compare runs; ``train`` holds the schedule.
+
+    The fields with defaults are the config file's optional keys.
+    ``init_seed`` and ``eval_seed`` default to ``seed`` when absent.
+    """
 
     data: str
     seed: int
     out_dir: str
     init_seed: int
     eval_seed: int
-    widths: tuple[int, ...]
     train: TrainConfig
-    clamp_ell2: bool
-    eval_m: int
-    eval_lags: int
-    eval_bins: int
-    r2_pred: int
+    widths: tuple[int, ...] = DEFAULT_WIDTHS
+    clamp_ell2: bool = False
+    eval_m: int = 128
+    eval_lags: int = 0  # 0 means min(100, T/4)
+    eval_bins: int = DEFAULT_BINS
+    r2_pred: int = DEFAULT_PREDICTIONS
 
     def __post_init__(self):
         if min(self.widths) < 1 or self.widths[0] != 1 or self.widths[-1] != 1:
@@ -229,32 +216,31 @@ def load_experiment_config(path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise DataError(f"config {path} must be a JSON object")
 
-    known = set(CONFIG_DEFAULTS) | set(TRAIN_KEYS) | set(CONFIG_REQUIRED) | set(CONFIG_OPTIONAL)
-    unknown = sorted(set(raw) - known)
+    hints = typing.get_type_hints(ExperimentConfig)
+    del hints["train"]
+    hints.update((key, hint) for key, hint in typing.get_type_hints(TrainConfig).items()
+                 if key in TRAIN_KEYS)
+    unknown = sorted(set(raw) - set(hints))
     if unknown:
         raise DataError(f"config {path}: unknown keys {unknown}")
     missing = sorted(k for k in CONFIG_REQUIRED if k not in raw)
     if missing:
         raise DataError(f"config {path}: missing required keys {missing}")
 
-    merged = dict(CONFIG_DEFAULTS)
-    merged.update(raw)
+    merged = dict(raw)
     merged.setdefault("init_seed", merged["seed"])
     merged.setdefault("eval_seed", merged["seed"])
-    hints = typing.get_type_hints(ExperimentConfig)
-    hints.update((key, hint) for key, hint in typing.get_type_hints(TrainConfig).items()
-                 if key in TRAIN_KEYS)
     for key, value in merged.items():
         problem = _json_type_error(key, value, hints[key])
         if problem:
             raise DataError(f"config {path}: {problem}")
-    widths = merged.pop("widths")
+    widths = tuple(merged.pop("widths", DEFAULT_WIDTHS))
     if len(widths) < 2:
         raise DataError(f"config {path}: widths must be a list of at least 2 ints")
     schedule = {key: merged.pop(key) for key in TRAIN_KEYS if key in merged}
     try:
         train = TrainConfig(seed=NoiseSeed(merged["seed"], 0), **schedule)
-        return ExperimentConfig(widths=tuple(widths), train=train, **merged)
+        return ExperimentConfig(widths=widths, train=train, **merged)
     except (TypeError, ValueError) as exc:
         raise DataError(f"config {path}: {exc}") from exc
 
@@ -295,6 +281,19 @@ def reanchor_warnings(checkpoint_dir, evaluated: dict) -> list[str]:
     return warnings
 
 
+def _write_manifest(path, command: str, settings: dict, **sections):
+    """The one writer of run manifests: format tag, command, settings, then
+    the command's own sections."""
+    ioutil.write_manifest(
+        path, {"format": RUN_MANIFEST_TAG, "command": command, "settings": settings, **sections}
+    )
+
+
+def _flag_settings(args) -> dict:
+    """A command's parsed flags: every one as it took effect, defaults included."""
+    return {key: value for key, value in vars(args).items() if key not in ("command", "func")}
+
+
 def write_run_artifacts(
     out_dir, cfg: ExperimentConfig, dataset: Dataset, model: NansdeModel, state: TrainState
 ):
@@ -303,23 +302,22 @@ def write_run_artifacts(
     for name in NET_NAMES:
         ioutil.atomic_write_text(out_dir / f"{name}.txt", params_to_text(model.net(name)))
     ioutil.atomic_write_text(out_dir / "loss.csv", ioutil.loss_csv_text(state.history))
-    manifest = {
-        "format": RUN_MANIFEST_TAG,
-        "command": "train",
-        "settings": cfg.manifest_settings(),
-        "dataset": dataset_block(dataset),
-        "results": {
+    _write_manifest(
+        out_dir / "manifest.json",
+        "train",
+        cfg.manifest_settings(),
+        dataset=dataset_block(dataset),
+        results={
             "best_loss": ioutil.fmt(state.best_loss),
             "best_iteration": state.best_iteration,
             "iterations": state.iteration,
             "warnings": state.warnings,
         },
-        "model": {
+        model={
             "widths": list(model.drift_net.widths),
             "clamp_ell2": model.clamp_ell2,
         },
-    }
-    ioutil.write_manifest(out_dir / "manifest.json", manifest)
+    )
 
 
 def load_checkpoint(checkpoint_dir, dataset: Dataset) -> NansdeModel:
@@ -379,19 +377,8 @@ def cmd_generate_fbm(args) -> int:
     )
     out = pathlib.Path(args.out)
     ioutil.atomic_write_text(out, ioutil.ensemble_csv_text(grid.times(), matrix))
-    ioutil.write_manifest(
-        out.with_name(out.name + ".manifest.json"),
-        {
-            "format": RUN_MANIFEST_TAG,
-            "command": "generate-fbm",
-            "settings": {
-                "hurst": args.hurst,
-                "n_steps": args.n_steps,
-                "n_paths": args.n_paths,
-                "seed": args.seed,
-                "out": str(args.out),
-            },
-        },
+    _write_manifest(
+        out.with_name(out.name + ".manifest.json"), "generate-fbm", _flag_settings(args)
     )
     print(f"wrote {args.n_paths} path(s) of {args.n_steps} steps to {out}")
     return 0
@@ -427,29 +414,14 @@ def cmd_evaluate(args) -> int:
     label = pathlib.Path(args.checkpoint).name or "model"
     ioutil.atomic_write_text(out_dir / "report.csv", ioutil.report_csv_text([(label, report)]))
     ioutil.atomic_write_text(out_dir / "detail.txt", ioutil.detail_text(details))
-    ioutil.write_manifest(
-        out_dir / "manifest.json",
-        {
-            "format": RUN_MANIFEST_TAG,
-            "command": "evaluate",
-            "settings": {
-                "checkpoint": str(args.checkpoint),
-                "data": str(args.data),
-                "seed": args.seed,
-                "eval_m": args.eval_m,
-                "lags": args.lags,
-                "bins": args.bins,
-                "r2_pred": args.r2_pred,
-                "out": str(args.out),
-            },
-            "dataset": evaluated,
-            "warnings": warnings,
-        },
+    _write_manifest(
+        out_dir / "manifest.json", "evaluate", _flag_settings(args),
+        dataset=evaluated, warnings=warnings,
     )
     print(
         f"{label}: hurst {report.hurst_mean:.4f} +/- {report.hurst_std:.4f}, "
-        f"tv {report.tv:.4f}, acf {report.acf_score:.4f}, "
-        f"weighted acf {report.weighted_acf_score:.4f}, r2 {report.r2:.4f}"
+        f"tv {report.tv:.4f}, acf {report.acf:.4f}, "
+        f"weighted acf {report.weighted_acf:.4f}, r2 {report.r2:.4f}"
     )
     print(f"report in {out_dir}")
     return 0
@@ -458,6 +430,13 @@ def cmd_evaluate(args) -> int:
 def cmd_compare(args) -> int:
     cfg = load_experiment_config(args.config)
     dataset = ingest_csv(cfg.data)
+    # T + 1 points give T returns, and lag k correlates two windows of T - k
+    # of them; a window needs two values for a variance, so more lags would
+    # fail after training on any series.
+    max_lags = dataset.path.values.size - 3
+    if cfg.eval_lags > max_lags:
+        raise DataError(f"config {args.config}: eval_lags {cfg.eval_lags} above the "
+                        f"{max_lags} lags a series of {dataset.path.values.size} points has")
     out_dir = pathlib.Path(cfg.out_dir)
     rows = []
     all_details = {}
@@ -479,14 +458,7 @@ def cmd_compare(args) -> int:
         )
     ioutil.atomic_write_text(out_dir / "comparison.csv", ioutil.report_csv_text(rows))
     ioutil.atomic_write_text(out_dir / "comparison_detail.txt", ioutil.detail_text(all_details))
-    ioutil.write_manifest(
-        out_dir / "manifest.json",
-        {
-            "format": RUN_MANIFEST_TAG,
-            "command": "compare",
-            "settings": cfg.manifest_settings(),
-        },
-    )
+    _write_manifest(out_dir / "manifest.json", "compare", cfg.manifest_settings())
     print(f"comparison in {out_dir}")
     return 0
 
@@ -538,13 +510,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, help="directory written by train")
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--seed", type=int, required=True, help="evaluation seed")
-    p.add_argument("--eval-m", type=_int_at_least(1), default=CONFIG_DEFAULTS["eval_m"],
+    p.add_argument("--eval-m", type=_int_at_least(1), default=ExperimentConfig.eval_m,
                    help="evaluation ensemble size")
-    p.add_argument("--lags", type=_int_at_least(0), default=CONFIG_DEFAULTS["eval_lags"],
+    p.add_argument("--lags", type=_int_at_least(0), default=ExperimentConfig.eval_lags,
                    help="ACF lags (0 = min(100, T/4))")
-    p.add_argument("--bins", type=_int_at_least(2), default=CONFIG_DEFAULTS["eval_bins"],
+    p.add_argument("--bins", type=_int_at_least(2), default=ExperimentConfig.eval_bins,
                    help="interior histogram bins")
-    p.add_argument("--r2-pred", type=_int_at_least(1), default=CONFIG_DEFAULTS["r2_pred"],
+    p.add_argument("--r2-pred", type=_int_at_least(1), default=ExperimentConfig.r2_pred,
                    help="R^2 prediction samples")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_evaluate)

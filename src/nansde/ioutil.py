@@ -9,12 +9,15 @@ byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 import pathlib
 
 import numpy as np
+
+from .metrics import MetricReport
 
 
 def fmt(x: float) -> str:
@@ -59,35 +62,21 @@ def loss_csv_text(history) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_csv_text(rows: list[tuple[str, "object"]]) -> str:
-    """Evaluation table: one labeled row per model."""
-    header = "model,hurst_mean,hurst_std,tv,acf,weighted_acf,r2,n_paths,n_lags,n_bins"
-    lines = [header]
+def _cell(value) -> str:
+    """One written value: a float at full precision, anything else as str gives it."""
+    return fmt(value) if isinstance(value, float) else str(value)
+
+
+def report_csv_text(rows: list[tuple[str, MetricReport]]) -> str:
+    """Evaluation table: one labeled row per model, a column per report field."""
+    names = [f.name for f in dataclasses.fields(MetricReport)]
+    lines = [",".join(["model", *names])]
     for label, rep in rows:
-        lines.append(
-            ",".join(
-                [
-                    label,
-                    fmt(rep.hurst_mean),
-                    fmt(rep.hurst_std),
-                    fmt(rep.tv),
-                    fmt(rep.acf_score),
-                    fmt(rep.weighted_acf_score),
-                    fmt(rep.r2),
-                    str(rep.n_paths),
-                    str(rep.n_lags),
-                    str(rep.n_bins),
-                ]
-            )
-        )
+        lines.append(",".join([label, *(_cell(getattr(rep, name)) for name in names)]))
     return "\n".join(lines) + "\n"
 
 
 def detail_text(details: dict) -> str:
     """Key/value detail file, keys sorted, floats at full precision."""
-    lines = []
-    for key in sorted(details):
-        value = details[key]
-        rendered = fmt(value) if isinstance(value, float) else str(value)
-        lines.append(f"{key} {rendered}")
+    lines = [f"{key} {_cell(details[key])}" for key in sorted(details)]
     return "\n".join(lines) + "\n"

@@ -324,8 +324,8 @@ class MetricReport:
     hurst_mean: float
     hurst_std: float
     tv: float
-    acf_score: float
-    weighted_acf_score: float
+    acf: float
+    weighted_acf: float
     r2: float
     n_paths: int
     n_lags: int
@@ -334,7 +334,7 @@ class MetricReport:
     def __post_init__(self):
         if not -1e-12 <= self.tv <= 1.0 + 1e-12:
             raise ValueError(f"tv must lie in [0, 1], got {self.tv}")
-        if self.acf_score < 0.0 or self.weighted_acf_score < 0.0:
+        if self.acf < 0.0 or self.weighted_acf < 0.0:
             raise ValueError("ACF scores are norms and cannot be negative")
         if self.hurst_std < 0.0:
             raise ValueError("hurst_std cannot be negative")
@@ -390,8 +390,8 @@ def compute_report(
         hurst_mean=float(hurst.mean()),
         hurst_std=float(hurst.std(ddof=1)) if hurst.size > 1 else 0.0,
         tv=tv,
-        acf_score=acf,
-        weighted_acf_score=weighted_acf,
+        acf=acf,
+        weighted_acf=weighted_acf,
         r2=r2,
         n_paths=m_eval,
         n_lags=s,

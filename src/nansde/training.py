@@ -116,13 +116,12 @@ def _nll(
     samples: np.ndarray,
     floor: float,
     bandwidths: np.ndarray | None = None,
-    want_grad: bool = False,
-) -> tuple[float, np.ndarray | None]:
+) -> tuple[float, np.ndarray]:
     """Mean negative log KDE likelihood of r_obs given per-step samples.
 
     ``samples`` has shape (T, M): row t holds the generated returns at step
-    t.  Returns the loss and, if requested, its gradient with respect to
-    every sample (bandwidths held constant).
+    t.  Returns the loss and its gradient with respect to every sample
+    (bandwidths held constant).
     """
     t_len, m = samples.shape
     if r_obs.shape != (t_len,):
@@ -135,8 +134,6 @@ def _nll(
     density = phi.mean(axis=1) / h
     floored = np.maximum(floor, density)
     loss = float(np.mean(-np.log(floored)))
-    if not want_grad:
-        return loss, None
     active = density > floor
     grad = np.where(
         active[:, None],
@@ -152,15 +149,14 @@ def _ensemble_nll(
     alive: np.ndarray,
     floor: float,
     bandwidths: np.ndarray | None = None,
-    want_grad: bool = False,
-) -> tuple[float, np.ndarray, np.ndarray | None]:
+) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean negative log KDE likelihood of r_obs given simulated states.
 
     ``x`` is an (n_points, M) state matrix.  Only usable paths count: those
     that stayed alive and strictly positive, so their log-returns exist.
     Fewer than two is an error because the KDE needs a spread.  Returns the
-    loss, the usable-path mask and, if requested, the gradient of the loss
-    with respect to every state in ``x`` (zero on unusable paths).
+    loss, the usable-path mask and the gradient of the loss with respect
+    to every state in ``x`` (zero on unusable paths).
     """
     valid = alive & (x > 0.0).all(axis=0)
     n_valid = int(valid.sum())
@@ -170,9 +166,7 @@ def _ensemble_nll(
         )
     xs = x[:, valid]
     returns = np.log(xs[1:] / xs[:-1])
-    loss, return_grad = _nll(r_obs, returns, floor, bandwidths, want_grad)
-    if not want_grad:
-        return loss, valid, None
+    loss, return_grad = _nll(r_obs, returns, floor, bandwidths)
 
     # Chain through r_t = log X_{t+1} - log X_t into per-state adjoints.
     adj = np.zeros_like(x)
@@ -245,9 +239,7 @@ def loss_and_gradients(
     """
     tape = simulate_batch_with_tape(model, cfg.m, cfg.iteration_seed(iteration))
     try:
-        loss, valid, adj = _ensemble_nll(
-            observed.r, tape.x, tape.alive, cfg.kde_floor, bandwidths, want_grad=True
-        )
+        loss, valid, adj = _ensemble_nll(observed.r, tape.x, tape.alive, cfg.kde_floor, bandwidths)
     except TrainingError as exc:
         raise TrainingError(f"iteration {iteration}: {exc}") from exc
     grads = backpropagate(tape, adj, columns=valid)

@@ -315,9 +315,11 @@ def test_generate_fbm_writes_csv_and_manifest(tmp_path, capsys):
     assert all(float(c) == 0.0 for c in first[1:])  # paths start at zero
 
     manifest = json.loads((tmp_path / "fbm.csv.manifest.json").read_text())
+    assert manifest.keys() == {"format", "command", "settings"}
+    assert manifest["format"] == "nansde-run v1"
     assert manifest["command"] == "generate-fbm"
-    assert manifest["settings"]["hurst"] == 0.2
-    assert manifest["settings"]["n_paths"] == 3
+    assert manifest["settings"] == {"hurst": 0.2, "n_steps": 100, "n_paths": 3, "seed": 5,
+                                    "out": str(out)}
 
     # the written columns are exactly the library's fBm draws
     grid = nd.unit_grid(100)
@@ -489,13 +491,25 @@ def test_evaluate_writes_report_and_details(tmp_path, series_csv, capsys):
     assert "hurst_median" in keys and "n_return_paths" in keys
 
     manifest = json.loads((eval_dir / "manifest.json").read_text())
+    assert manifest.keys() == {"format", "command", "settings", "dataset", "warnings"}
+    assert manifest["format"] == "nansde-run v1"
     assert manifest["command"] == "evaluate"
-    assert manifest["settings"]["seed"] == 7
+    settings = {"checkpoint": str(run_dir), "data": str(csv), "seed": 7, "eval_m": 8,
+                "lags": 0, "bins": 50, "r2_pred": 8, "out": str(eval_dir)}
+    assert manifest["settings"] == settings
 
     before = (eval_dir / "report.csv").read_bytes()
     assert main(argv) == 0
     capsys.readouterr()
     assert (eval_dir / "report.csv").read_bytes() == before
+
+    # every flag left out is recorded at its default
+    bare_dir = tmp_path / "bare"
+    assert main(["evaluate", "--checkpoint", str(run_dir), "--data", str(csv),
+                 "--seed", "7", "--out", str(bare_dir)]) == 0
+    capsys.readouterr()
+    bare = json.loads((bare_dir / "manifest.json").read_text())["settings"]
+    assert bare == {**settings, "eval_m": 128, "r2_pred": 64, "out": str(bare_dir)}
 
 
 def test_evaluate_records_its_dataset_and_warns_on_a_reanchor(tmp_path, series_csv, capsys):
@@ -607,3 +621,19 @@ def test_compare_trains_both_variants(tmp_path, series_csv, capsys):
     assert sde_model.clamp_ell2 is True
     _, ell2 = nd.kernel_values(sde_model, ds.path.grid.step_times())
     assert np.array_equal(ell2, np.zeros(69))
+
+
+def test_compare_checks_eval_lags_against_the_series_before_training(
+    tmp_path, series_csv, capsys
+):
+    # 70 points give 69 returns: at lag 68 each window holds one return,
+    # so no series has a correlation there
+    csv, _ = series_csv
+    out_dir = tmp_path / "cmp"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(fast_config(csv, out_dir, eval_lags=68)))
+    assert main(["compare", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: config {cfg_path}: eval_lags 68 above the 67 lags a series of 70 points has\n"
+    )
+    assert not out_dir.exists()

@@ -414,13 +414,13 @@ def test_r2_score_rejects_flat_test_block():
 
 
 def test_metric_report_validates_ranges():
-    ok = dict(hurst_mean=0.5, hurst_std=0.1, tv=0.2, acf_score=0.3,
-              weighted_acf_score=0.4, r2=-0.5, n_paths=8, n_lags=10, n_bins=52)
+    ok = dict(hurst_mean=0.5, hurst_std=0.1, tv=0.2, acf=0.3,
+              weighted_acf=0.4, r2=-0.5, n_paths=8, n_lags=10, n_bins=52)
     nd.MetricReport(**ok)
     with pytest.raises(ValueError):
         nd.MetricReport(**{**ok, "tv": 1.5})
     with pytest.raises(ValueError):
-        nd.MetricReport(**{**ok, "acf_score": -0.1})
+        nd.MetricReport(**{**ok, "acf": -0.1})
     with pytest.raises(ValueError):
         nd.MetricReport(**{**ok, "hurst_std": -0.1})
 
@@ -435,7 +435,7 @@ def test_compute_report_bounds_and_determinism():
     assert details1 == details2
 
     assert 0.0 <= report1.tv <= 1.0
-    assert report1.acf_score >= 0.0 and report1.weighted_acf_score >= 0.0
+    assert report1.acf >= 0.0 and report1.weighted_acf >= 0.0
     assert report1.hurst_std >= 0.0
     assert report1.n_paths == 8
     assert report1.n_lags == nd.default_lag_count(100)
@@ -480,7 +480,7 @@ def test_compute_report_skips_diverged_paths():
     assert details["n_return_paths"] == len(gen) and 0 < len(gen) < 16
     obs = nd.log_returns(observed)
     assert report.tv == nd.tv_distance(obs, gen, nd.BinSpec.from_samples(obs.r))
-    assert (report.acf_score, report.weighted_acf_score) == nd.acf_scores(obs, gen, report.n_lags)
+    assert (report.acf, report.weighted_acf) == nd.acf_scores(obs, gen, report.n_lags)
 
 
 def test_evaluation_noise_is_held_out_from_training(monkeypatch):
