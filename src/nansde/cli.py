@@ -250,6 +250,14 @@ def load_experiment_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
+def _check_lags(lags: int, dataset: Dataset, name: str):
+    """Reject, before any work, more lags than T + 1 points can score: lag k
+    correlates two windows of T - k returns, each needing two for a variance."""
+    most = dataset.path.values.size - 3
+    if lags > most:
+        raise DataError(f"{name} {lags} above the {most} lags a series of {most + 3} points has")
+
+
 def dataset_block(dataset: Dataset) -> dict:
     """The manifest's record of the series a model was trained or evaluated on."""
     return {
@@ -401,6 +409,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     dataset = ingest_csv(args.data)
+    _check_lags(args.lags, dataset, "--lags")
     model = load_checkpoint(args.checkpoint, dataset)
     evaluated = dataset_block(dataset)
     warnings = reanchor_warnings(args.checkpoint, evaluated)
@@ -430,13 +439,7 @@ def cmd_evaluate(args) -> int:
 def cmd_compare(args) -> int:
     cfg = load_experiment_config(args.config)
     dataset = ingest_csv(cfg.data)
-    # T + 1 points give T returns, and lag k correlates two windows of T - k
-    # of them; a window needs two values for a variance, so more lags would
-    # fail after training on any series.
-    max_lags = dataset.path.values.size - 3
-    if cfg.eval_lags > max_lags:
-        raise DataError(f"config {args.config}: eval_lags {cfg.eval_lags} above the "
-                        f"{max_lags} lags a series of {dataset.path.values.size} points has")
+    _check_lags(cfg.eval_lags, dataset, f"config {args.config}: eval_lags")
     out_dir = pathlib.Path(cfg.out_dir)
     rows = []
     all_details = {}

@@ -11,25 +11,24 @@ positive by a softplus with a small floor.  Clamping ell2 to zero freezes
 K at zero, so dZ is dW and the system collapses to the plain SDE
 dX = b dt + sigma dW.
 
-One batched Euler sweep simulates every path; a path that leaves the
-admissible region is masked as dead rather than stopping the others.  Z
-never reads X, so K (``noise.memory_integral``) and then dZ
-(``noise.na_increments``) are filled in whole before the sweep.  The drift
-and diffusion networks have equal widths and run as one stack of two
-networks through the package's one network forward
+One batched Euler sweep simulates every path and only steps; divergence of X
+or K is found after it, and a path that left the admissible region is masked
+as dead rather than stopping the others.  Z never reads X, so K and dZ
+(``noise.memory_integral``, ``noise.na_increments``) are filled in whole
+before the sweep.  The drift and diffusion networks have equal widths and run
+as one stack of two networks through the package's one network forward
 (``neural.stacked_forward``): each step maps the states through both at once
 and writes the new states in place with the one X update,
 :func:`euler_x_step`.  The R^2 predictor in ``metrics`` runs on the same
-functions.  The sweep records a tape, including the drift and
-diffusion networks' activations and sigma at every (step, path) pair,
-written as they are computed into buffers allocated once: one stacked
-(2, n, m, width) record per hidden layer, whose halves belong to the two
-networks, and the diffusion head.
-:func:`backpropagate` then differentiates any scalar functional of the
-paths with respect to every network parameter while holding the Brownian
-increments fixed (reparameterized gradients): one reverse sweep over
-cache-sized blocks of steps reads b', sigma' and the parameter gradients off
-those records, with no second forward pass.
+functions.  The sweep records a tape, including the drift and diffusion
+networks' activations and sigma at every (step, path) pair, written as they
+are computed into buffers allocated once: one stacked (2, n, m, width)
+record per hidden layer, whose halves belong to the two networks, and the
+diffusion head.  :func:`backpropagate` then differentiates any scalar
+functional of the paths with respect to every network parameter while
+holding the Brownian increments fixed (reparameterized gradients): one
+reverse sweep over cache-sized blocks of steps reads b', sigma' and the
+parameter gradients off those records, with no second forward pass.
 """
 
 from __future__ import annotations
@@ -152,7 +151,7 @@ class Ensemble:
     """Simulated paths sharing one grid, one column of ``values`` per path.
 
     ``alive`` marks the paths that never tripped the divergence guard; a
-    dead column holds placeholder values after the step where it diverged.
+    dead column holds the placeholder 1 after the step where it diverged.
     """
 
     grid: TimeGrid
@@ -197,9 +196,9 @@ class SimTape:
     kept for the ell2 gradient.  A path whose K crossed the divergence guard
     has K = 0 from its ``death_step`` on, so its dZ there is its dW.
 
-    ``alive`` marks columns that never tripped the divergence guard; dead
-    columns hold frozen placeholder values after their ``death_step`` and
-    must be excluded from gradient computations.
+    ``alive`` is ``death_step < 0``.  A dead column's X is 1 after its
+    ``death_step``, its records past that step are unspecified, and it must
+    be excluded from gradient computations.
     """
 
     model: NansdeModel
@@ -213,9 +212,12 @@ class SimTape:
     drift_acts: list[np.ndarray | None] | None
     diffusion_acts: list[np.ndarray] | None
     sigma: np.ndarray | None  # (n_steps, m)
-    alive: np.ndarray  # (m,) bool
-    death_step: np.ndarray  # (m,) int, -1 while alive
+    death_step: np.ndarray  # (m,) int, first step X or K tripped the guard; -1 if none
     consumed: bool = False
+
+    @property
+    def alive(self) -> np.ndarray:
+        return self.death_step < 0
 
     def consume(self):
         if self.consumed:
@@ -223,23 +225,34 @@ class SimTape:
         self.consumed = True
 
 
+def _first_bad_steps(a: np.ndarray, guard: float) -> np.ndarray:
+    """Each column's first row where |a| > guard or a is not finite, -1 if none.
+    A column's max and min clear it (a NaN fails both); only a failing column
+    is scanned, so no temporary is larger than a column."""
+    first = np.full(a.shape[1], -1)
+    for j in np.flatnonzero(~((a.max(axis=0) <= guard) & (-guard <= a.min(axis=0)))):
+        first[j] = np.argmax(~(np.abs(a[:, j]) <= guard))
+    return first
+
+
+# A diverged path is counted, not announced: its overflow raises no warning.
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_batch_with_tape(
     model: NansdeModel, m: int, base_seed: NoiseSeed, record: bool = True
 ) -> SimTape:
     """Run the Euler scheme for m paths on streams base..base+m-1.
 
     Path j depends only on its own stream, so its values do not depend on
-    how many paths are simulated together.  A path whose X or K turns
-    non-finite or exceeds the divergence guard is marked dead at that step
-    and pinned to placeholder values; the others carry on.  With ``record``
-    the drift and diffusion activations and sigma of every step are kept on
-    the tape for :func:`backpropagate`.
+    how many paths are simulated together.  The sweep only steps; after it a
+    path whose X or K turned non-finite or exceeded the divergence guard is
+    marked dead at that step, its X pinned to 1 and its later records
+    unspecified.  With ``record`` the drift and diffusion activations and
+    sigma of every step are kept on the tape for :func:`backpropagate`.
     """
     if m < 1:
         raise ValueError(f"ensemble size must be >= 1, got {m}")
     grid = model.grid
     n, dt = grid.n_steps, grid.dt
-    guard = DIVERGENCE_GUARD
 
     dw = np.empty((n, m))
     for j in range(m):
@@ -267,25 +280,16 @@ def simulate_batch_with_tape(
     x[0] = model.x0
     x_rows = x[:, :, None]
 
-    # K never reads X, so it is filled in whole.  Its guard test is one max
-    # and one min; only when that fails is each column's first bad step
-    # looked up, for the sweep to kill it there.
+    # K never reads X, so it is filled in whole.  K_{s+1} is step s's update:
+    # a K first bad at row r dies at step r - 1 and is zero, dZ = dW, from r.
     k = memory_integral(ell2, dw)
-    k_deaths = {}
-    if not (k.max() <= guard and -guard <= k.min()):
-        bad_k = ~(np.abs(k) <= guard)
-        for j in np.flatnonzero(bad_k.any(axis=0)):
-            # K_{s+1} is step s's update.  From there on the column's K is
-            # zero, so its dZ is its dW and the sweep stays silent.
-            death = int(bad_k[:, j].argmax()) - 1
-            k_deaths.setdefault(death, []).append(j)
-            k[death + 1 :, j] = 0.0
+    k_bad = _first_bad_steps(k, DIVERGENCE_GUARD)
+    k_dead = np.flatnonzero(k_bad >= 0)
+    for j in k_dead:
+        k[k_bad[j] :, j] = 0.0
     # dZ goes over K's first n rows, so the sweep allocates no (n, m) array for it.
     dz = na_increments(dw, ell1, k, dt)
 
-    alive = np.ones(m, dtype=bool)
-    dead = None
-    death_step = np.full(m, -1)
     sigmas = np.empty((slots, m))
     scratch = np.empty(m)
 
@@ -295,24 +299,15 @@ def simulate_batch_with_tape(
         if record:
             head_rec[step] = h[1]
         sigma = _sigma(h[1, :, 0], out=sigmas[s])
+        euler_x_step(x[step], h[0, :, 0], sigma, dz[step], dt, x[step + 1], scratch)
 
-        new_x = x[step + 1]
-        euler_x_step(x[step], h[0, :, 0], sigma, dz[step], dt, new_x, scratch)
-
-        # A NaN fails the <= test, so this also catches non-finite states.
-        np.abs(new_x, out=scratch)
-        if not scratch.max() <= guard or step in k_deaths:
-            bad = ~(scratch <= guard)
-            bad[k_deaths.get(step, [])] = True
-            bad &= alive
-            if bad.any():
-                alive[bad] = False
-                death_step[bad] = step
-                dead = ~alive
-        if dead is not None:
-            # Pin dead columns to harmless values so the remaining steps stay
-            # silent; they are masked out of losses and gradients.
-            new_x[dead] = 1.0
+    # x[s + 1] is step s's update; a path dies at the earlier of its X and K deaths.
+    death_step = _first_bad_steps(x[1:], DIVERGENCE_GUARD)
+    for j in k_dead:
+        if not 0 <= death_step[j] < k_bad[j]:
+            death_step[j] = k_bad[j] - 1
+    for j in np.flatnonzero(death_step >= 0):
+        x[death_step[j] + 1 :, j] = 1.0
 
     drift_acts = diffusion_acts = None
     if record:
@@ -321,7 +316,7 @@ def simulate_batch_with_tape(
 
     return SimTape(
         model, x, dz, dw, ell1, ell2, ell1_acts, ell2_acts, drift_acts, diffusion_acts,
-        sigmas if record else None, alive, death_step,
+        sigmas if record else None, death_step,
     )
 
 

@@ -556,6 +556,28 @@ def test_evaluate_records_its_dataset_and_warns_on_a_reanchor(tmp_path, series_c
     assert manifest["warnings"] == [] and err == ""
 
 
+def test_evaluate_checks_lags_against_the_series_before_any_work(tmp_path, series_csv, capsys):
+    # The same bound as compare's eval_lags: 70 points score at most 67 lags.
+    csv, _ = series_csv
+    run_dir = tmp_path / "run"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(fast_config(csv, run_dir, max_iters=1, early_stop_patience=1)))
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    eval_dir = tmp_path / "ev"
+    argv = ["evaluate", "--checkpoint", str(run_dir), "--data", str(csv), "--seed", "7",
+            "--eval-m", "4", "--r2-pred", "4", "--out", str(eval_dir)]
+    assert main(argv + ["--lags", "68"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --lags 68 above the 67 lags a series of 70 points has\n"
+    assert captured.out == ""
+    assert not eval_dir.exists()
+
+    assert main(argv + ["--lags", "67"]) == 0
+    capsys.readouterr()
+    assert (eval_dir / "report.csv").read_text().splitlines()[1].split(",")[8] == "67"
+
+
 def test_cli_errors_exit_with_code_one(tmp_path, capsys):
     rc = main(["train", "--config", str(tmp_path / "missing.json")])
     assert rc == 1

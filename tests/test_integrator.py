@@ -4,6 +4,7 @@ reference process."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -184,14 +185,17 @@ def test_ensemble_terminal_variance_of_brownian_model():
     assert x1.var(ddof=1) == pytest.approx(1.0, rel=0.15)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _oracle_sweep(model, m, seed):
     """The Euler sweep one step at a time, each network evaluated afresh.
 
     Fresh new_x/new_k every step and an isfinite-plus-guard divergence test;
-    a path's K is zero from the step its K diverges, whatever its X did.
-    The activations each step computed are stacked into (n, m, width)
-    records, its sigmas into an (n, m) record and its dZ into the (n, m)
-    increments, in the tape's layout.
+    a path's K is zero from the step its K diverges, whatever its X did, and
+    a dead path's X is pinned to 1 from the step after its death.  The
+    activations each step computed are stacked into (n, m, width) records,
+    its sigmas into an (n, m) record and its dZ into the (n, m) increments,
+    in the tape's layout.  Overflow and NaN on a diverging path are expected,
+    so numpy's floating-point warnings are off.
     """
     grid = model.grid
     n, dt = grid.n_steps, grid.dt
@@ -232,6 +236,10 @@ def _oracle_sweep(model, m, seed):
 
 
 def _assert_sweep_matches_oracle(model, m, seed):
+    """The tape's states, increments and deaths equal the oracle's whole; its
+    sigma and activation records on the live (step, path) pairs: a live
+    column's every step, a dead column's steps through its death step.  What
+    a dead column records after that is unspecified."""
     x, dz, alive, death_step, drift, diffusion, sigma = _oracle_sweep(model, m, seed)
     tape = nd.simulate_batch_with_tape(model, m, seed)
     plain = nd.simulate_batch_with_tape(model, m, seed, record=False)
@@ -241,8 +249,10 @@ def _assert_sweep_matches_oracle(model, m, seed):
         assert np.array_equal(got.alive, alive)
         assert np.array_equal(got.death_step, death_step)
     assert plain.sigma is None and plain.drift_acts is None and plain.diffusion_acts is None
+    n = model.grid.n_steps
+    live = np.arange(n)[:, None] <= np.where(alive, n, death_step)
     assert tape.sigma.flags.c_contiguous
-    assert np.array_equal(tape.sigma, sigma)
+    assert np.array_equal(tape.sigma[live], sigma[live])
     for records, want in ((tape.drift_acts, drift), (tape.diffusion_acts, diffusion)):
         assert len(records) == len(want)
         for got, expected in zip(records, want):
@@ -252,7 +262,7 @@ def _assert_sweep_matches_oracle(model, m, seed):
             # Contiguous (n, m, width) records are what the backward reads
             # as rows without copying.
             assert got.flags.c_contiguous
-            assert np.array_equal(got, expected)
+            assert np.array_equal(got[live], expected[live])
     return tape
 
 
@@ -341,6 +351,20 @@ def test_sweep_ignores_the_memory_of_a_path_whose_state_died_first(monkeypatch):
     assert np.array_equal(tape.dz[k_would_die + 1 :, j], tape.dw[k_would_die + 1 :, j])
 
 
+def test_first_bad_steps_finds_each_columns_first_crossing():
+    nan, inf = np.nan, np.inf
+    a = np.array([
+        # clean, at +-guard, crosses thrice, NaN, +inf, -inf, crosses in row 0
+        [0.0, 2.0, 0.0, 0.0, 0.0, 0.0, -2.5],
+        [1.0, -2.0, 3.0, 0.0, inf, 0.0, 0.0],
+        [-1.5, 2.0, -5.0, nan, 0.0, 0.0, 0.0],
+        [0.5, -2.0, 4.0, 0.0, 0.0, -inf, 0.0],
+    ])
+    first = integrator._first_bad_steps(a, 2.0)
+    assert np.array_equal(first, [-1, -1, 1, 2, 1, 3, 0])
+    assert np.array_equal(integrator._first_bad_steps(a[:, :2], 2.0), [-1, -1])
+
+
 def _overflowing_model(grid):
     # sigma = softplus(1e300 x): a path whose state turns positive gets a
     # finite but enormous sigma, and one step later sigma overflows to inf,
@@ -351,14 +375,16 @@ def _overflowing_model(grid):
     )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_sweep_marks_a_non_finite_path_dead(monkeypatch):
     # With the guard at the largest double, only an inf or NaN state kills.
+    # A diverged path is counted, not announced: the sweep raises no warning.
     monkeypatch.setattr(integrator, "DIVERGENCE_GUARD", np.finfo(float).max)
     grid = nd.unit_grid(10)
     seed = nd.NoiseSeed(5, 0)
     model = _overflowing_model(grid)
-    tape = _assert_sweep_matches_oracle(model, 16, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tape = _assert_sweep_matches_oracle(model, 16, seed)
     assert tape.alive.any() and not tape.alive.all()
     with np.errstate(over="ignore", invalid="ignore"):
         b, sigma, _, _ = state_coefficients(model, tape.x[:-1].ravel())
