@@ -79,6 +79,7 @@ from .noise import (
 from .optim import Adam
 from .rng import NoiseSeed, eval_generator, init_generator, noise_generator
 from .training import (
+    IterationRecord,
     LogReturnSeries,
     TrainConfig,
     TrainState,

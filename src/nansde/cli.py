@@ -305,11 +305,11 @@ def _flag_settings(args) -> dict:
 def write_run_artifacts(
     out_dir, cfg: ExperimentConfig, dataset: Dataset, model: NansdeModel, state: TrainState
 ):
-    """Checkpoint files (one per network), loss history, and the manifest."""
+    """Checkpoint files (one per network), ``loss.csv`` from the records, and the manifest."""
     out_dir = pathlib.Path(out_dir)
     for name in NET_NAMES:
         ioutil.atomic_write_text(out_dir / f"{name}.txt", params_to_text(model.net(name)))
-    ioutil.atomic_write_text(out_dir / "loss.csv", ioutil.loss_csv_text(state.history))
+    ioutil.atomic_write_text(out_dir / "loss.csv", ioutil.loss_csv_text(state.records))
     _write_manifest(
         out_dir / "manifest.json",
         "train",
@@ -318,13 +318,10 @@ def write_run_artifacts(
         results={
             "best_loss": ioutil.fmt(state.best_loss),
             "best_iteration": state.best_iteration,
-            "iterations": state.iteration,
+            "iterations": len(state.records),
             "warnings": state.warnings,
         },
-        model={
-            "widths": list(model.drift_net.widths),
-            "clamp_ell2": model.clamp_ell2,
-        },
+        model={"widths": list(model.drift_net.widths), "clamp_ell2": model.clamp_ell2},
     )
 
 
@@ -401,7 +398,7 @@ def cmd_train(args) -> int:
     write_run_artifacts(cfg.out_dir, cfg, dataset, model, state)
     print(
         f"trained on {dataset.name}: best loss {state.best_loss:.6g} "
-        f"at iteration {state.best_iteration} ({state.iteration} iterations)"
+        f"at iteration {state.best_iteration} ({len(state.records)} iterations)"
     )
     print(f"artifacts in {cfg.out_dir}")
     return 0

@@ -52,13 +52,14 @@ def ensemble_csv_text(times: np.ndarray, matrix: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def loss_csv_text(history) -> str:
-    """`iter,loss,best_loss` CSV; best is the running minimum of the history."""
+def loss_csv_text(records) -> str:
+    """`iter,loss,best_loss` CSV, a row per ``IterationRecord``; best is the
+    running minimum over eligible iterations (inf until the first)."""
     lines = ["iter,loss,best_loss"]
     best = math.inf
-    for i, loss in enumerate(history):
-        best = min(best, loss)
-        lines.append(f"{i},{fmt(loss)},{fmt(best)}")
+    for i, rec in enumerate(records):
+        best = min(best, rec.loss) if rec.eligible else best
+        lines.append(f"{i},{fmt(rec.loss)},{fmt(best)}")
     return "\n".join(lines) + "\n"
 
 

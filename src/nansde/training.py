@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,20 +178,55 @@ def _ensemble_nll(
     return loss, valid, adj
 
 
+class IterationRecord(NamedTuple):
+    """One training iteration: its loss (inf if skipped), its usable paths out of
+    m, and whether too many were dropped or a non-finite step was skipped."""
+
+    loss: float
+    usable: int
+    m: int
+    capped: bool
+    skipped: bool
+
+    @property
+    def eligible(self) -> bool:
+        return not (self.capped or self.skipped)
+
+
 @dataclass
 class TrainState:
-    """Mutable loop state: current and best models, optimizer, bookkeeping."""
+    """Mutable loop state: current and best models, optimizer, iteration records."""
 
     model: NansdeModel
     adam: Adam
     best_model: NansdeModel
-    best_loss: float = math.inf
     best_iteration: int = -1
-    since_improve: int = 0
-    iteration: int = 0
-    capped_iterations: int = 0
-    history: list[float] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    records: list[IterationRecord] = field(default_factory=list)
+
+    @property
+    def best_loss(self) -> float:
+        """The best iteration's loss; inf while ``best_iteration`` is -1 (none eligible)."""
+        return self.records[self.best_iteration].loss if self.best_iteration >= 0 else math.inf
+
+    @property
+    def warnings(self) -> list[str]:
+        """Each capped or skipped iteration, then why the initial networks are
+        returned: none was eligible, or iteration 0 was and most later ones capped."""
+        lines = []
+        for i, rec in enumerate(self.records):
+            if rec.capped:
+                lines.append(f"iteration {i}: {rec.m - rec.usable}/{rec.m} paths dropped; "
+                             "not eligible as best")
+            if rec.skipped:
+                lines.append(f"iteration {i}: non-finite loss or gradient; step skipped")
+        n, capped = len(self.records), sum(rec.capped for rec in self.records)
+        if self.best_iteration == -1:
+            lines.append(f"no iteration of {n} was eligible as best; returning the initial networks")
+        if self.best_iteration == 0 and 2 * capped > n - 1:
+            lines.append(f"no iteration improved on iteration 0: {capped} of the {n - 1} later "
+                         "iterations dropped too many paths to be eligible; "
+                         "returning the initial networks")
+        return lines
 
 
 def _trainable_arrays(model: NansdeModel) -> list[np.ndarray]:
@@ -247,43 +283,23 @@ def loss_and_gradients(
 
 
 def train_step(state: TrainState, observed: LogReturnSeries, cfg: TrainConfig) -> TrainState:
-    """One iteration: simulate, score, backpropagate, Adam-update.
-
-    A non-finite gradient skips the parameter update; an iteration with too
-    many dropped paths updates parameters but cannot set a new best loss.
-    Either case advances the no-improvement counter.
+    """One iteration: simulate, score, backpropagate, Adam-update, and append
+    its record.  A non-finite loss or gradient skips the parameter update; an
+    iteration with too many dropped paths updates them.  Neither can be best.
     """
-    i = state.iteration
+    i = len(state.records)
     model = state.model
     loss, grads, n_valid = loss_and_gradients(model, observed, cfg, i)
-
     capped = (cfg.m - n_valid) > DROP_CAP * cfg.m
-    finite = bool(np.isfinite(loss)) and grads.all_finite()
-    if capped:
-        state.capped_iterations += 1
-        state.warnings.append(
-            f"iteration {i}: {cfg.m - n_valid}/{cfg.m} paths dropped; not eligible as best"
-        )
-    if not finite:
-        state.warnings.append(f"iteration {i}: non-finite loss or gradient; step skipped")
-
-    if finite and not capped and loss < state.best_loss:
-        state.best_loss = loss
+    skipped = not (np.isfinite(loss) and grads.all_finite())
+    record = IterationRecord(math.inf if skipped else loss, n_valid, cfg.m, capped, skipped)
+    if record.eligible and loss < state.best_loss:
         state.best_iteration = i
         state.best_model = model.copy()
-        state.since_improve = 0
-    else:
-        state.since_improve += 1
-
-    state.history.append(loss if finite else math.inf)
-
-    if finite:
-        grad_arrays = [
-            a for name in model.trainable_names() for a in grads.bundle(name).arrays()
-        ]
+    state.records.append(record)
+    if not skipped:
+        grad_arrays = [a for name in model.trainable_names() for a in grads.bundle(name).arrays()]
         state.adam.step(_trainable_arrays(model), grad_arrays)
-
-    state.iteration += 1
     return state
 
 
@@ -297,12 +313,9 @@ def fit(
     """Run the training loop and return the best-loss model with its state.
 
     Stops after ``max_iters`` iterations or once ``early_stop_patience``
-    consecutive iterations pass without improving the best loss (patience 0
-    therefore stops after the first iteration).  ``state.history`` holds one
-    loss per completed iteration.  If no iteration was eligible as best, the
-    returned model is the initial one and ``state.warnings`` says so.  So it
-    does when iteration 0 stays the best while more than half of the later
-    iterations were capped: the returned model is then the initial one too.
+    iterations have passed since the best one, or since the start while none
+    was eligible (so patience 0 stops after the first iteration).  If none
+    was, the returned model is the initial one and ``state.warnings`` says so.
     """
     observed = log_returns(observed_path)
     if len(observed) != observed_path.grid.n_steps:
@@ -310,18 +323,6 @@ def fit(
     state = init_state(observed_path, cfg, init_seed, widths, clamp_ell2)
     for _ in range(cfg.max_iters):
         train_step(state, observed, cfg)
-        if state.since_improve >= cfg.early_stop_patience:
+        if len(state.records) - 1 - state.best_iteration >= cfg.early_stop_patience:
             break
-    if state.best_iteration == -1:
-        state.warnings.append(
-            f"no iteration of {state.iteration} was eligible as best; "
-            "returning the initial networks"
-        )
-    later = state.iteration - 1
-    if state.best_iteration == 0 and 2 * state.capped_iterations > later:
-        state.warnings.append(
-            f"no iteration improved on iteration 0: {state.capped_iterations} of the {later} "
-            "later iterations dropped too many paths to be eligible; "
-            "returning the initial networks"
-        )
     return state.best_model, state

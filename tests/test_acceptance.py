@@ -359,7 +359,7 @@ def test_criterion_8_training_improves_on_frozen_model_data():
             return _ensemble_nll(obs_r.r, ens.values, ens.alive, eval_cfg.kde_floor)[0]
 
         nll_initial, nll_best = nll_of(initial), nll_of(best)
-        if nll_best < nll_initial and state.best_loss < state.history[0]:
+        if nll_best < nll_initial and state.best_loss < state.records[0].loss:
             loss_wins += 1
 
         tv_initial = tv_of(initial, nd.NoiseSeed(555 + s, 0))

@@ -282,12 +282,16 @@ def test_atomic_write_creates_parents_and_leaves_no_temp(tmp_path):
 
 
 def test_loss_csv_tracks_running_minimum():
-    text = ioutil.loss_csv_text([3.0, 1.0, 2.0])
+    # the capped row's lower loss is not a best: the column keeps 1
+    records = [nd.IterationRecord(loss, 8, 8, False, False) for loss in (3.0, 1.0, 2.0)]
+    records.append(nd.IterationRecord(0.5, 5, 8, True, False))
+    text = ioutil.loss_csv_text(records)
     lines = text.splitlines()
     assert lines[0] == "iter,loss,best_loss"
     assert lines[1].startswith("0,3,")
     assert lines[2] == "1,1,1"
     assert lines[3] == "2,2,1"
+    assert lines[4] == "3,0.5,1"
 
 
 def test_detail_text_sorts_keys_and_formats_floats():
@@ -369,8 +373,7 @@ def test_train_writes_complete_artifacts(tmp_path, series_csv, capsys):
     assert manifest["model"]["clamp_ell2"] is False
     assert manifest["results"]["iterations"] == 3
     assert 0 <= manifest["results"]["best_iteration"] < 3
-    history = [float(line.split(",")[1]) for line in loss_lines[1:]]
-    assert float(manifest["results"]["best_loss"]) == min(history)
+    assert manifest["results"]["best_loss"] == loss_lines[-1].split(",")[2]
 
     # the checkpoint reloads to exactly the model fit() would return
     ds = ingest_csv(csv)

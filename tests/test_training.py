@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import nansde as nd
+import nansde.training
+from nansde import ioutil
 from nansde.errors import DataError, TrainingError
-from nansde.training import BANDWIDTH_FLOOR, _ensemble_nll, _nll
+from nansde.training import BANDWIDTH_FLOOR, _ensemble_nll, _nll, _trainable_arrays
 from conftest import brownian_path_values, build_model, positive_observed_path
 
 # ---------------------------------------------------------------------------
@@ -225,13 +227,12 @@ def test_train_step_is_deterministic():
         nd.train_step(st, obs, cfg)
         states.append(st)
     a, b = states
-    assert a.history == b.history
+    assert a.records == b.records
     for x, y in zip(a.model.drift_net.arrays(), b.model.drift_net.arrays()):
         assert np.array_equal(x, y)
-    assert a.iteration == 2
-    assert len(a.history) == 2
+    assert len(a.records) == 2
     # fresh noise per iteration: consecutive losses differ
-    assert a.history[0] != a.history[1]
+    assert a.records[0].loss != a.records[1].loss
 
 
 def test_patience_zero_runs_exactly_one_iteration():
@@ -239,8 +240,7 @@ def test_patience_zero_runs_exactly_one_iteration():
     cfg = nd.TrainConfig(seed=nd.NoiseSeed(4, 0), m=8, max_iters=5,
                          early_stop_patience=0)
     _, state = nd.fit(observed, cfg, init_seed=104, widths=(1, 3, 1))
-    assert state.iteration == 1
-    assert len(state.history) == 1
+    assert len(state.records) == 1
 
 
 def test_best_model_contract_and_monotone_best():
@@ -248,12 +248,13 @@ def test_best_model_contract_and_monotone_best():
     cfg = nd.TrainConfig(seed=nd.NoiseSeed(4, 0), m=8, max_iters=10,
                          early_stop_patience=10)
     best, state = nd.fit(observed, cfg, init_seed=104, widths=(1, 3, 1))
-    assert state.warnings == []  # a clean run, so min(history) is the best
-    assert len(state.history) == state.iteration
+    assert state.warnings == []  # a clean run, so min(losses) is the best
+    losses = [rec.loss for rec in state.records]
+    assert len(losses) == cfg.max_iters
 
-    running = np.minimum.accumulate(state.history)
+    running = np.minimum.accumulate(losses)
     assert np.all(np.diff(running) <= 0.0)
-    assert state.best_loss == min(state.history)
+    assert state.best_loss == min(losses)
 
     ens = nd.simulate_ensemble(best, cfg.m, cfg.iteration_seed(state.best_iteration))
     recomputed = nll_loss(nd.log_returns(observed), ens, cfg.kde_floor)
@@ -268,20 +269,59 @@ def test_capped_iteration_cannot_become_best():
     cfg = nd.TrainConfig(seed=nd.NoiseSeed(6, 0), m=32, max_iters=3,
                          early_stop_patience=3)
     model = build_model(observed.grid, x0=float(observed.values[0]), sigma=1.0)
-    from nansde.training import _trainable_arrays
     adam = nd.Adam([a.shape for a in _trainable_arrays(model)], lr=cfg.lr)
     state = nd.TrainState(model=model, adam=adam, best_model=model.copy())
     before = model.diffusion_net.biases[0].copy()
 
     nd.train_step(state, obs, cfg)
 
-    assert len(state.warnings) == 1
-    assert "not eligible as best" in state.warnings[0]
+    (rec,) = state.records
+    assert rec.capped and not rec.skipped and not rec.eligible
+    assert rec.m == 32 and 32 - rec.usable > 0.2 * 32
+    assert state.warnings == [
+        f"iteration 0: {32 - rec.usable}/32 paths dropped; not eligible as best",
+        "no iteration of 1 was eligible as best; returning the initial networks",
+    ]
     assert state.best_iteration == -1
     assert state.best_loss == math.inf
-    assert state.since_improve == 1
-    assert len(state.history) == 1 and math.isfinite(state.history[0])
+    assert len(state.records) - 1 - state.best_iteration == 1  # one toward patience
+    assert math.isfinite(rec.loss)
     assert not np.array_equal(model.diffusion_net.biases[0], before)
+
+
+def test_train_step_skips_a_non_finite_step(monkeypatch):
+    # A NaN in one gradient array: the iteration is recorded as skipped with
+    # loss inf, and neither the parameters nor Adam's step count move.
+    observed = positive_observed_path(40, scale=0.1, seed=9)
+    obs = nd.log_returns(observed)
+    cfg = nd.TrainConfig(seed=nd.NoiseSeed(4, 0), m=8, max_iters=5,
+                         early_stop_patience=5)
+    state = nd.init_state(observed, cfg, init_seed=104, widths=(1, 3, 1))
+    nd.train_step(state, obs, cfg)
+    assert state.best_iteration == 0
+
+    real = nansde.training.loss_and_gradients
+
+    def poisoned(*args, **kwargs):
+        loss, grads, n_valid = real(*args, **kwargs)
+        grads.bundle("diffusion").arrays()[0][0, 0] = np.nan
+        return loss, grads, n_valid
+
+    monkeypatch.setattr(nansde.training, "loss_and_gradients", poisoned)
+    params = [a.copy() for a in _trainable_arrays(state.model)]
+    best_model, steps = state.best_model, state.adam.t
+    nd.train_step(state, obs, cfg)
+
+    rec = state.records[1]
+    assert rec.skipped and not rec.capped and not rec.eligible
+    assert rec.loss == math.inf
+    assert state.adam.t == steps == 1
+    for a, b in zip(_trainable_arrays(state.model), params):
+        assert np.array_equal(a, b)
+    assert state.best_iteration == 0 and state.best_model is best_model
+    assert state.warnings == ["iteration 1: non-finite loss or gradient; step skipped"]
+    best = ioutil.fmt(state.records[0].loss)
+    assert ioutil.loss_csv_text(state.records).splitlines()[2] == f"1,inf,{best}"
 
 
 def test_fit_flags_a_run_with_no_eligible_iteration():
@@ -295,13 +335,16 @@ def test_fit_flags_a_run_with_no_eligible_iteration():
                          early_stop_patience=3)
     best, state = nd.fit(observed, cfg, init_seed=7, widths=(1, 3, 1))
 
-    assert state.iteration == 3
+    assert len(state.records) == 3
     assert state.best_iteration == -1 and state.best_loss == math.inf
     capped = [line for line in state.warnings if "not eligible as best" in line]
     assert len(capped) == 3
     assert state.warnings[-1] == (
         "no iteration of 3 was eligible as best; returning the initial networks"
     )
+    # with no eligible iteration, loss.csv's best column stays at the manifest's inf
+    rows = ioutil.loss_csv_text(state.records).splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["inf"] * 3
     initial = nd.init_state(observed, cfg, init_seed=7, widths=(1, 3, 1)).model
     for name in best.trainable_names():
         for a, b in zip(best.net(name).arrays(), initial.net(name).arrays()):
@@ -314,7 +357,7 @@ def _bench_fbm():
     return runpy.run_path(str(path))["fbm"]
 
 
-def test_fit_flags_a_run_whose_best_stays_at_iteration_zero():
+def _iteration_zero_fit(patience: int):
     # A rough fBm path shifted to start near its minimum (x0 = 1.01625):
     # after iteration 0 most iterations drop more than a fifth of their 64
     # paths below zero, so the initial networks stay the best.  The first
@@ -323,12 +366,22 @@ def test_fit_flags_a_run_whose_best_stays_at_iteration_zero():
     grid = nd.unit_grid(1000)
     observed = nd.Path(grid, raw + (1.0 - raw.min()))  # the ingest rule's shift
     assert observed.values[0] == pytest.approx(1.01625, abs=5e-6)
-    cfg = nd.TrainConfig(seed=nd.NoiseSeed(8, 0), m=64, max_iters=6, early_stop_patience=6)
-    best, state = nd.fit(observed, cfg, init_seed=8)
+    cfg = nd.TrainConfig(seed=nd.NoiseSeed(8, 0), m=64, max_iters=6,
+                         early_stop_patience=patience)
+    return observed, cfg, *nd.fit(observed, cfg, init_seed=8)
 
-    assert state.iteration == 6 and state.best_iteration == 0
+
+@pytest.fixture(scope="module")
+def iteration_zero_run():
+    return _iteration_zero_fit(patience=6)
+
+
+def test_fit_flags_a_run_whose_best_stays_at_iteration_zero(iteration_zero_run):
+    observed, cfg, best, state = iteration_zero_run
+
+    assert len(state.records) == 6 and state.best_iteration == 0
     capped = [line for line in state.warnings if "not eligible as best" in line]
-    assert len(capped) == state.capped_iterations > 5 / 2
+    assert len(capped) == sum(rec.capped for rec in state.records) > 5 / 2
     assert state.warnings[-1] == (
         f"no iteration improved on iteration 0: {len(capped)} of the 5 later iterations "
         "dropped too many paths to be eligible; returning the initial networks"
@@ -339,13 +392,31 @@ def test_fit_flags_a_run_whose_best_stays_at_iteration_zero():
             assert np.array_equal(a, b)
 
 
+def test_loss_csv_best_column_ignores_ineligible_iterations(iteration_zero_run):
+    # Capped iterations 2 to 5 have lower losses than iteration 0, but
+    # the best column, like the manifest, stays at iteration 0's loss.  That
+    # loss reads 3.4081389437556444 at numpy's default SIMD level on x86-64;
+    # its last digits move on the baseline level.
+    _, _, _, state = iteration_zero_run
+    rows = ioutil.loss_csv_text(state.records).splitlines()[1:]
+    assert min(rec.loss for rec in state.records) < state.best_loss
+    assert state.best_loss == pytest.approx(3.4081389437556444, rel=1e-12)
+    assert [row.split(",")[2] for row in rows] == [ioutil.fmt(state.best_loss)] * 6
+
+
+def test_fit_stops_on_patience_across_ineligible_iterations():
+    # Iterations 1 and 2 are capped: each counts toward patience 2.
+    _, _, _, state = _iteration_zero_fit(patience=2)
+    assert len(state.records) == 3 and state.best_iteration == 0
+    assert [rec.capped for rec in state.records] == [False, True, True]
+
+
 def test_train_step_errors_when_almost_no_path_survives():
     observed = positive_observed_path(40, scale=0.05, seed=123)
     obs = nd.log_returns(observed)
     cfg = nd.TrainConfig(seed=nd.NoiseSeed(6, 0), m=8, max_iters=1,
                          early_stop_patience=1)
     model = build_model(observed.grid, x0=float(observed.values[0]), sigma=40.0)
-    from nansde.training import _trainable_arrays
     adam = nd.Adam([a.shape for a in _trainable_arrays(model)], lr=cfg.lr)
     state = nd.TrainState(model=model, adam=adam, best_model=model.copy())
     with pytest.raises(TrainingError):
@@ -358,7 +429,7 @@ def test_fit_is_reproducible_end_to_end():
                          early_stop_patience=6)
     best1, st1 = nd.fit(observed, cfg, init_seed=104, widths=(1, 3, 1))
     best2, st2 = nd.fit(observed, cfg, init_seed=104, widths=(1, 3, 1))
-    assert st1.history == st2.history
+    assert st1.records == st2.records
     for name in best1.trainable_names():
         for a, b in zip(best1.net(name).arrays(), best2.net(name).arrays()):
             assert np.array_equal(a, b)
