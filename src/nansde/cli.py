@@ -197,16 +197,19 @@ def _json_type_error(key: str, value, hint) -> str | None:
     return f"{key} must be of type {hint.__name__}, got {value!r}"
 
 
-def _no_constant(name: str):
-    """json.loads hook: Python's NaN and Infinity literals are not JSON numbers."""
-    raise ValueError(f"{name} is not a JSON number")
+def _finite_float(text: str) -> float:
+    """json.loads hook for non-integer numbers and the NaN and Infinity literals:
+    one that is not finite (1e999 overflows to inf) is rejected."""
+    if not np.isfinite(value := float(text)):
+        raise ValueError(f"{text} is not a finite number")
+    return value
 
 
 def load_experiment_config(path) -> ExperimentConfig:
     """Read and validate a flat JSON config; unknown keys and bad values are rejected."""
     path = pathlib.Path(path)
     try:
-        raw = json.loads(path.read_text(), parse_constant=_no_constant)
+        raw = json.loads(path.read_text(), parse_float=_finite_float, parse_constant=_finite_float)
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -13,10 +13,10 @@ dX = b dt + sigma dW.
 
 One batched Euler sweep simulates every path and only steps; divergence of X
 or K is found after it, and a path that left the admissible region is masked
-as dead rather than stopping the others.  Z never reads X, so K and dZ
-(``noise.memory_integral``, ``noise.na_increments``) are filled in whole
-before the sweep.  The drift and diffusion networks have equal widths and run
-as one stack of two networks through the package's one network forward
+as dead rather than stopping the others.  Z never reads X, so ell1, ell2, K
+and dZ are built in whole before the sweep, by :func:`na_noise`.  The drift
+and diffusion networks have equal widths and run as one stack of two
+networks through the package's one network forward
 (``neural.stacked_forward``): each step maps the states through both at once
 and writes the new states in place with the one X update,
 :func:`euler_x_step`.  The R^2 predictor in ``metrics`` runs on the same
@@ -28,7 +28,8 @@ diffusion head.  :func:`backpropagate` then differentiates any scalar
 functional of the paths with respect to every network parameter while
 holding the Brownian increments fixed (reparameterized gradients): one
 reverse sweep over cache-sized blocks of steps reads b', sigma' and the
-parameter gradients off those records, with no second forward pass.
+parameter gradients off those records, with no second forward pass of the
+state networks; the ell networks, n rows each, are run again.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ class Ensemble:
 @dataclass
 class SimTape:
     """Everything a backward pass needs: states, Brownian and NA-noise
-    increments, kernel values and the state networks' activations.
+    increments, kernel values and the state (not the ell) networks' activations.
 
     ``drift_acts`` and ``diffusion_acts`` hold one contiguous (n_steps, m,
     width) record per layer 1..L of the drift and diffusion networks,
@@ -207,8 +208,6 @@ class SimTape:
     dw: np.ndarray  # (n_steps, m)
     ell1_vals: np.ndarray  # (n_steps,)
     ell2_vals: np.ndarray  # (n_steps,)
-    ell1_acts: list[np.ndarray]
-    ell2_acts: list[np.ndarray] | None
     drift_acts: list[np.ndarray | None] | None
     diffusion_acts: list[np.ndarray] | None
     sigma: np.ndarray | None  # (n_steps, m)
@@ -235,7 +234,21 @@ def _first_bad_steps(a: np.ndarray, guard: float) -> np.ndarray:
     return first
 
 
-# A diverged path is counted, not announced: its overflow raises no warning.
+# A diverged stream is counted, not announced: its overflow raises no warning.
+@np.errstate(over="ignore", invalid="ignore")
+def na_noise(model: NansdeModel, grid: TimeGrid, dw: np.ndarray):
+    """(ell1, ell2, dZ, k_bad) of the (n, m) Brownian increments ``dw``, the ells
+    on the step times.  ``k_bad[j]`` is the first row r where column j's K is
+    not finite or exceeds the divergence guard, -1 if none; K is zero from row
+    r on, so dZ is dW there.  dZ is written over K's first n rows."""
+    ell1, ell2 = kernel_values(model, grid.step_times())
+    k = memory_integral(ell2, dw)
+    k_bad = _first_bad_steps(k, DIVERGENCE_GUARD)
+    for j in np.flatnonzero(k_bad >= 0):
+        k[k_bad[j] :, j] = 0.0
+    return ell1, ell2, na_increments(dw, ell1, k, grid.dt), k_bad
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def simulate_batch_with_tape(
     model: NansdeModel, m: int, base_seed: NoiseSeed, record: bool = True
@@ -258,37 +271,20 @@ def simulate_batch_with_tape(
     for j in range(m):
         dw[:, j] = brownian_increments(grid, base_seed.child(j))
 
-    t_rows = grid.step_times()[:, None]
-    ell1_acts = mlp_forward_batch_cached(model.ell1_net, t_rows)
-    ell1 = ell1_acts[-1][:, 0]
-    if model.clamp_ell2:
-        ell2_acts = None
-        ell2 = np.zeros(n)
-    else:
-        ell2_acts = mlp_forward_batch_cached(model.ell2_net, t_rows)
-        ell2 = ell2_acts[-1][:, 0]
-
     # Of the head only the diffusion half is recorded: the backward pass reads no more.
     slots = n if record else 1
     layers = stacked_layers((model.drift_net, model.diffusion_net), m, slots)
     head_rec = np.empty((n, m, 1)) if record else None
 
-    # x is allocated before k: in the other order the heap reuses the blocks
+    # x is allocated before K: in the other order the heap reuses the blocks
     # freed by an earlier sweep less well, and three evaluations (T = 2000,
     # 256 paths) in one process peaked 3.6 MB higher in resident memory.
     x = np.empty((n + 1, m))
     x[0] = model.x0
     x_rows = x[:, :, None]
 
-    # K never reads X, so it is filled in whole.  K_{s+1} is step s's update:
-    # a K first bad at row r dies at step r - 1 and is zero, dZ = dW, from r.
-    k = memory_integral(ell2, dw)
-    k_bad = _first_bad_steps(k, DIVERGENCE_GUARD)
-    k_dead = np.flatnonzero(k_bad >= 0)
-    for j in k_dead:
-        k[k_bad[j] :, j] = 0.0
-    # dZ goes over K's first n rows, so the sweep allocates no (n, m) array for it.
-    dz = na_increments(dw, ell1, k, dt)
+    # Z never reads X, so dZ is filled in whole, over K's first n rows.
+    ell1, ell2, dz, k_bad = na_noise(model, grid, dw)
 
     sigmas = np.empty((slots, m))
     scratch = np.empty(m)
@@ -301,9 +297,10 @@ def simulate_batch_with_tape(
         sigma = _sigma(h[1, :, 0], out=sigmas[s])
         euler_x_step(x[step], h[0, :, 0], sigma, dz[step], dt, x[step + 1], scratch)
 
-    # x[s + 1] is step s's update; a path dies at the earlier of its X and K deaths.
+    # x[s + 1] and K_{s+1} are step s's update: a K first bad at row r dies at
+    # step r - 1.  A path dies at the earlier of its X and K deaths.
     death_step = _first_bad_steps(x[1:], DIVERGENCE_GUARD)
-    for j in k_dead:
+    for j in np.flatnonzero(k_bad >= 0):
         if not 0 <= death_step[j] < k_bad[j]:
             death_step[j] = k_bad[j] - 1
     for j in np.flatnonzero(death_step >= 0):
@@ -315,7 +312,7 @@ def simulate_batch_with_tape(
         diffusion_acts = [layer[4][1] for layer in layers[:-1]] + [head_rec]
 
     return SimTape(
-        model, x, dz, dw, ell1, ell2, ell1_acts, ell2_acts, drift_acts, diffusion_acts,
+        model, x, dz, dw, ell1, ell2, drift_acts, diffusion_acts,
         sigmas if record else None, death_step,
     )
 
@@ -374,8 +371,9 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
     gradient is the sum of its per-block bundles, added in the order the
     sweep visits the blocks.  The activation records are then released, and
     the kbar recursion and ell1/ell2 passes run over the whole grid with the
-    recorded sigma, and K, which only the ell1 gradient reads, is recomputed
-    from dW: it never reads X, so it has the sweep's bits.
+    recorded sigma.  K, which only the ell1 gradient reads, is recomputed
+    from dW and the ell networks' activations by a forward on the step
+    times: neither reads X, so both have the sweep's bits.
     """
     tape.consume()
     if tape.drift_acts is None or tape.diffusion_acts is None or tape.sigma is None:
@@ -444,12 +442,15 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
     # K never reads X, so on paths that never diverged this is the sweep's K.
     ks = memory_integral(tape.ell2_vals, dws)
     ell1_adj = (xbar[1:] * (-sigma * ks[:-1] * dt)).sum(axis=1).reshape(-1, 1)
-    ell1_bundle = mlp_batch_backward(model.ell1_net, tape.ell1_acts, ell1_adj)
+    t_rows = model.grid.step_times()[:, None]
+    ell1_acts = mlp_forward_batch_cached(model.ell1_net, t_rows)
+    ell1_bundle = mlp_batch_backward(model.ell1_net, ell1_acts, ell1_adj)
 
     if model.clamp_ell2:
         ell2_bundle = zero_gradients(model.ell2_net)
     else:
         ell2_adj = (kbar_next * dws).sum(axis=1).reshape(-1, 1)
-        ell2_bundle = mlp_batch_backward(model.ell2_net, tape.ell2_acts, ell2_adj)
+        ell2_acts = mlp_forward_batch_cached(model.ell2_net, t_rows)
+        ell2_bundle = mlp_batch_backward(model.ell2_net, ell2_acts, ell2_adj)
 
     return ModelGradients(*bundles, ell1_bundle, ell2_bundle)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MetricError
-from .integrator import NansdeModel, _sigma, euler_x_step, kernel_values, simulate_ensemble
+from .integrator import NansdeModel, _sigma, euler_x_step, na_noise, simulate_ensemble
 from .neural import stacked_forward, stacked_layers
-from .noise import Path, memory_integral, na_increments
+from .noise import Path
 from .rng import DOMAIN_EVAL, EVAL_ENSEMBLE_STREAM, NoiseSeed, eval_generator
 from .training import LogReturnSeries, log_returns
 
@@ -271,24 +271,18 @@ def r2_score(
     observed level X_t and averages log(X-hat_{t+1} / X_t) over ``m_pred``
     simulations.  The latent memory K_t is not observable from X alone, so
     each simulation steps with its own NA-noise increment dZ_t, built along
-    the full grid from fresh noise.  A non-positive X-hat has no log-return
-    and is dropped from its index's mean; the count of those is returned.
-    Compared against the test-mean baseline:
-    R^2 = 1 - sum (r_t - r~_t)^2 / sum (r_t - rbar)^2.
+    the full grid from fresh noise by the Euler sweep's ``na_noise``.  A
+    prediction is dropped from its index's mean, and counted, when X-hat is
+    non-positive (it has no log-return) or when its stream's K crossed the
+    divergence guard by row t (dZ_t reads K_t).  Compared against the
+    test-mean baseline: R^2 = 1 - sum (r_t - r~_t)^2 / sum (r_t - rbar)^2.
     """
     if m_pred < 1:
         raise ValueError(f"m_pred must be >= 1, got {m_pred}")
     r = log_returns(observed).r
-    n_ret = r.size
-    start = int(math.floor(DEFAULT_SPLIT * n_ret))
-    if start >= n_ret:
-        raise MetricError("test segment is empty")
-    idx = np.arange(start, n_ret)
+    idx = np.arange(int(math.floor(DEFAULT_SPLIT * r.size)), r.size)
 
-    grid = observed.grid
-    dt = grid.dt
-    times = grid.step_times()
-    ell1, ell2 = kernel_values(model, times)
+    grid, dt = observed.grid, observed.grid.dt
     x_t = observed.values[idx]
     layers = stacked_layers((model.drift_net, model.diffusion_net), idx.size, 1)
     heads = stacked_forward(layers, x_t[:, None], 0)
@@ -298,14 +292,13 @@ def r2_score(
     dw = np.empty((grid.n_steps, m_pred))
     for j in range(m_pred):
         dw[:, j] = eval_generator(seed, tag=j).standard_normal(grid.n_steps) * np.sqrt(dt)
-    dz = na_increments(dw, ell1, memory_integral(ell2, dw), dt)[idx]  # (n_test, m_pred)
-
-    x_hat = np.empty_like(dz)
-    euler_x_step(x_t[:, None], b, sigma, dz, dt, x_hat, np.empty_like(dz))
-    valid = x_hat > 0.0
+    _, _, dz, k_bad = na_noise(model, grid, dw)
+    x_hat = np.empty((idx.size, m_pred))
+    euler_x_step(x_t[:, None], b, sigma, dz[idx], dt, x_hat, np.empty_like(x_hat))
+    valid = (x_hat > 0.0) & ((k_bad < 0) | (idx[:, None] < k_bad))
     counts = valid.sum(axis=1)
     if np.any(counts == 0):
-        raise MetricError("all one-step predictions non-positive at some test index")
+        raise MetricError(f"no usable one-step prediction at test index {idx[counts == 0][0]}")
     ratio = np.where(valid, x_hat / x_t[:, None], 1.0)
     r_tilde = (np.log(ratio) * valid).sum(axis=1) / counts
 
@@ -357,7 +350,8 @@ def compute_report(
     ``n_lags = 0`` scores ``default_lag_count`` lags of the ACF.  Returns
     the report plus a detail mapping (ensemble Hurst percentiles, usable and
     diverged path counts, the observed path's own Hurst estimate, and the
-    one-step predictions R^2 dropped as non-positive).
+    one-step predictions R^2 dropped: non-positive, or read off a K that
+    crossed the divergence guard).
     """
     obs_returns = log_returns(observed)
     ensemble = simulate_ensemble(

@@ -318,8 +318,6 @@ def fit(
     was, the returned model is the initial one and ``state.warnings`` says so.
     """
     observed = log_returns(observed_path)
-    if len(observed) != observed_path.grid.n_steps:
-        raise ValueError("observed returns and grid disagree")
     state = init_state(observed_path, cfg, init_seed, widths, clamp_ell2)
     for _ in range(cfg.max_iters):
         train_step(state, observed, cfg)

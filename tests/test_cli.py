@@ -227,6 +227,25 @@ def test_bad_config_values_fail_before_any_work(tmp_path, series_csv, capsys, ba
         assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("key, number", [("kde_floor", "1e999"), ("lr", "1e999"),
+                                         ("adam_eps", "-1e999")])
+def test_an_overflowing_config_number_fails_before_any_work(tmp_path, series_csv, capsys,
+                                                             key, number):
+    # json.loads reads 1e999 as inf; it is no more a finite number than Infinity.
+    csv, _ = series_csv
+    out_dir = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    text = json.dumps(fast_config(csv, out_dir, **{key: 0.125}))
+    cfg_path.write_text(text.replace(f'"{key}": 0.125', f'"{key}": {number}'))
+    assert number in cfg_path.read_text()
+    with pytest.raises(DataError, match=f"config .*: {number} is not a finite number"):
+        load_experiment_config(cfg_path)
+    for command in ("train", "compare"):
+        assert main([command, "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config {cfg_path}: ")
+        assert not out_dir.exists()
+
+
 # Every flat key of the config file with its default value.
 DEFAULT_SETTINGS = {
     "widths": [1, 20, 1], "m": 128, "lr": 0.004, "max_iters": 1000,

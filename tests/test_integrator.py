@@ -16,6 +16,7 @@ from nansde.noise import memory_integral, na_increments
 from nansde.neural import (
     GradientBundle,
     mlp_batch_backward,
+    mlp_forward_batch_cached,
     stacked_forward,
     stacked_layers,
     zero_gradients,
@@ -517,8 +518,9 @@ def test_pathwise_gradients_match_finite_differences_across_blocks(monkeypatch):
 
 def _recomputed_gradients(tape, x_adjoints, columns=None, block_steps=None):
     """Oracle: the pathwise gradients with the drift and diffusion networks
-    evaluated afresh on the taped states, and b' and sigma' taken from
-    unit-adjoint backward passes.  Reads the tape without consuming it.
+    evaluated afresh on the taped states, the ell networks on the step
+    times, and b' and sigma' taken from unit-adjoint backward passes.  Reads
+    the tape without consuming it.
 
     With ``block_steps`` the drift and diffusion parameter passes run on
     blocks of that many steps, [0, s), [s, 2s), ..., and the per-block
@@ -561,12 +563,15 @@ def _recomputed_gradients(tape, x_adjoints, columns=None, block_steps=None):
                                   sigma_adj.reshape(-1, 1))
         diffusion = part if diffusion is None else _bundle_sum(diffusion, part)
     ell1_adj = (xbar[1:] * (-sigma * ks[:-1] * dt)).sum(axis=1).reshape(-1, 1)
-    ell1_grads = mlp_batch_backward(model.ell1_net, tape.ell1_acts, ell1_adj)
+    t_rows = model.grid.step_times()[:, None]
+    ell1_acts = mlp_forward_batch_cached(model.ell1_net, t_rows)
+    ell1_grads = mlp_batch_backward(model.ell1_net, ell1_acts, ell1_adj)
     if model.clamp_ell2:
         ell2_grads = zero_gradients(model.ell2_net)
     else:
         ell2_adj = (kbar_next * dws).sum(axis=1).reshape(-1, 1)
-        ell2_grads = mlp_batch_backward(model.ell2_net, tape.ell2_acts, ell2_adj)
+        ell2_acts = mlp_forward_batch_cached(model.ell2_net, t_rows)
+        ell2_grads = mlp_batch_backward(model.ell2_net, ell2_acts, ell2_adj)
     return nd.ModelGradients(drift, diffusion, ell1_grads, ell2_grads)
 
 

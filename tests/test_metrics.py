@@ -4,6 +4,7 @@ absolute-return autocorrelation scores, predictive R^2, and the report."""
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -348,7 +349,8 @@ def test_r2_score_is_deterministic():
 
 def _r2_oracle(observed, model, m_pred, seed):
     """r2_score written out as one expression per step of the recipe: the
-    R^2 and the number of non-positive predictions left out of it."""
+    R^2 and the number of predictions left out of it, non-positive or read
+    off a K past the divergence guard."""
     r = nd.log_returns(observed).r
     idx = np.arange(int(math.floor(0.8 * r.size)), r.size)
     dt = observed.grid.dt
@@ -359,11 +361,14 @@ def _r2_oracle(observed, model, m_pred, seed):
                    * np.sqrt(dt) for j in range(m_pred)])
     k = np.concatenate((np.zeros((m_pred, 1)), np.cumsum(ell2[None, :] * dw, axis=1)), axis=1)
     dz = dw - ell1[None, :] * k[:, :-1] * dt
+    # Row t reads K_t, so a stream predicts nothing from its K's first bad row.
+    bad = ~(np.abs(k) <= integrator.DIVERGENCE_GUARD)
+    k_bad = np.where(bad.any(axis=1), bad.argmax(axis=1), k.shape[1])
     # One C-ordered row of m_pred predictions per test index.
     dz_test = np.ascontiguousarray(dz[:, idx].T)
     x_hat = x_t[:, None] + b[:, None] * dt + sigma[:, None] * dz_test
     assert x_hat.flags.c_contiguous and x_hat.shape == (idx.size, m_pred)
-    valid = x_hat > 0.0
+    valid = (x_hat > 0.0) & (idx[:, None] < k_bad[None, :])
     ratio = np.where(valid, x_hat / x_t[:, None], 1.0)
     r_tilde = (np.log(ratio) * valid).sum(axis=1) / valid.sum(axis=1)
     return nd.r2_from_predictions(r[idx], r_tilde), int((~valid).sum())
@@ -398,6 +403,49 @@ def test_r2_score_counts_the_predictions_it_drops():
 
     _, details = nd.compute_report(observed, model, m_eval=64, seed=5, m_pred=64)
     assert details["r2_dropped_predictions"] == dropped
+
+
+@pytest.mark.parametrize("ell2", [1e200, 1e308])
+def test_r2_score_drops_every_prediction_read_off_a_diverged_memory(ell2):
+    # K_1 = ell2 dW_0 is past the guard on every stream (at 1e308 K overflows
+    # to inf), so every test index reads a dead K.  The sweep kills every
+    # path on the same rule, R^2 has nothing to score, and neither warns.
+    observed = positive_observed_path(200, scale=0.05, seed=3)
+    model = build_model(observed.grid, x0=float(observed.values[0]), sigma=0.1,
+                        ell1=(0.0, 1.0), ell2=(0.0, ell2))
+    dw = np.stack([nd.eval_generator(0, tag=j).standard_normal(200) * np.sqrt(observed.grid.dt)
+                   for j in range(16)], axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tape = nd.simulate_batch_with_tape(model, 16, NoiseSeed(1, 0), record=False)
+        assert tape.alive.sum() == 0 and np.all(tape.death_step == 0)
+        _, _, dz, k_bad = integrator.na_noise(model, observed.grid, dw)
+        assert np.all(k_bad == 1) and np.array_equal(dz, dw)
+        with pytest.raises(MetricError, match="^no usable one-step prediction at test index 160$"):
+            nd.r2_score(observed, model, m_pred=16, seed=0)
+
+
+def test_r2_score_counts_the_predictions_read_off_a_diverged_memory():
+    # K = 1e12 W crosses the guard where |W| first exceeds 1: of the 64
+    # streams, 30 by row 80 (the first test index), 5 inside the test block
+    # and 29 never.  ell1 = 0 and sigma = 0.01 keep every X-hat positive, so
+    # the drops are exactly the (t, j) with the stream's first bad row <= t.
+    observed = positive_observed_path(100, scale=0.05, seed=3)
+    model = build_model(observed.grid, x0=float(observed.values[0]), sigma=0.01,
+                        ell2=(0.0, 1e12))
+    dw = np.stack([nd.eval_generator(5, tag=j).standard_normal(100) * np.sqrt(observed.grid.dt)
+                   for j in range(64)])
+    k = np.cumsum(1e12 * dw, axis=1)  # K_1 .. K_100, one row per stream
+    k_bad = 1 + np.argmax(np.abs(k) > 1e12, axis=1)
+    k_bad[~(np.abs(k) > 1e12).any(axis=1)] = 101
+    assert [(k_bad <= 80).sum(), ((80 < k_bad) & (k_bad < 100)).sum()] == [30, 5]
+    expected = sum(int((k_bad <= t).sum()) for t in range(80, 100))
+    assert expected == 659
+
+    r2, dropped = nd.r2_score(observed, model, m_pred=64, seed=5)
+    assert dropped == expected
+    assert (r2, dropped) == _r2_oracle(observed, model, 64, 5)
+    assert math.isfinite(r2)
 
 
 def test_r2_score_rejects_flat_test_block():

@@ -289,6 +289,24 @@ def test_capped_iteration_cannot_become_best():
     assert not np.array_equal(model.diffusion_net.biases[0], before)
 
 
+@pytest.mark.parametrize("n, warned", [(5, False), (4, True)])
+def test_iteration_zero_warning_needs_most_later_iterations_capped(n, warned):
+    # Iteration 0 is best and two later ones are capped: 2 * 2 == n - 1 of
+    # n = 5 is half, not most, of the 4 later iterations; of n = 4 it is most.
+    model = build_model(nd.unit_grid(4))
+    adam = nd.Adam([a.shape for a in _trainable_arrays(model)], lr=0.01)
+    state = nd.TrainState(model=model, adam=adam, best_model=model.copy(), best_iteration=0)
+    eligible = nd.IterationRecord(1.0, 8, 8, False, False)
+    capped = nd.IterationRecord(0.5, 2, 8, True, False)
+    state.records = [eligible, capped, capped] + [eligible] * (n - 3)
+    expected = [f"iteration {i}: 6/8 paths dropped; not eligible as best" for i in (1, 2)]
+    if warned:
+        expected.append(f"no iteration improved on iteration 0: 2 of the {n - 1} later "
+                        "iterations dropped too many paths to be eligible; "
+                        "returning the initial networks")
+    assert state.warnings == expected
+
+
 def test_train_step_skips_a_non_finite_step(monkeypatch):
     # A NaN in one gradient array: the iteration is recorded as skipped with
     # loss inf, and neither the parameters nor Adam's step count move.
