@@ -183,8 +183,8 @@ class ExperimentConfig:
 def _json_type_error(key: str, value, hint) -> str | None:
     """Why a JSON value does not fit a key's annotated type, or None if it does.
 
-    A bool is not an int, and an int counts as a float; a tuple annotation
-    takes a JSON list of its element type.
+    A bool is not an int, and an int counts as a float if a float can hold
+    it; a tuple annotation takes a JSON list of its element type.
     """
     if typing.get_origin(hint) is tuple:
         element = typing.get_args(hint)[0]
@@ -192,9 +192,11 @@ def _json_type_error(key: str, value, hint) -> str | None:
             return f"{key} must be a list of {element.__name__}s, got {value!r}"
         return None
     kinds = (int, float) if hint is float else hint
-    if isinstance(value, kinds) and (hint is bool or not isinstance(value, bool)):
-        return None
-    return f"{key} must be of type {hint.__name__}, got {value!r}"
+    if not isinstance(value, kinds) or (hint is not bool and isinstance(value, bool)):
+        return f"{key} must be of type {hint.__name__}, got {value!r}"
+    if hint is float and not -sys.float_info.max <= value <= sys.float_info.max:
+        return f"{key} must be a finite number, got an integer of {len(str(abs(value)))} digits"
+    return None
 
 
 def _finite_float(text: str) -> float:

@@ -20,16 +20,16 @@ networks through the package's one network forward
 (``neural.stacked_forward``): each step maps the states through both at once
 and writes the new states in place with the one X update,
 :func:`euler_x_step`.  The R^2 predictor in ``metrics`` runs on the same
-functions.  The sweep records a tape, including the drift and diffusion
-networks' activations and sigma at every (step, path) pair, written as they
-are computed into buffers allocated once: one stacked (2, n, m, width)
-record per hidden layer, whose halves belong to the two networks, and the
-diffusion head.  :func:`backpropagate` then differentiates any scalar
+functions.  The sweep records a tape: the states, the noise, and the
+diffusion network's raw head and sigma at every (step, path) pair.  Its
+hidden-layer activations go to one reused (2, m, width) buffer per layer and
+are not kept.  :func:`backpropagate` then differentiates any scalar
 functional of the paths with respect to every network parameter while
 holding the Brownian increments fixed (reparameterized gradients): one
-reverse sweep over cache-sized blocks of steps reads b', sigma' and the
-parameter gradients off those records, with no second forward pass of the
-state networks; the ell networks, n rows each, are run again.
+reverse sweep over cache-sized blocks of steps rebuilds each block's hidden
+activations from its recorded states, bit for bit the sweep's, and reads
+b', sigma' and the parameter gradients off them; the ell networks, n rows
+each, are run again.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .neural import (
     mlp_input_derivative,
     stacked_forward,
     stacked_layers,
+    tanh_slopes,
     zero_gradients,
 )
 from .noise import brownian_increments, memory_integral, na_increments
@@ -181,17 +182,15 @@ class Ensemble:
 @dataclass
 class SimTape:
     """Everything a backward pass needs: states, Brownian and NA-noise
-    increments, kernel values and the state (not the ell) networks' activations.
+    increments, kernel values, and the diffusion head and sigma the sweep
+    stepped with.
 
-    ``drift_acts`` and ``diffusion_acts`` hold one contiguous (n_steps, m,
-    width) record per layer 1..L of the drift and diffusion networks,
-    written by the sweep as it evaluated b and sigma: a hidden layer's two
-    records are the halves of one stacked (2, n_steps, m, width) record.
-    The backward pass does not need the drift head, so it is not recorded
-    and its entry is None.  ``sigma`` records the diffusion coefficient the
-    sweep stepped with.  All three are None on a tape simulated without
-    recording; a backward pass takes them off the tape it consumes and
-    releases them when it is done.
+    The tape keeps no hidden-layer activations: the backward rebuilds them
+    from ``x``.  ``diffusion_head`` records the diffusion network's raw
+    output and ``sigma`` the diffusion coefficient at every (step, path)
+    pair.  Both are None on a tape simulated without recording; a backward
+    pass takes them off the tape it consumes and releases them when it is
+    done.
 
     ``dz`` holds the NA-noise increments the sweep stepped with; ``dw`` is
     kept for the ell2 gradient.  A path whose K crossed the divergence guard
@@ -208,8 +207,7 @@ class SimTape:
     dw: np.ndarray  # (n_steps, m)
     ell1_vals: np.ndarray  # (n_steps,)
     ell2_vals: np.ndarray  # (n_steps,)
-    drift_acts: list[np.ndarray | None] | None
-    diffusion_acts: list[np.ndarray] | None
+    diffusion_head: np.ndarray | None  # (n_steps, m)
     sigma: np.ndarray | None  # (n_steps, m)
     death_step: np.ndarray  # (m,) int, first step X or K tripped the guard; -1 if none
     consumed: bool = False
@@ -259,7 +257,8 @@ def simulate_batch_with_tape(
     how many paths are simulated together.  The sweep only steps; after it a
     path whose X or K turned non-finite or exceeded the divergence guard is
     marked dead at that step, its X pinned to 1 and its later records
-    unspecified.  With ``record`` the drift and diffusion activations and
+    unspecified.  Each step's hidden activations overwrite one reused
+    (2, m, width) buffer per layer; with ``record`` the diffusion head and
     sigma of every step are kept on the tape for :func:`backpropagate`.
     """
     if m < 1:
@@ -271,10 +270,9 @@ def simulate_batch_with_tape(
     for j in range(m):
         dw[:, j] = brownian_increments(grid, base_seed.child(j))
 
-    # Of the head only the diffusion half is recorded: the backward pass reads no more.
-    slots = n if record else 1
-    layers = stacked_layers((model.drift_net, model.diffusion_net), m, slots)
-    head_rec = np.empty((n, m, 1)) if record else None
+    layers = stacked_layers((model.drift_net, model.diffusion_net), m)
+    # Of the heads only the diffusion one is recorded: the backward pass reads no more.
+    heads = np.empty((n, m)) if record else None
 
     # x is allocated before K: in the other order the heap reuses the blocks
     # freed by an earlier sweep less well, and three evaluations (T = 2000,
@@ -286,15 +284,14 @@ def simulate_batch_with_tape(
     # Z never reads X, so dZ is filled in whole, over K's first n rows.
     ell1, ell2, dz, k_bad = na_noise(model, grid, dw)
 
-    sigmas = np.empty((slots, m))
+    sigmas = np.empty((n if record else 1, m))
     scratch = np.empty(m)
 
     for step in range(n):
-        s = step if record else 0
-        h = stacked_forward(layers, x_rows[step], s)
+        h = stacked_forward(layers, x_rows[step])
         if record:
-            head_rec[step] = h[1]
-        sigma = _sigma(h[1, :, 0], out=sigmas[s])
+            heads[step] = h[1, :, 0]
+        sigma = _sigma(h[1, :, 0], out=sigmas[step if record else 0])
         euler_x_step(x[step], h[0, :, 0], sigma, dz[step], dt, x[step + 1], scratch)
 
     # x[s + 1] and K_{s+1} are step s's update: a K first bad at row r dies at
@@ -306,15 +303,7 @@ def simulate_batch_with_tape(
     for j in np.flatnonzero(death_step >= 0):
         x[death_step[j] + 1 :, j] = 1.0
 
-    drift_acts = diffusion_acts = None
-    if record:
-        drift_acts = [layer[4][0] for layer in layers[:-1]] + [None]
-        diffusion_acts = [layer[4][1] for layer in layers[:-1]] + [head_rec]
-
-    return SimTape(
-        model, x, dz, dw, ell1, ell2, drift_acts, diffusion_acts,
-        sigmas if record else None, death_step,
-    )
+    return SimTape(model, x, dz, dw, ell1, ell2, heads, sigmas if record else None, death_step)
 
 
 def simulate_ensemble(model: NansdeModel, m: int, base_seed: NoiseSeed) -> Ensemble:
@@ -366,18 +355,22 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
     done in one reverse sweep over blocks of about ``BACKWARD_BLOCK_ROWS``
     (step, path) rows: steps [0, s), [s, 2s), ... (the last block ragged),
     visited last block first.  A block gathers the participating columns of
-    each record, takes b' and sigma' from them, runs the xbar recursion over
-    its steps and both parameter passes on the same rows.  Each network's
-    gradient is the sum of its per-block bundles, added in the order the
-    sweep visits the blocks.  The activation records are then released, and
-    the kbar recursion and ell1/ell2 passes run over the whole grid with the
-    recorded sigma.  K, which only the ell1 gradient reads, is recomputed
-    from dW and the ell networks' activations by a forward on the step
-    times: neither reads X, so both have the sweep's bits.
+    X and of the diffusion head record and rebuilds both networks' hidden
+    activations from its states with the sweep's stacked forward: each
+    element takes the same operations in the same order at any row count,
+    so it has the sweep's bits.  It forms each hidden layer's tanh slope
+    1 - a^2 once, takes b' and sigma' from them, runs the xbar recursion
+    over its steps and both parameter passes on the same rows.  Each
+    network's gradient is the sum of its per-block bundles, added in the
+    order the sweep visits the blocks.  The head record is then released,
+    and the kbar recursion and ell1/ell2 passes run over the whole grid with
+    the recorded sigma.  K, which only the ell1 gradient reads, is
+    recomputed from dW and the ell networks' activations by a forward on
+    the step times: neither reads X, so both have the sweep's bits.
     """
     tape.consume()
-    if tape.drift_acts is None or tape.diffusion_acts is None or tape.sigma is None:
-        raise ValueError("tape was simulated without recording activations")
+    if tape.diffusion_head is None or tape.sigma is None:
+        raise ValueError("tape was simulated without recording")
     model = tape.model
     if columns is None:
         columns = tape.alive
@@ -397,25 +390,32 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
 
     dzs, dws, sigma = take(tape.dz, 0, n), take(tape.dw, 0, n), take(tape.sigma, 0, n)
 
-    # The tape lets go of its records; the activations are freed after the
-    # sweep, sigma on return.
+    # The tape lets go of its records; the head is freed after the sweep,
+    # sigma on return.
     nets = (model.drift_net, model.diffusion_net)
-    records = (tape.drift_acts, tape.diffusion_acts)
-    tape.drift_acts = tape.diffusion_acts = tape.sigma = None
+    head = tape.diffusion_head
+    tape.diffusion_head = tape.sigma = None
     steps = max(1, BACKWARD_BLOCK_ROWS // mv)
+    hidden, built = [], 0  # the stacked hidden layers, built for `built` rows
     xbar = np.empty((n + 1, mv))
     xbar[n] = take(a, n, n + 1)[0]
     bundles = [None, None]
     for s0 in range(steps * ((n - 1) // steps), -1, -steps):
         s1 = min(s0 + steps, n)
         rows = (s1 - s0) * mv
+        if rows != built:  # only the first block visited can be ragged
+            hidden = None  # freed before the full blocks' layers are built
+            hidden, built = stacked_layers(nets, rows)[:-1], rows
         # Both networks' activations as (rows, width) matrices; a_0 is the states.
         x_rows = take(tape.x, s0, s1).reshape(rows, 1)
-        acts = [[x_rows] + [None if r is None else take(r, s0, s1).reshape(rows, -1) for r in rec]
-                for rec in records]
-        gate = sigmoid(acts[1][-1][:, 0])  # d softplus / d raw
-        b_prime = mlp_input_derivative(nets[0], acts[0]).reshape(-1, mv)
-        raw_prime = mlp_input_derivative(nets[1], acts[1])
+        stacked_forward(hidden, x_rows)
+        head_rows = take(head, s0, s1).reshape(rows, 1)
+        acts = [[x_rows] + [layer[3][i] for layer in hidden] + [last]
+                for i, last in enumerate((None, head_rows))]
+        slopes = [tanh_slopes(act) for act in acts]
+        gate = sigmoid(head_rows[:, 0])  # d softplus / d raw
+        b_prime = mlp_input_derivative(nets[0], acts[0], slopes[0]).reshape(-1, mv)
+        raw_prime = mlp_input_derivative(nets[1], acts[1], slopes[1])
         sigma_prime = (gate * raw_prime[:, 0]).reshape(-1, mv)
 
         # State adjoint, swept backward through the block's steps.
@@ -429,8 +429,9 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
         drift_adj = (xbar_next * dt).reshape(-1, 1)
         sigma_adj = (xbar_next * dz_blk).reshape(-1) * gate
         for i, adj in enumerate((drift_adj, sigma_adj.reshape(-1, 1))):
-            bundles[i] = _add_into(bundles[i], mlp_batch_backward(nets[i], acts[i], adj))
-    del records, acts
+            part = mlp_batch_backward(nets[i], acts[i], adj, slopes[i])
+            bundles[i] = _add_into(bundles[i], part)
+    del head, hidden, acts, slopes
 
     # Memory adjoint: K_k feeds X_{k+1} and K_{k+1}; suffix-sum the direct
     # contributions to get kbar_{k+1} for the ell2 gradient.

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import integrator
 from .errors import MetricError
 from .integrator import NansdeModel, _sigma, euler_x_step, na_noise, simulate_ensemble
 from .neural import stacked_forward, stacked_layers
@@ -273,9 +274,11 @@ def r2_score(
     each simulation steps with its own NA-noise increment dZ_t, built along
     the full grid from fresh noise by the Euler sweep's ``na_noise``.  A
     prediction is dropped from its index's mean, and counted, when X-hat is
-    non-positive (it has no log-return) or when its stream's K crossed the
-    divergence guard by row t (dZ_t reads K_t).  Compared against the
-    test-mean baseline: R^2 = 1 - sum (r_t - r~_t)^2 / sum (r_t - rbar)^2.
+    non-positive (it has no log-return), when it is not finite or past the
+    divergence guard (the sweep would mark its path dead), or when its
+    stream's K crossed the guard by row t (dZ_t reads K_t).  Compared
+    against the test-mean baseline:
+    R^2 = 1 - sum (r_t - r~_t)^2 / sum (r_t - rbar)^2.
     """
     if m_pred < 1:
         raise ValueError(f"m_pred must be >= 1, got {m_pred}")
@@ -284,8 +287,8 @@ def r2_score(
 
     grid, dt = observed.grid, observed.grid.dt
     x_t = observed.values[idx]
-    layers = stacked_layers((model.drift_net, model.diffusion_net), idx.size, 1)
-    heads = stacked_forward(layers, x_t[:, None], 0)
+    layers = stacked_layers((model.drift_net, model.diffusion_net), idx.size)
+    heads = stacked_forward(layers, x_t[:, None])
     b, sigma = heads[0], _sigma(heads[1])  # (n_test, 1) each
 
     # One column of increments per prediction stream.
@@ -295,7 +298,8 @@ def r2_score(
     _, _, dz, k_bad = na_noise(model, grid, dw)
     x_hat = np.empty((idx.size, m_pred))
     euler_x_step(x_t[:, None], b, sigma, dz[idx], dt, x_hat, np.empty_like(x_hat))
-    valid = (x_hat > 0.0) & ((k_bad < 0) | (idx[:, None] < k_bad))
+    valid = (0.0 < x_hat) & (x_hat <= integrator.DIVERGENCE_GUARD)
+    valid &= (k_bad < 0) | (idx[:, None] < k_bad)
     counts = valid.sum(axis=1)
     if np.any(counts == 0):
         raise MetricError(f"no usable one-step prediction at test index {idx[counts == 0][0]}")
@@ -350,8 +354,8 @@ def compute_report(
     ``n_lags = 0`` scores ``default_lag_count`` lags of the ACF.  Returns
     the report plus a detail mapping (ensemble Hurst percentiles, usable and
     diverged path counts, the observed path's own Hurst estimate, and the
-    one-step predictions R^2 dropped: non-positive, or read off a K that
-    crossed the divergence guard).
+    one-step predictions R^2 dropped: non-positive, past the divergence
+    guard, or read off a K that crossed it).
     """
     obs_returns = log_returns(observed)
     ensemble = simulate_ensemble(

@@ -115,7 +115,7 @@ def zero_gradients(params: MlpParams) -> GradientBundle:
     )
 
 
-def stacked_layers(nets, m: int, slots: int) -> list[tuple]:
+def stacked_layers(nets, m: int) -> list[tuple]:
     """A tuple of k networks of equal widths, stacked to run on m rows at once.
 
     Each layer's weights and biases are stacked along a leading axis of k.  A
@@ -123,12 +123,12 @@ def stacked_layers(nets, m: int, slots: int) -> list[tuple]:
     has its weights and biases repeated over the m rows, which keeps the
     multiply-add on whole contiguous arrays.  A wider input goes through one
     un-optimized einsum contraction (the first layer's (m, n_in) input is
-    shared by all k).  A layer holds a reused (k, m, width) buffer and, if
-    hidden, a (k, slots, m, width) record.
+    shared by all k).  A layer holds a reused (k, m, width) buffer, which a
+    hidden layer's tanh overwrites, and whether it is hidden.
     """
     widths = nets[0].widths
     layers = []
-    for j, width in enumerate(widths[1:]):
+    for j in range(len(widths) - 1):
         w = np.stack([net.weights[j] for net in nets])  # (k, n_out, n_in)
         bias = np.stack([net.biases[j] for net in nets])[:, None, :]
         if w.shape[2] > 1:
@@ -139,21 +139,27 @@ def stacked_layers(nets, m: int, slots: int) -> list[tuple]:
             if j == 0:
                 w = np.repeat(w, m, axis=1)
                 bias = np.repeat(bias, m, axis=1)
-        rec = np.empty((len(nets), slots, m, width)) if j < len(widths) - 2 else None
-        layers.append((subscripts, w, bias, np.empty((len(nets), m, width)), rec))
+        z = np.empty((len(nets), m, widths[j + 1]))
+        layers.append((subscripts, w, bias, z, j < len(widths) - 2))
     return layers
 
 
-def stacked_forward(layers: list[tuple], h: np.ndarray, slot: int) -> np.ndarray:
-    """The (k, m, n_out) heads of :func:`stacked_layers` on (m, n_in) rows, in the
-    head's buffer; the tanh of each hidden layer goes to record slot ``slot``."""
-    for subscripts, w, bias, z, rec in layers:
+def stacked_forward(layers: list[tuple], h: np.ndarray) -> np.ndarray:
+    """The (k, m, n_out) outputs of :func:`stacked_layers` on (m, n_in) rows, in
+    the last layer's buffer; each hidden layer's activations stay in its own.
+
+    A 1-wide input is copied across the layer's width and multiplied in
+    place, two passes that numpy runs over whole contiguous arrays; each
+    element is still the one IEEE product of input and weight.
+    """
+    for subscripts, w, bias, z, hidden in layers:
         if subscripts is None:
-            np.multiply(h, w, out=z)
+            np.copyto(z, h)
+            z *= w
         else:
             np.einsum(subscripts, h, w, optimize=False, out=z)
         z += bias
-        h = z if rec is None else np.tanh(z, out=rec[:, slot])
+        h = np.tanh(z, out=z) if hidden else z
     return h
 
 
@@ -162,9 +168,9 @@ def mlp_forward_batch_cached(params: MlpParams, rows: np.ndarray) -> list[np.nda
     rows = np.asarray(rows, dtype=float)
     if rows.shape[-1] != params.widths[0]:
         raise ValueError(f"network expects {params.widths[0]} inputs, got shape {rows.shape}")
-    layers = stacked_layers((params,), rows.shape[0], 1)
-    head = stacked_forward(layers, rows, 0)
-    return [rows] + [layer[4][0, 0] for layer in layers[:-1]] + [head[0]]
+    layers = stacked_layers((params,), rows.shape[0])
+    head = stacked_forward(layers, rows)
+    return [rows] + [layer[3][0] for layer in layers[:-1]] + [head[0]]
 
 
 def mlp_forward_batch(params: MlpParams, rows: np.ndarray) -> np.ndarray:
@@ -193,40 +199,56 @@ def _row_sums(delta: np.ndarray, col: np.ndarray | None = None) -> np.ndarray:
     return np.einsum("ro,r->o", delta, col[:, 0], optimize=False)
 
 
-def _tanh_gate(act: np.ndarray, back: np.ndarray) -> np.ndarray:
-    """back * (1 - act^2), the adjoint through a tanh layer, in one buffer."""
-    gate = np.square(act)
-    np.subtract(1.0, gate, out=gate)
-    gate *= back
-    return gate
+def tanh_slopes(acts: list[np.ndarray]) -> list[np.ndarray]:
+    """1 - a^2 of each hidden activation acts[1..L-1]: the tanh derivatives,
+    formed once for both backward passes over the same cached forward."""
+    slopes = []
+    for act in acts[1:-1]:
+        slope = np.square(act)
+        slopes.append(np.subtract(1.0, slope, out=slope))
+    return slopes
 
 
-def mlp_input_derivative(params: MlpParams, acts: list[np.ndarray]) -> np.ndarray:
+def mlp_input_derivative(
+    params: MlpParams, acts: list[np.ndarray], slopes: list[np.ndarray] | None = None
+) -> np.ndarray:
     """d output / d input on each row of a cached forward of a scalar network.
 
-    Only acts[0..L-1] are read.  This is the input gradient of the
+    Only acts[0..L-1] are read, and ``slopes`` is :func:`tanh_slopes` of
+    them (formed here when not given).  This is the input gradient of the
     backward recursion with a unit adjoint, without building the unit
     adjoint or the parameter sums.
     """
+    if slopes is None:
+        slopes = tanh_slopes(acts)
     back = params.weights[-1][0][None, :]
     for i in range(params.n_layers - 1, 0, -1):
-        back = _back_through(params.weights[i - 1], _tanh_gate(acts[i], back))
+        back = _back_through(params.weights[i - 1], slopes[i - 1] * back)
     return np.broadcast_to(back, (acts[0].shape[0], back.shape[1]))
 
 
 def mlp_batch_backward(
-    params: MlpParams, acts: list[np.ndarray], row_adjoints: np.ndarray
+    params: MlpParams,
+    acts: list[np.ndarray],
+    row_adjoints: np.ndarray,
+    slopes: list[np.ndarray] | None = None,
 ) -> GradientBundle:
     """Parameter gradients of sum_r <row_adjoints[r], output[r]>.
 
     ``row_adjoints`` has shape (rows, n_out) and ``acts`` is a cached
-    batched forward; only acts[0..L-1] are read.  The sums over rows are
-    :func:`_row_sums`: one einsum contraction each where the delta is at
-    least 2 wide, ``.sum(axis=0)`` (numpy's pairwise order) where it is 1 wide.
+    batched forward; only acts[0..L-1] are read, and ``slopes`` is
+    :func:`tanh_slopes` of them (formed here when not given).  The sums over
+    rows are :func:`_row_sums`: one einsum contraction each where the delta
+    is at least 2 wide, ``.sum(axis=0)`` (numpy's pairwise order) where it
+    is 1 wide.  A 1-wide delta goes back through its layer as an einsum
+    outer product, which writes +0.0 where the product is -0.0; every
+    gradient is a row sum that starts from +0.0, so none changes its bits.
     """
     delta = np.asarray(row_adjoints, dtype=float)
     if delta.ndim == 1:
         delta = delta[:, None]
+    if slopes is None:
+        slopes = tanh_slopes(acts)
     w_grads = [None] * params.n_layers
     b_grads = [None] * params.n_layers
     for i in range(params.n_layers - 1, -1, -1):
@@ -237,7 +259,11 @@ def mlp_batch_backward(
             w_grads[i] = np.einsum("ro,ri->oi", delta, acts[i], optimize=False)
         b_grads[i] = _row_sums(delta)
         if i > 0:
-            delta = _tanh_gate(acts[i], _back_through(w, delta))
+            if w.shape[0] == 1:
+                delta = np.einsum("r,i->ri", delta[:, 0], w[0], optimize=False)
+            else:
+                delta = _back_through(w, delta)
+            delta *= slopes[i - 1]
     return GradientBundle(w_grads, b_grads)
 
 

@@ -246,6 +246,25 @@ def test_an_overflowing_config_number_fails_before_any_work(tmp_path, series_csv
         assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("key", ["lr", "kde_floor"])
+def test_a_config_integer_too_large_for_a_float_fails_before_any_work(tmp_path, series_csv,
+                                                                       capsys, key):
+    # json.loads reads 1 followed by 400 zeros as an exact int; a float key
+    # would turn it into an OverflowError mid-training.
+    csv, _ = series_csv
+    out_dir = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    text = json.dumps(fast_config(csv, out_dir, **{key: 0.125}))
+    cfg_path.write_text(text.replace(f'"{key}": 0.125', f'"{key}": 1{"0" * 400}'))
+    with pytest.raises(DataError, match=f"config .*: {key} must be a finite number, "
+                                        "got an integer of 401 digits$"):
+        load_experiment_config(cfg_path)
+    for command in ("train", "compare"):
+        assert main([command, "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config {cfg_path}: {key} ")
+        assert not out_dir.exists()
+
+
 # Every flat key of the config file with its default value.
 DEFAULT_SETTINGS = {
     "widths": [1, 20, 1], "m": 128, "lr": 0.004, "max_iters": 1000,

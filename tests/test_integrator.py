@@ -72,8 +72,8 @@ def test_value_helpers_eval_the_nets():
     grid = nd.unit_grid(4)
     m = build_model(grid, drift=(0.0, 0.5), sigma=2.0, ell1=(0.0, 1.0),
                     ell2=(0.0, 0.7))
-    layers = stacked_layers((m.drift_net, m.diffusion_net), 2, 1)
-    heads = stacked_forward(layers, np.array([[1.0], [2.0]]), 0)
+    layers = stacked_layers((m.drift_net, m.diffusion_net), 2)
+    heads = stacked_forward(layers, np.array([[1.0], [2.0]]))
     assert heads.shape == (2, 2, 1)
     assert heads[0, :, 0] == pytest.approx([0.5, 0.5])
     assert integrator._sigma(heads[1, :, 0]) == pytest.approx([2.0, 2.0], rel=1e-12)
@@ -193,10 +193,10 @@ def _oracle_sweep(model, m, seed):
     Fresh new_x/new_k every step and an isfinite-plus-guard divergence test;
     a path's K is zero from the step its K diverges, whatever its X did, and
     a dead path's X is pinned to 1 from the step after its death.  The
-    activations each step computed are stacked into (n, m, width) records,
-    its sigmas into an (n, m) record and its dZ into the (n, m) increments,
-    in the tape's layout.  Overflow and NaN on a diverging path are expected,
-    so numpy's floating-point warnings are off.
+    diffusion heads and sigmas each step computed are stacked into (n, m)
+    records and its dZ into the (n, m) increments, in the tape's layout.
+    Overflow and NaN on a diverging path are expected, so numpy's
+    floating-point warnings are off.
     """
     grid = model.grid
     n, dt = grid.n_steps, grid.dt
@@ -210,12 +210,11 @@ def _oracle_sweep(model, m, seed):
     alive = np.ones(m, dtype=bool)
     k_dead = np.zeros(m, dtype=bool)
     death_step = np.full(m, -1)
-    drift_steps, diffusion_steps, sigmas = [], [], []
+    heads, sigmas = [], []
     cur_x, cur_k = x[0].copy(), np.zeros(m)
     for step in range(n):
-        b, sigma, drift_acts, diffusion_acts = state_coefficients(model, cur_x)
-        drift_steps.append(drift_acts[1:-1])
-        diffusion_steps.append(diffusion_acts[1:])
+        b, sigma, _, diffusion_acts = state_coefficients(model, cur_x)
+        heads.append(diffusion_acts[-1][:, 0])
         sigmas.append(sigma)
         new_k = cur_k + ell2[step] * dw[step]
         dz[step] = dw[step] - ell1[step] * cur_k * dt
@@ -231,17 +230,17 @@ def _oracle_sweep(model, m, seed):
         new_k[k_dead] = 0.0
         x[step + 1] = new_x
         cur_x, cur_k = new_x.copy(), new_k.copy()
-    drift = [np.stack(layer) for layer in zip(*drift_steps)] + [None]
-    diffusion = [np.stack(layer) for layer in zip(*diffusion_steps)]
-    return x, dz, alive, death_step, drift, diffusion, np.stack(sigmas)
+    return x, dz, alive, death_step, np.stack(heads), np.stack(sigmas)
 
 
 def _assert_sweep_matches_oracle(model, m, seed):
     """The tape's states, increments and deaths equal the oracle's whole; its
-    sigma and activation records on the live (step, path) pairs: a live
+    diffusion head and sigma records on the live (step, path) pairs: a live
     column's every step, a dead column's steps through its death step.  What
-    a dead column records after that is unspecified."""
-    x, dz, alive, death_step, drift, diffusion, sigma = _oracle_sweep(model, m, seed)
+    a dead column records after that is unspecified.  The hidden layers are
+    not recorded: the gradient oracles below check the bits the backward
+    rebuilds them with."""
+    x, dz, alive, death_step, head, sigma = _oracle_sweep(model, m, seed)
     tape = nd.simulate_batch_with_tape(model, m, seed)
     plain = nd.simulate_batch_with_tape(model, m, seed, record=False)
     for got in (tape, plain):
@@ -249,21 +248,14 @@ def _assert_sweep_matches_oracle(model, m, seed):
         assert np.array_equal(got.dz, dz)
         assert np.array_equal(got.alive, alive)
         assert np.array_equal(got.death_step, death_step)
-    assert plain.sigma is None and plain.drift_acts is None and plain.diffusion_acts is None
+    assert plain.sigma is None and plain.diffusion_head is None
     n = model.grid.n_steps
     live = np.arange(n)[:, None] <= np.where(alive, n, death_step)
-    assert tape.sigma.flags.c_contiguous
-    assert np.array_equal(tape.sigma[live], sigma[live])
-    for records, want in ((tape.drift_acts, drift), (tape.diffusion_acts, diffusion)):
-        assert len(records) == len(want)
-        for got, expected in zip(records, want):
-            if expected is None:
-                assert got is None
-                continue
-            # Contiguous (n, m, width) records are what the backward reads
-            # as rows without copying.
-            assert got.flags.c_contiguous
-            assert np.array_equal(got[live], expected[live])
+    for got, want in ((tape.sigma, sigma), (tape.diffusion_head, head)):
+        # Contiguous (n, m) records are what the backward reads as rows
+        # without copying.
+        assert got.flags.c_contiguous
+        assert np.array_equal(got[live], want[live])
     return tape
 
 
@@ -580,7 +572,7 @@ def _bundle_sum(total, part):
                           [t + p for t, p in zip(total.b_grads, part.b_grads)])
 
 
-def test_recorded_activations_give_the_recomputed_gradients_bit_for_bit(monkeypatch):
+def test_rebuilt_activations_give_the_recomputed_gradients_bit_for_bit(monkeypatch):
     # A guard of 1.5 lets some paths die mid-run, pinned to placeholders,
     # while others cross zero: training excludes both kinds of column.
     monkeypatch.setattr(integrator, "DIVERGENCE_GUARD", 1.5)
@@ -607,6 +599,29 @@ def test_recorded_activations_give_the_recomputed_gradients_bit_for_bit(monkeypa
                     for got, want in zip(grads.bundle(name).arrays(),
                                          expected.bundle(name).arrays()):
                         assert np.array_equal(got, want), (widths, clamp, name)
+
+
+@pytest.mark.parametrize("widths", [(1, 20, 1), (1, 3, 2, 1)])
+def test_rebuilt_activations_keep_their_bits_at_a_ragged_simd_tail(monkeypatch, widths):
+    # The sweep runs the networks on 13 rows, the backward rebuilds them on
+    # blocks of 3 steps, 39 rows and a ragged 13, and the oracle on all 520
+    # rows at once.  At widths 3 and 2 a layer's 2 x rows x width elements
+    # are no multiple of the 8 float64 lanes of an AVX-512 register, so
+    # numpy's multiply, add and tanh end in a partial vector in the sweep
+    # and in both blocks.
+    monkeypatch.setattr(integrator, "BACKWARD_BLOCK_ROWS", 3 * 13)
+    grid = nd.unit_grid(40)
+    model = nd.NansdeModel(
+        *(nd.init_params(widths, seed=30, tag=tag) for tag in range(4)), grid=grid, x0=0.8,
+    )
+    tape = nd.simulate_batch_with_tape(model, 13, nd.NoiseSeed(31, 0))
+    assert tape.alive.all()
+    adj = np.random.default_rng(22).standard_normal(tape.x.shape)
+    expected = _recomputed_gradients(tape, adj, block_steps=3)
+    grads = nd.backpropagate(tape, adj)
+    for name in integrator.NET_NAMES:
+        for got, want in zip(grads.bundle(name).arrays(), expected.bundle(name).arrays()):
+            assert np.array_equal(got, want), (widths, name)
 
 
 def test_blocked_backward_is_the_recomputed_gradients_added_block_by_block(monkeypatch):
@@ -671,9 +686,10 @@ def test_backward_peak_memory_is_block_sized():
 
 
 def test_evaluation_records_nothing_and_backward_frees_the_records():
-    # tracemalloc sees numpy's buffers.  A width-20 model records 20 hidden
-    # activations per state network, the diffusion head and sigma: 42 (n, m)
-    # matrices that only a backward pass may hold.
+    # tracemalloc sees numpy's buffers.  A width-20 model's tape records the
+    # diffusion head and sigma: two (n, m) matrices that only a backward
+    # pass may hold.  Its hidden layers are rebuilt, never recorded: one
+    # (n, m, width) record of them would be 20 more matrices.
     grid = nd.unit_grid(500)
     m = 64
     model = nd.NansdeModel(
@@ -681,7 +697,7 @@ def test_evaluation_records_nothing_and_backward_frees_the_records():
         grid=grid, x0=1.0,
     )
     matrix = grid.n_points * m * 8
-    records = (2 * 20 + 2) * grid.n_steps * m * 8
+    records = 2 * grid.n_steps * m * 8
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -689,14 +705,17 @@ def test_evaluation_records_nothing_and_backward_frees_the_records():
         # x, K with dZ over its first rows, dW: one more whole (n, m) array breaks this.
         assert tracemalloc.get_traced_memory()[1] - base < 4.75 * matrix
 
+        tracemalloc.reset_peak()
         tape = nd.simulate_batch_with_tape(model, m, nd.NoiseSeed(4, 0))
         held = tracemalloc.get_traced_memory()[0]
+        # The evaluation's arrays and the two records, and no more.
         assert held - base > records
+        assert tracemalloc.get_traced_memory()[1] - base < 6.75 * matrix
         nd.backpropagate(tape, np.ones_like(tape.x))
         assert held - tracemalloc.get_traced_memory()[0] > 0.99 * records
     finally:
         tracemalloc.stop()
-    assert tape.drift_acts is None and tape.diffusion_acts is None and tape.sigma is None
+    assert tape.diffusion_head is None and tape.sigma is None
     with pytest.raises(ValueError):
         nd.backpropagate(nd.simulate_batch_with_tape(model, 2, nd.NoiseSeed(4, 0), record=False),
                          np.ones((grid.n_points, 2)))

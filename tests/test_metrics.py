@@ -349,8 +349,8 @@ def test_r2_score_is_deterministic():
 
 def _r2_oracle(observed, model, m_pred, seed):
     """r2_score written out as one expression per step of the recipe: the
-    R^2 and the number of predictions left out of it, non-positive or read
-    off a K past the divergence guard."""
+    R^2 and the number of predictions left out of it: non-positive, past the
+    divergence guard, or read off a K past it."""
     r = nd.log_returns(observed).r
     idx = np.arange(int(math.floor(0.8 * r.size)), r.size)
     dt = observed.grid.dt
@@ -368,7 +368,8 @@ def _r2_oracle(observed, model, m_pred, seed):
     dz_test = np.ascontiguousarray(dz[:, idx].T)
     x_hat = x_t[:, None] + b[:, None] * dt + sigma[:, None] * dz_test
     assert x_hat.flags.c_contiguous and x_hat.shape == (idx.size, m_pred)
-    valid = (x_hat > 0.0) & (idx[:, None] < k_bad[None, :])
+    valid = (x_hat > 0.0) & (x_hat <= integrator.DIVERGENCE_GUARD)
+    valid &= idx[:, None] < k_bad[None, :]
     ratio = np.where(valid, x_hat / x_t[:, None], 1.0)
     r_tilde = (np.log(ratio) * valid).sum(axis=1) / valid.sum(axis=1)
     return nd.r2_from_predictions(r[idx], r_tilde), int((~valid).sum())
@@ -421,6 +422,22 @@ def test_r2_score_drops_every_prediction_read_off_a_diverged_memory(ell2):
         assert tape.alive.sum() == 0 and np.all(tape.death_step == 0)
         _, _, dz, k_bad = integrator.na_noise(model, observed.grid, dw)
         assert np.all(k_bad == 1) and np.array_equal(dz, dw)
+        with pytest.raises(MetricError, match="^no usable one-step prediction at test index 160$"):
+            nd.r2_score(observed, model, m_pred=16, seed=0)
+
+
+def test_r2_score_drops_every_prediction_past_the_divergence_guard():
+    # ell1 = 1e308 makes dZ_t = dW_t - ell1 K_t dt overflow wherever K_t is
+    # not zero, so each one-step X-hat of the test block is past the guard
+    # or not finite: the sweep kills every path on that rule, and R^2 must
+    # not score what the sweep rejects.  Neither warns.
+    observed = positive_observed_path(200, scale=0.05, seed=3)
+    model = build_model(observed.grid, x0=float(observed.values[0]), sigma=0.1,
+                        ell1=(0.0, 1e308), ell2=(0.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tape = nd.simulate_batch_with_tape(model, 16, NoiseSeed(1, 0), record=False)
+        assert tape.alive.sum() == 0
         with pytest.raises(MetricError, match="^no usable one-step prediction at test index 160$"):
             nd.r2_score(observed, model, m_pred=16, seed=0)
 

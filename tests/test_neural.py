@@ -13,6 +13,7 @@ from nansde.neural import (
     mlp_input_derivative,
     stacked_forward,
     stacked_layers,
+    tanh_slopes,
     zero_gradients,
 )
 from conftest import reference_forward, unit_adjoint_input_gradient
@@ -104,24 +105,25 @@ def test_forward_stays_finite_and_hidden_activations_bounded():
 
 
 def test_forward_into_destinations_is_the_fresh_forward():
-    # The Euler sweep records activations by writing each hidden layer into
-    # its step's slot of a record; each network of a stack of k must read as
-    # its own plain forward there, and the other slots stay untouched.
+    # The stacked forward writes each layer into the layer's own reused
+    # buffer, a hidden layer's tanh over it; each network of a stack of k
+    # must read as its own plain forward there, also on a second call that
+    # overwrites the first.
     for widths in ((1, 4, 3, 1), (1, 3, 1, 2, 1), (2, 5, 1)):
-        rows = np.random.default_rng(4).uniform(-2, 2, size=(9, widths[0]))
+        rng = np.random.default_rng(4)
         for k in (1, 2, 3):
             nets = tuple(nd.init_params(widths, seed=6, tag=i) for i in range(k))
-            layers = stacked_layers(nets, 9, 3)
-            for layer in layers[:-1]:
-                layer[4].fill(np.nan)
-            head = stacked_forward(layers, rows, 1)
-            assert head.shape == (k, 9, widths[-1])
-            for i, net in enumerate(nets):
-                ref = reference_forward(net, rows)
-                for layer, act in zip(layers[:-1], ref[1:-1]):
-                    assert np.array_equal(layer[4][i, 1], act)
-                    assert np.isnan(layer[4][i, [0, 2]]).all()
-                assert np.array_equal(head[i], ref[-1])
+            layers = stacked_layers(nets, 9)
+            for _ in range(2):
+                rows = rng.uniform(-2, 2, size=(9, widths[0]))
+                head = stacked_forward(layers, rows)
+                assert head.shape == (k, 9, widths[-1])
+                assert head is layers[-1][3]
+                for i, net in enumerate(nets):
+                    ref = reference_forward(net, rows)
+                    for layer, act in zip(layers[:-1], ref[1:-1]):
+                        assert np.array_equal(layer[3][i], act)
+                    assert np.array_equal(head[i], ref[-1])
 
 
 @pytest.mark.parametrize(
@@ -321,6 +323,35 @@ def test_backward_passes_keep_the_bits_of_plain_axis_sums():
             got = mlp_batch_backward(p, acts, adjoints)
             for g, w in zip(got.w_grads + got.b_grads, _pinned_backward(p, acts, adjoints)):
                 assert _same_bits(g, w), (widths, zero)
+
+
+def test_shared_tanh_slopes_keep_the_bits_of_the_unshared_passes():
+    # backpropagate forms 1 - a^2 once per hidden layer and hands it to both
+    # passes, and the parameter pass takes a 1-wide delta back through its
+    # layer as an einsum outer product, which writes +0.0 for -0.0.  Every
+    # output, sign of zero included, must be what the per-pass gate and the
+    # plain multiply give.  A width-1 hidden layer (1, 1, 1) puts that outer
+    # product in both passes; rows of +-1e3 saturate tanh to a zero slope,
+    # and some adjoints are +0.0 and -0.0.
+    rng = np.random.default_rng(23)
+    for widths in ((1, 1), (1, 1, 1), (1, 3, 1), (1, 2, 2, 1)):
+        p = nd.init_params(widths, seed=len(widths) + widths[1])
+        for n_rows in (1, 7, 13, 4097):
+            rows = rng.uniform(-2.0, 2.0, size=(n_rows, 1))
+            rows[rng.random(n_rows) < 0.2] = 1e3
+            rows[rng.random(n_rows) < 0.2] = -1e3
+            adjoints = rng.standard_normal((n_rows, 1))
+            adjoints[rng.random(n_rows) < 0.2] = 0.0
+            adjoints[rng.random(n_rows) < 0.2] = -0.0
+            acts = mlp_forward_batch_cached(p, rows)
+            slopes = tanh_slopes(acts)
+            assert len(slopes) == len(widths) - 2
+            for adj in (adjoints, np.zeros_like(adjoints), -np.zeros_like(adjoints)):
+                got = mlp_batch_backward(p, acts, adj, slopes)
+                for g, w in zip(got.w_grads + got.b_grads, _pinned_backward(p, acts, adj)):
+                    assert _same_bits(g, w), (widths, n_rows)
+            got_x = mlp_input_derivative(p, acts, slopes)
+            assert _same_bits(got_x, _pinned_input_derivative(p, acts)), (widths, n_rows)
 
 
 # ---------------------------------------------------------------------------
