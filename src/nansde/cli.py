@@ -114,6 +114,8 @@ def ingest_csv(file) -> Dataset:
                 line=lineno,
             )
         time, value = parse_row(lineno, cells)
+        if time is not None and not np.isfinite(time):
+            raise IngestError(f"{file}, line {lineno}: time {cells[0]} is not finite", line=lineno)
         if last_time is not None and not time > last_time:
             raise IngestError(f"{file}, line {lineno}: time {cells[0]} is not above the previous",
                               line=lineno)

@@ -182,15 +182,13 @@ class Ensemble:
 @dataclass
 class SimTape:
     """Everything a backward pass needs: states, Brownian and NA-noise
-    increments, kernel values, and the diffusion head and sigma the sweep
-    stepped with.
+    increments, and the diffusion head and sigma the sweep stepped with.
 
-    The tape keeps no hidden-layer activations: the backward rebuilds them
-    from ``x``.  ``diffusion_head`` records the diffusion network's raw
-    output and ``sigma`` the diffusion coefficient at every (step, path)
-    pair.  Both are None on a tape simulated without recording; a backward
-    pass takes them off the tape it consumes and releases them when it is
-    done.
+    The tape keeps no hidden-layer activations or ell values: the backward
+    rebuilds them from ``x`` and the step times.  ``diffusion_head`` and
+    ``sigma`` record the diffusion network's raw output and coefficient at
+    every (step, path) pair.  Both are None on a tape simulated without
+    recording; a backward pass takes them off the tape and frees them.
 
     ``dz`` holds the NA-noise increments the sweep stepped with; ``dw`` is
     kept for the ell2 gradient.  A path whose K crossed the divergence guard
@@ -205,21 +203,13 @@ class SimTape:
     x: np.ndarray  # (n_steps + 1, m)
     dz: np.ndarray  # (n_steps, m)
     dw: np.ndarray  # (n_steps, m)
-    ell1_vals: np.ndarray  # (n_steps,)
-    ell2_vals: np.ndarray  # (n_steps,)
     diffusion_head: np.ndarray | None  # (n_steps, m)
     sigma: np.ndarray | None  # (n_steps, m)
     death_step: np.ndarray  # (m,) int, first step X or K tripped the guard; -1 if none
-    consumed: bool = False
 
     @property
     def alive(self) -> np.ndarray:
         return self.death_step < 0
-
-    def consume(self):
-        if self.consumed:
-            raise RuntimeError("simulation tape already consumed by a backward pass")
-        self.consumed = True
 
 
 def _first_bad_steps(a: np.ndarray, guard: float) -> np.ndarray:
@@ -235,8 +225,8 @@ def _first_bad_steps(a: np.ndarray, guard: float) -> np.ndarray:
 # A diverged stream is counted, not announced: its overflow raises no warning.
 @np.errstate(over="ignore", invalid="ignore")
 def na_noise(model: NansdeModel, grid: TimeGrid, dw: np.ndarray):
-    """(ell1, ell2, dZ, k_bad) of the (n, m) Brownian increments ``dw``, the ells
-    on the step times.  ``k_bad[j]`` is the first row r where column j's K is
+    """(dZ, k_bad) of the (n, m) Brownian increments ``dw``, with the ells on the
+    step times.  ``k_bad[j]`` is the first row r where column j's K is
     not finite or exceeds the divergence guard, -1 if none; K is zero from row
     r on, so dZ is dW there.  dZ is written over K's first n rows."""
     ell1, ell2 = kernel_values(model, grid.step_times())
@@ -244,7 +234,7 @@ def na_noise(model: NansdeModel, grid: TimeGrid, dw: np.ndarray):
     k_bad = _first_bad_steps(k, DIVERGENCE_GUARD)
     for j in np.flatnonzero(k_bad >= 0):
         k[k_bad[j] :, j] = 0.0
-    return ell1, ell2, na_increments(dw, ell1, k, grid.dt), k_bad
+    return na_increments(dw, ell1, k, grid.dt), k_bad
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -282,7 +272,7 @@ def simulate_batch_with_tape(
     x_rows = x[:, :, None]
 
     # Z never reads X, so dZ is filled in whole, over K's first n rows.
-    ell1, ell2, dz, k_bad = na_noise(model, grid, dw)
+    dz, k_bad = na_noise(model, grid, dw)
 
     sigmas = np.empty((n if record else 1, m))
     scratch = np.empty(m)
@@ -303,7 +293,7 @@ def simulate_batch_with_tape(
     for j in np.flatnonzero(death_step >= 0):
         x[death_step[j] + 1 :, j] = 1.0
 
-    return SimTape(model, x, dz, dw, ell1, ell2, heads, sigmas if record else None, death_step)
+    return SimTape(model, x, dz, dw, heads, sigmas if record else None, death_step)
 
 
 def simulate_ensemble(model: NansdeModel, m: int, base_seed: NoiseSeed) -> Ensemble:
@@ -338,12 +328,11 @@ def _add_into(total: GradientBundle | None, part: GradientBundle) -> GradientBun
 
 
 def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | None = None) -> ModelGradients:
-    """Parameter gradients of sum_{k,j} x_adjoints[k,j] * X_k^{(j)}.
-
-    ``x_adjoints`` has the same shape as ``tape.x``.  ``columns`` selects
-    which paths participate (default: the paths that never diverged); the
-    others' adjoints are ignored.  The Brownian increments are treated as
-    constants, so this is the reparameterized gradient.
+    """Parameter gradients of sum_{k,i} x_adjoints[k,i] * X_k^{(j_i)}, where
+    j_0 < j_1 < ... are the paths in ``columns``, an (m,) boolean mask of
+    live paths (default: all of them); ``x_adjoints`` is (n_steps + 1,
+    columns.sum()).  Bad input raises ValueError and leaves the tape as it
+    was.  The Brownian increments are held fixed: a reparameterized gradient.
 
     The reverse sweep uses the recursion
 
@@ -364,25 +353,27 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
     network's gradient is the sum of its per-block bundles, added in the
     order the sweep visits the blocks.  The head record is then released,
     and the kbar recursion and ell1/ell2 passes run over the whole grid with
-    the recorded sigma.  K, which only the ell1 gradient reads, is
-    recomputed from dW and the ell networks' activations by a forward on
-    the step times: neither reads X, so both have the sweep's bits.
+    the recorded sigma.  ell1, ell2 and K, which only the ell1 gradient
+    reads, are taken from a forward of the ell networks on the step times
+    and from dW: none reads X, so all have the sweep's bits.
     """
-    tape.consume()
     if tape.diffusion_head is None or tape.sigma is None:
-        raise ValueError("tape was simulated without recording")
+        raise ValueError("tape holds no head and sigma records: it was simulated "
+                         "without recording, or it was backpropagated already")
     model = tape.model
-    if columns is None:
-        columns = tape.alive
+    alive = tape.alive
+    columns = alive if columns is None else np.asarray(columns)
+    if columns.dtype != bool or columns.shape != alive.shape or (columns & ~alive).any():
+        raise ValueError(f"columns must be a boolean mask of live paths, shape {alive.shape}")
     cols = np.flatnonzero(columns)
     if cols.size == 0:
         raise ValueError("no surviving columns to backpropagate through")
 
     n, dt = model.grid.n_steps, model.grid.dt
+    m, mv = columns.size, cols.size
     a = np.asarray(x_adjoints, dtype=float)
-    if a.shape != tape.x.shape:
-        raise ValueError(f"adjoint shape {a.shape} does not match states {tape.x.shape}")
-    m, mv = a.shape[1], cols.size
+    if a.shape != (n + 1, mv):
+        raise ValueError(f"adjoint shape {a.shape} does not match the columns' {(n + 1, mv)}")
 
     def take(arr, s0, s1):
         """arr at steps s0..s1-1 and the participating columns."""
@@ -398,7 +389,7 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
     steps = max(1, BACKWARD_BLOCK_ROWS // mv)
     hidden, built = [], 0  # the stacked hidden layers, built for `built` rows
     xbar = np.empty((n + 1, mv))
-    xbar[n] = take(a, n, n + 1)[0]
+    xbar[n] = a[n]
     bundles = [None, None]
     for s0 in range(steps * ((n - 1) // steps), -1, -steps):
         s1 = min(s0 + steps, n)
@@ -421,9 +412,8 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
         # State adjoint, swept backward through the block's steps.
         dz_blk = dzs[s0:s1]
         gain = 1.0 + b_prime * dt + sigma_prime * dz_blk
-        a_blk = take(a, s0, s1)
         for i in range(s1 - s0 - 1, -1, -1):
-            xbar[s0 + i] = a_blk[i] + xbar[s0 + i + 1] * gain[i]
+            xbar[s0 + i] = a[s0 + i] + xbar[s0 + i + 1] * gain[i]
         xbar_next = xbar[s0 + 1 : s1 + 1]
 
         drift_adj = (xbar_next * dt).reshape(-1, 1)
@@ -433,25 +423,28 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
             bundles[i] = _add_into(bundles[i], part)
     del head, hidden, acts, slopes
 
+    # The ell networks on the step times, as the sweep ran them.
+    t_rows = model.grid.step_times()[:, None]
+    ell1_acts = mlp_forward_batch_cached(model.ell1_net, t_rows)
+    ell1 = ell1_acts[-1]  # (n, 1), broadcasts over columns
+    ell2_acts = None if model.clamp_ell2 else mlp_forward_batch_cached(model.ell2_net, t_rows)
+    ell2 = np.zeros(n) if ell2_acts is None else ell2_acts[-1][:, 0]
+
     # Memory adjoint: K_k feeds X_{k+1} and K_{k+1}; suffix-sum the direct
     # contributions to get kbar_{k+1} for the ell2 gradient.
-    ell1 = tape.ell1_vals[:, None]  # (n, 1), broadcasts over columns
     k_direct = xbar[1:] * (-ell1 * sigma * dt)
     suffix = np.cumsum(k_direct[::-1], axis=0)[::-1]
     kbar_next = np.vstack((suffix[1:], np.zeros((1, mv))))
 
     # K never reads X, so on paths that never diverged this is the sweep's K.
-    ks = memory_integral(tape.ell2_vals, dws)
+    ks = memory_integral(ell2, dws)
     ell1_adj = (xbar[1:] * (-sigma * ks[:-1] * dt)).sum(axis=1).reshape(-1, 1)
-    t_rows = model.grid.step_times()[:, None]
-    ell1_acts = mlp_forward_batch_cached(model.ell1_net, t_rows)
     ell1_bundle = mlp_batch_backward(model.ell1_net, ell1_acts, ell1_adj)
 
-    if model.clamp_ell2:
+    if ell2_acts is None:
         ell2_bundle = zero_gradients(model.ell2_net)
     else:
         ell2_adj = (kbar_next * dws).sum(axis=1).reshape(-1, 1)
-        ell2_acts = mlp_forward_batch_cached(model.ell2_net, t_rows)
         ell2_bundle = mlp_batch_backward(model.ell2_net, ell2_acts, ell2_adj)
 
     return ModelGradients(*bundles, ell1_bundle, ell2_bundle)

@@ -295,7 +295,7 @@ def r2_score(
     dw = np.empty((grid.n_steps, m_pred))
     for j in range(m_pred):
         dw[:, j] = eval_generator(seed, tag=j).standard_normal(grid.n_steps) * np.sqrt(dt)
-    _, _, dz, k_bad = na_noise(model, grid, dw)
+    dz, k_bad = na_noise(model, grid, dw)
     x_hat = np.empty((idx.size, m_pred))
     euler_x_step(x_t[:, None], b, sigma, dz[idx], dt, x_hat, np.empty_like(x_hat))
     valid = (0.0 < x_hat) & (x_hat <= integrator.DIVERGENCE_GUARD)

@@ -13,8 +13,10 @@ class Adam:
     """
 
     def __init__(self, shapes, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        if lr <= 0.0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        if not 0.0 < lr < np.inf:
+            raise ValueError(f"learning rate must be positive and finite, got {lr}")
+        if not 0.0 < eps < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {eps}")
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ValueError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
         self.lr = lr

@@ -56,20 +56,20 @@ class TrainConfig:
     def __post_init__(self):
         if self.m < 2:
             raise ValueError(f"ensemble size must be >= 2, got {self.m}")
-        if self.lr <= 0.0:
-            raise ValueError(f"learning rate must be positive, got {self.lr}")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not 0 <= self.early_stop_patience <= self.max_iters:
             raise ValueError(
                 f"patience must lie in [0, max_iters], got {self.early_stop_patience}"
             )
-        if self.kde_floor <= 0.0:
-            raise ValueError(f"kde_floor must be positive, got {self.kde_floor}")
+        if not 0.0 < self.kde_floor < math.inf:
+            raise ValueError(f"kde_floor must be positive and finite, got {self.kde_floor}")
         if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
             raise ValueError("Adam betas must lie in [0, 1)")
-        if self.adam_eps <= 0.0:
-            raise ValueError("Adam epsilon must be positive")
+        if not 0.0 < self.adam_eps < math.inf:
+            raise ValueError(f"Adam epsilon must be positive and finite, got {self.adam_eps}")
 
     def iteration_seed(self, iteration: int) -> NoiseSeed:
         """Base noise stream of one training iteration (m consecutive streams)."""
@@ -156,8 +156,9 @@ def _ensemble_nll(
     ``x`` is an (n_points, M) state matrix.  Only usable paths count: those
     that stayed alive and strictly positive, so their log-returns exist.
     Fewer than two is an error because the KDE needs a spread.  Returns the
-    loss, the usable-path mask and the gradient of the loss with respect
-    to every state in ``x`` (zero on unusable paths).
+    loss, the usable-path mask and the gradient of the loss with respect to
+    the usable paths' states: an (n_points, usable) matrix, one column per
+    usable path in path order, as :func:`backpropagate` takes it.
     """
     valid = alive & (x > 0.0).all(axis=0)
     n_valid = int(valid.sum())
@@ -170,11 +171,9 @@ def _ensemble_nll(
     loss, return_grad = _nll(r_obs, returns, floor, bandwidths)
 
     # Chain through r_t = log X_{t+1} - log X_t into per-state adjoints.
-    adj = np.zeros_like(x)
-    adj_valid = np.zeros_like(xs)
-    adj_valid[1:] += return_grad / xs[1:]
-    adj_valid[:-1] -= return_grad / xs[:-1]
-    adj[:, valid] = adj_valid
+    adj = np.zeros_like(xs)
+    adj[1:] += return_grad / xs[1:]
+    adj[:-1] -= return_grad / xs[:-1]
     return loss, valid, adj
 
 

@@ -97,6 +97,22 @@ def test_ingest_two_column_csv_with_header(tmp_path):
     assert np.array_equal(ingest_csv(csv).path.values, values)
 
 
+@pytest.mark.parametrize("row, time", [(0, "-inf"), (0, "nan"), (0, "inf"), (69, "inf"),
+                                       (30, "nan")])
+def test_ingest_rejects_a_non_finite_time_on_its_own_line(tmp_path, row, time):
+    # -inf first and inf last would pass the increasing-time check, and a
+    # NaN or inf first time would be blamed on the line after it.
+    csv = tmp_path / "prices.csv"
+    write_series_csv(csv, 2.0 + np.sin(np.linspace(0.0, 3.0, 70)), times=np.arange(70.0),
+                     header="t,value")
+    lines = csv.read_text().splitlines()
+    lines[row + 1] = f"{time}," + lines[row + 1].split(",")[1]
+    csv.write_text("\n".join(lines) + "\n")
+    with pytest.raises(IngestError, match=f"line {row + 2}: time {time} is not finite$") as exc:
+        ingest_csv(csv)
+    assert exc.value.line == row + 2
+
+
 def test_ingest_single_column_and_shift(tmp_path):
     values = np.sin(np.linspace(0.0, 3.0, 70)) - 0.5  # dips below zero
     csv = tmp_path / "raw.csv"

@@ -299,7 +299,8 @@ def test_sweep_matches_the_oracle_when_one_path_dies(monkeypatch):
 
 def _memory(tape):
     """The tape's K, recomputed from its increments as the sweep builds it."""
-    return memory_integral(tape.ell2_vals, tape.dw)
+    _, ell2 = nd.kernel_values(tape.model, tape.model.grid.step_times())
+    return memory_integral(ell2, tape.dw)
 
 
 def test_sweep_kills_a_path_whose_memory_crosses_the_guard_on_the_last_step(monkeypatch):
@@ -416,7 +417,7 @@ def test_tape_reproduces_simulation_and_is_single_use():
     for name in ("drift", "diffusion", "ell1", "ell2"):
         for arr in grads.bundle(name).arrays():
             assert np.array_equal(arr, np.zeros_like(arr))
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError, match="without recording, or it was backpropagated already"):
         nd.backpropagate(tape, adj)
 
 
@@ -511,8 +512,9 @@ def test_pathwise_gradients_match_finite_differences_across_blocks(monkeypatch):
 def _recomputed_gradients(tape, x_adjoints, columns=None, block_steps=None):
     """Oracle: the pathwise gradients with the drift and diffusion networks
     evaluated afresh on the taped states, the ell networks on the step
-    times, and b' and sigma' taken from unit-adjoint backward passes.  Reads
-    the tape without consuming it.
+    times, and b' and sigma' taken from unit-adjoint backward passes.  Takes
+    the adjoints as the backward does, one column per participating path,
+    and reads the tape without taking its records.
 
     With ``block_steps`` the drift and diffusion parameter passes run on
     blocks of that many steps, [0, s), [s, 2s), ..., and the per-block
@@ -520,11 +522,12 @@ def _recomputed_gradients(tape, x_adjoints, columns=None, block_steps=None):
     model = tape.model
     cols = np.flatnonzero(tape.alive if columns is None else columns)
     n, dt = model.grid.n_steps, model.grid.dt
-    a = np.asarray(x_adjoints, dtype=float)[:, cols]
+    a = np.asarray(x_adjoints, dtype=float)
     xs, dzs, dws = tape.x[:, cols], tape.dz[:, cols], tape.dw[:, cols]
-    ks = np.cumsum(np.vstack((np.zeros((1, cols.size)), tape.ell2_vals[:, None] * dws)), axis=0)
+    ell1, ell2 = nd.kernel_values(model, model.grid.step_times())
+    ks = np.cumsum(np.vstack((np.zeros((1, cols.size)), ell2[:, None] * dws)), axis=0)
     mv = cols.size
-    ell1 = tape.ell1_vals[:, None]
+    ell1 = ell1[:, None]
 
     _, sigma, drift_acts, diff_acts = state_coefficients(model, xs[:-1])
     b_prime = unit_adjoint_input_gradient(model.drift_net, drift_acts).reshape(n, mv)
@@ -593,8 +596,9 @@ def test_rebuilt_activations_give_the_recomputed_gradients_bit_for_bit(monkeypat
             adj = rng.standard_normal(probe.x.shape)
             for columns in (None, usable):
                 tape = nd.simulate_batch_with_tape(model, 16, seed)
-                expected = _recomputed_gradients(tape, adj, columns)
-                grads = nd.backpropagate(tape, adj, columns=columns)
+                part = adj[:, tape.alive if columns is None else columns]
+                expected = _recomputed_gradients(tape, part, columns)
+                grads = nd.backpropagate(tape, part, columns=columns)
                 for name in integrator.NET_NAMES:
                     for got, want in zip(grads.bundle(name).arrays(),
                                          expected.bundle(name).arrays()):
@@ -644,12 +648,12 @@ def test_blocked_backward_is_the_recomputed_gradients_added_block_by_block(monke
             assert (probe.alive & ~usable).any() and usable.any(), widths
             adj = rng.standard_normal(probe.x.shape)
             for columns in (None, usable):
-                mv = np.count_nonzero(probe.alive if columns is None else columns)
-                monkeypatch.setattr(integrator, "BACKWARD_BLOCK_ROWS", 3 * mv)
+                part = adj[:, probe.alive if columns is None else columns]
+                monkeypatch.setattr(integrator, "BACKWARD_BLOCK_ROWS", 3 * part.shape[1])
                 tape = nd.simulate_batch_with_tape(model, 16, seed)
-                expected = _recomputed_gradients(tape, adj, columns, block_steps=3)
-                one_block = _recomputed_gradients(tape, adj, columns)
-                grads = nd.backpropagate(tape, adj, columns=columns)
+                expected = _recomputed_gradients(tape, part, columns, block_steps=3)
+                one_block = _recomputed_gradients(tape, part, columns)
+                grads = nd.backpropagate(tape, part, columns=columns)
                 for name in integrator.NET_NAMES:
                     for got, want, whole in zip(grads.bundle(name).arrays(),
                                                 expected.bundle(name).arrays(),
@@ -658,6 +662,56 @@ def test_blocked_backward_is_the_recomputed_gradients_added_block_by_block(monke
                         differs_from_one_block |= not np.array_equal(got, whole)
     # The order of the block sums is visible in the bits.
     assert differs_from_one_block
+
+
+_BAD_COLUMNS = {
+    "index array": "columns must be a boolean mask of live paths, shape \\(16,\\)$",
+    "integer mask": "columns must be a boolean mask",
+    "short mask": "columns must be a boolean mask",
+    "long mask": "columns must be a boolean mask",
+    "diverged path": "columns must be a boolean mask",
+    "adjoint width": "adjoint shape \\(41, 3\\) does not match the columns' \\(41, 2\\)$",
+    "no column": "no surviving columns",
+}
+
+
+@pytest.mark.parametrize("case", _BAD_COLUMNS)
+def test_backward_refuses_bad_columns_and_leaves_the_tape_usable(monkeypatch, case):
+    # `columns` is an (m,) boolean mask of live paths, and the adjoints have
+    # one column per path in it.  A refusal comes before the backward takes
+    # the tape's records, so the same tape then gives a fresh tape's
+    # gradients bit for bit.
+    monkeypatch.setattr(integrator, "DIVERGENCE_GUARD", 1.5)
+    grid = nd.unit_grid(40)
+    model = nd.NansdeModel(
+        *(nd.init_params((1, 3, 1), seed=30, tag=tag) for tag in range(4)), grid=grid, x0=0.8,
+    )
+    seed = nd.NoiseSeed(31, 0)
+    tape = nd.simulate_batch_with_tape(model, 16, seed)
+    live, dead = np.flatnonzero(tape.alive), np.flatnonzero(~tape.alive)
+    assert live.size >= 2 and dead.size >= 1
+    mask = np.zeros(16, dtype=bool)
+    mask[live[:2]] = True
+    with_dead = mask.copy()
+    with_dead[dead[0]] = True
+    adj = np.random.default_rng(5).standard_normal((grid.n_points, 3))
+    columns, x_adjoints = {
+        "index array": (live[:2], adj[:, :2]),
+        "integer mask": (mask.astype(int), adj[:, :2]),
+        "short mask": (mask[:8], adj[:, :2]),
+        "long mask": (np.append(mask, True), adj),
+        "diverged path": (with_dead, adj),
+        "adjoint width": (mask, adj),
+        "no column": (np.zeros(16, dtype=bool), adj[:, :0]),
+    }[case]
+    with pytest.raises(ValueError, match=_BAD_COLUMNS[case]):
+        nd.backpropagate(tape, x_adjoints, columns=columns)
+    assert tape.diffusion_head is not None and tape.sigma is not None
+    grads = nd.backpropagate(tape, adj[:, :2], columns=mask)
+    fresh = nd.backpropagate(nd.simulate_batch_with_tape(model, 16, seed), adj[:, :2], columns=mask)
+    for name in integrator.NET_NAMES:
+        for got, want in zip(grads.bundle(name).arrays(), fresh.bundle(name).arrays()):
+            assert np.array_equal(got, want), name
 
 
 def test_backward_peak_memory_is_block_sized():
@@ -673,7 +727,7 @@ def test_backward_peak_memory_is_block_sized():
     tape = nd.simulate_batch_with_tape(model, m, nd.NoiseSeed(4, 0))
     columns = tape.alive.copy()
     columns[::10] = False
-    adj = np.ones_like(tape.x)
+    adj = np.ones((grid.n_points, columns.sum()))
     matrix = grid.n_points * m * 8
     tracemalloc.start()
     try:

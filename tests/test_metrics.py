@@ -420,7 +420,7 @@ def test_r2_score_drops_every_prediction_read_off_a_diverged_memory(ell2):
         warnings.simplefilter("error")
         tape = nd.simulate_batch_with_tape(model, 16, NoiseSeed(1, 0), record=False)
         assert tape.alive.sum() == 0 and np.all(tape.death_step == 0)
-        _, _, dz, k_bad = integrator.na_noise(model, observed.grid, dw)
+        dz, k_bad = integrator.na_noise(model, observed.grid, dw)
         assert np.all(k_bad == 1) and np.array_equal(dz, dw)
         with pytest.raises(MetricError, match="^no usable one-step prediction at test index 160$"):
             nd.r2_score(observed, model, m_pred=16, seed=0)

@@ -132,6 +132,35 @@ def test_nll_is_invariant_to_path_order():
     assert nll_loss(obs, shuffled, floor=1e-12) == pytest.approx(loss, rel=1e-13)
 
 
+def test_ensemble_nll_hands_over_one_adjoint_column_per_usable_path():
+    # Paths 1 (non-positive) and 3 (diverged) are unusable and get no column;
+    # each usable state's adjoint is the central difference of the loss in
+    # that state, with the bandwidths pinned as the backward assumes.
+    observed = positive_observed_path(16, scale=0.2, seed=1)
+    obs = nd.log_returns(observed)
+    rng = np.random.default_rng(4)
+    x = observed.values[:, None] * np.exp(rng.normal(0.0, 0.05, size=(17, 6)))
+    x[7, 1] = -0.5
+    alive = np.array([True, True, True, False, True, True])
+    usable = np.array([True, False, True, False, True, True])
+    xs = x[:, usable]
+    h = nd.silverman_bandwidth(np.log(xs[1:] / xs[:-1]))
+    loss, valid, adj = _ensemble_nll(obs.r, x, alive, 1e-12, h)
+    assert np.array_equal(valid, usable)
+    assert adj.shape == (17, 4)
+    assert loss == _ensemble_nll(obs.r, xs, np.ones(4, dtype=bool), 1e-12, h)[0]
+    for k in range(17):
+        for i, j in enumerate(np.flatnonzero(usable)):
+            step = 1e-6 * x[k, j]
+            bumped = []
+            for sign in (1.0, -1.0):
+                xb = x.copy()
+                xb[k, j] += sign * step
+                bumped.append(_ensemble_nll(obs.r, xb, alive, 1e-12, h)[0])
+            fd = (bumped[0] - bumped[1]) / (2.0 * step)
+            assert adj[k, i] == pytest.approx(fd, rel=1e-5, abs=1e-7), (k, j)
+
+
 def test_nll_drops_non_positive_paths():
     observed = positive_observed_path(16, scale=0.2, seed=1)
     obs = nd.log_returns(observed)
@@ -192,6 +221,13 @@ def test_adam_mismatched_lists_are_rejected():
         nd.Adam([(2,)], lr=-0.1)
 
 
+@pytest.mark.parametrize("setting", [{"lr": math.nan}, {"lr": math.inf}, {"eps": math.nan},
+                                     {"eps": math.inf}, {"eps": 0.0}, {"eps": -1.0}])
+def test_adam_rejects_a_non_finite_or_non_positive_setting(setting):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        nd.Adam([(2,)], **{"lr": 0.1, **setting})
+
+
 # ---------------------------------------------------------------------------
 # Training loop
 # ---------------------------------------------------------------------------
@@ -209,6 +245,11 @@ def test_train_config_validation_and_iteration_seeds():
         nd.TrainConfig(seed=seed, max_iters=10, early_stop_patience=11)
     with pytest.raises(ValueError):
         nd.TrainConfig(seed=seed, kde_floor=0.0)
+    # NaN fails every comparison, so a `<= 0` check alone lets it through
+    for key in ("lr", "kde_floor", "adam_eps"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                nd.TrainConfig(seed=seed, **{key: value})
     cfg = nd.TrainConfig(seed=seed, m=16)
     # one disjoint stream block per iteration
     assert cfg.iteration_seed(0) == seed
