@@ -51,12 +51,13 @@ class Dataset:
 
     ``shift`` is the additive constant applied to enforce positivity (0 when
     the raw data was already positive), so ``path.values - shift`` restores
-    the raw values.
+    the raw values.  ``warnings`` says what ingestion changed without failing.
     """
 
     name: str
     shift: float
     path: Path
+    warnings: tuple[str, ...] = ()
 
 
 def _is_number(cell: str) -> bool:
@@ -73,6 +74,8 @@ def ingest_csv(file) -> Dataset:
     A first row none of whose cells parses as a number is a header.
     Values with min <= 0 are shifted by 1 - min so log-returns exist; times,
     which must increase, give way to a uniform [0, 1] grid with dt = 1/T.
+    Times whose steps differ from their mean step by more than 1e-6 of it
+    are uneven, and the dataset's warnings say so.
     """
     file = pathlib.Path(file)
     try:
@@ -105,8 +108,7 @@ def ingest_csv(file) -> Dataset:
         raise IngestError(f"{file} contains only a header")
 
     width = len(rows[start][1])
-    values = []
-    last_time = None
+    values, times = [], []
     for lineno, cells in rows[start:]:
         if len(cells) != width:
             raise IngestError(
@@ -114,12 +116,14 @@ def ingest_csv(file) -> Dataset:
                 line=lineno,
             )
         time, value = parse_row(lineno, cells)
-        if time is not None and not np.isfinite(time):
-            raise IngestError(f"{file}, line {lineno}: time {cells[0]} is not finite", line=lineno)
-        if last_time is not None and not time > last_time:
-            raise IngestError(f"{file}, line {lineno}: time {cells[0]} is not above the previous",
-                              line=lineno)
-        last_time = time
+        if time is not None:
+            if not np.isfinite(time):
+                raise IngestError(f"{file}, line {lineno}: time {cells[0]} is not finite",
+                                  line=lineno)
+            if times and not time > times[-1]:
+                raise IngestError(f"{file}, line {lineno}: time {cells[0]} is not above the "
+                                  "previous", line=lineno)
+            times.append(time)
         values.append(value)
 
     if len(values) < MIN_POINTS:
@@ -133,7 +137,14 @@ def ingest_csv(file) -> Dataset:
     low = raw_values.min()
     shift = 1.0 - low if low <= 0.0 else 0.0
     grid = unit_grid(len(values) - 1)
-    return Dataset(file.stem, float(shift), Path(grid, raw_values + shift))
+    warnings = ()
+    if times:
+        steps = np.diff(times)
+        gap = float(np.abs(steps - steps.mean()).max() / steps.mean())
+        if gap > 1e-6:
+            warnings = (f"{file}: time steps differ from their mean by up to {gap:.3g} of it "
+                        "(tolerance 1e-06); the series is placed on a uniform grid",)
+    return Dataset(file.stem, float(shift), Path(grid, raw_values + shift), warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +315,11 @@ def _write_manifest(path, command: str, settings: dict, **sections):
     )
 
 
+def _warn(lines):
+    for line in lines:
+        print(f"warning: {line}", file=sys.stderr)
+
+
 def _flag_settings(args) -> dict:
     """A command's parsed flags: every one as it took effect, defaults included."""
     return {key: value for key, value in vars(args).items() if key not in ("command", "func")}
@@ -312,7 +328,8 @@ def _flag_settings(args) -> dict:
 def write_run_artifacts(
     out_dir, cfg: ExperimentConfig, dataset: Dataset, model: NansdeModel, state: TrainState
 ):
-    """Checkpoint files (one per network), ``loss.csv`` from the records, and the manifest."""
+    """Checkpoint files (one per network), ``loss.csv`` from the records, and the
+    manifest, whose warnings are the dataset's and then the training's."""
     out_dir = pathlib.Path(out_dir)
     for name in NET_NAMES:
         ioutil.atomic_write_text(out_dir / f"{name}.txt", params_to_text(model.net(name)))
@@ -326,7 +343,7 @@ def write_run_artifacts(
             "best_loss": ioutil.fmt(state.best_loss),
             "best_iteration": state.best_iteration,
             "iterations": len(state.records),
-            "warnings": state.warnings,
+            "warnings": [*dataset.warnings, *state.warnings],
         },
         model={"widths": list(model.drift_net.widths), "clamp_ell2": model.clamp_ell2},
     )
@@ -336,8 +353,8 @@ def load_checkpoint(checkpoint_dir, dataset: Dataset) -> NansdeModel:
     """Rebuild a model from checkpoint files, re-anchored to a dataset.
 
     The grid and start value come from the dataset being evaluated (model
-    time is always [0, 1]); widths and the ell2 clamp come from the
-    checkpoint manifest.
+    time is always [0, 1]); the ell2 clamp comes from the checkpoint
+    manifest, and each network's widths must be the manifest's.
     """
     checkpoint_dir = pathlib.Path(checkpoint_dir)
     manifest_path = checkpoint_dir / "manifest.json"
@@ -363,7 +380,7 @@ def load_checkpoint(checkpoint_dir, dataset: Dataset) -> NansdeModel:
         except ValueError as exc:
             raise DataError(f"{net_path}: {exc}") from exc
     try:
-        return NansdeModel(
+        built = NansdeModel(
             nets["drift"],
             nets["diffusion"],
             nets["ell1"],
@@ -374,6 +391,12 @@ def load_checkpoint(checkpoint_dir, dataset: Dataset) -> NansdeModel:
         )
     except ValueError as exc:
         raise DataError(f"{checkpoint_dir}: {exc}") from exc
+    widths = model.get("widths")
+    for name in NET_NAMES:
+        if list(nets[name].widths) != widths:
+            raise DataError(f"{checkpoint_dir / f'{name}.txt'}: widths {list(nets[name].widths)} "
+                            f"differ from the manifest's model.widths {widths}")
+    return built
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +422,7 @@ def cmd_generate_fbm(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_experiment_config(args.config)
     dataset = ingest_csv(cfg.data)
+    _warn(dataset.warnings)
     model, state = fit(
         dataset.path, cfg.train, cfg.init_seed, widths=cfg.widths, clamp_ell2=cfg.clamp_ell2
     )
@@ -416,9 +440,8 @@ def cmd_evaluate(args) -> int:
     _check_lags(args.lags, dataset, "--lags")
     model = load_checkpoint(args.checkpoint, dataset)
     evaluated = dataset_block(dataset)
-    warnings = reanchor_warnings(args.checkpoint, evaluated)
-    for line in warnings:
-        print(f"warning: {line}", file=sys.stderr)
+    warnings = [*dataset.warnings, *reanchor_warnings(args.checkpoint, evaluated)]
+    _warn(warnings)
     report, details = compute_report(
         dataset.path, model, args.eval_m, args.seed, args.bins,
         n_lags=args.lags, m_pred=args.r2_pred,
@@ -444,6 +467,7 @@ def cmd_compare(args) -> int:
     cfg = load_experiment_config(args.config)
     dataset = ingest_csv(cfg.data)
     _check_lags(cfg.eval_lags, dataset, f"config {args.config}: eval_lags")
+    _warn(dataset.warnings)
     out_dir = pathlib.Path(cfg.out_dir)
     rows = []
     all_details = {}

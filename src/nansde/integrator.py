@@ -21,15 +21,16 @@ networks through the package's one network forward
 and writes the new states in place with the one X update,
 :func:`euler_x_step`.  The R^2 predictor in ``metrics`` runs on the same
 functions.  The sweep records a tape: the states, the noise, and the
-diffusion network's raw head and sigma at every (step, path) pair.  Its
-hidden-layer activations go to one reused (2, m, width) buffer per layer and
-are not kept.  :func:`backpropagate` then differentiates any scalar
-functional of the paths with respect to every network parameter while
-holding the Brownian increments fixed (reparameterized gradients): one
-reverse sweep over cache-sized blocks of steps rebuilds each block's hidden
-activations from its recorded states, bit for bit the sweep's, and reads
-b', sigma' and the parameter gradients off them; the ell networks, n rows
-each, are run again.
+diffusion network's raw head at every (step, path) pair.  Its hidden-layer
+activations go to one reused (2, m, width) buffer per layer, and sigma to
+one reused row; neither is kept.  :func:`backpropagate` then differentiates
+any scalar functional of the paths with respect to every network parameter
+while holding the Brownian increments fixed (reparameterized gradients):
+one reverse sweep over cache-sized blocks of steps rebuilds each block's
+hidden activations and sigma from its recorded states and heads, bit for
+bit the sweep's, and reads b', sigma' and the parameter gradients off them;
+the ell networks, n rows each, are run again.  Besides the tape and the
+adjoints it holds one whole-grid matrix, K, and block-sized buffers.
 """
 
 from __future__ import annotations
@@ -182,13 +183,13 @@ class Ensemble:
 @dataclass
 class SimTape:
     """Everything a backward pass needs: states, Brownian and NA-noise
-    increments, and the diffusion head and sigma the sweep stepped with.
+    increments, and the diffusion head the sweep stepped with.
 
-    The tape keeps no hidden-layer activations or ell values: the backward
-    rebuilds them from ``x`` and the step times.  ``diffusion_head`` and
-    ``sigma`` record the diffusion network's raw output and coefficient at
-    every (step, path) pair.  Both are None on a tape simulated without
-    recording; a backward pass takes them off the tape and frees them.
+    The tape keeps no hidden-layer activations, sigma or ell values: the
+    backward rebuilds them from ``x``, the head and the step times.
+    ``diffusion_head`` records the diffusion network's raw output at every
+    (step, path) pair.  It is None on a tape simulated without recording; a
+    backward pass takes it off the tape and frees it.
 
     ``dz`` holds the NA-noise increments the sweep stepped with; ``dw`` is
     kept for the ell2 gradient.  A path whose K crossed the divergence guard
@@ -204,7 +205,6 @@ class SimTape:
     dz: np.ndarray  # (n_steps, m)
     dw: np.ndarray  # (n_steps, m)
     diffusion_head: np.ndarray | None  # (n_steps, m)
-    sigma: np.ndarray | None  # (n_steps, m)
     death_step: np.ndarray  # (m,) int, first step X or K tripped the guard; -1 if none
 
     @property
@@ -248,8 +248,9 @@ def simulate_batch_with_tape(
     path whose X or K turned non-finite or exceeded the divergence guard is
     marked dead at that step, its X pinned to 1 and its later records
     unspecified.  Each step's hidden activations overwrite one reused
-    (2, m, width) buffer per layer; with ``record`` the diffusion head and
-    sigma of every step are kept on the tape for :func:`backpropagate`.
+    (2, m, width) buffer per layer, and its sigma one reused row; with
+    ``record`` the diffusion head of every step is kept on the tape for
+    :func:`backpropagate`.
     """
     if m < 1:
         raise ValueError(f"ensemble size must be >= 1, got {m}")
@@ -274,14 +275,13 @@ def simulate_batch_with_tape(
     # Z never reads X, so dZ is filled in whole, over K's first n rows.
     dz, k_bad = na_noise(model, grid, dw)
 
-    sigmas = np.empty((n if record else 1, m))
-    scratch = np.empty(m)
+    sigma, scratch = np.empty(m), np.empty(m)
 
     for step in range(n):
         h = stacked_forward(layers, x_rows[step])
         if record:
             heads[step] = h[1, :, 0]
-        sigma = _sigma(h[1, :, 0], out=sigmas[step if record else 0])
+        _sigma(h[1, :, 0], out=sigma)
         euler_x_step(x[step], h[0, :, 0], sigma, dz[step], dt, x[step + 1], scratch)
 
     # x[s + 1] and K_{s+1} are step s's update: a K first bad at row r dies at
@@ -293,7 +293,7 @@ def simulate_batch_with_tape(
     for j in np.flatnonzero(death_step >= 0):
         x[death_step[j] + 1 :, j] = 1.0
 
-    return SimTape(model, x, dz, dw, heads, sigmas if record else None, death_step)
+    return SimTape(model, x, dz, dw, heads, death_step)
 
 
 def simulate_ensemble(model: NansdeModel, m: int, base_seed: NoiseSeed) -> Ensemble:
@@ -340,25 +340,28 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
         kbar_k = kbar_{k+1} - xbar_{k+1} ell1 sigma dt,   kbar_n = 0,
 
     and each network's parameter gradient is a batched backward pass with
-    per-(step, path) adjoint weights.  The drift and diffusion networks are
-    done in one reverse sweep over blocks of about ``BACKWARD_BLOCK_ROWS``
-    (step, path) rows: steps [0, s), [s, 2s), ... (the last block ragged),
-    visited last block first.  A block gathers the participating columns of
-    X and of the diffusion head record and rebuilds both networks' hidden
-    activations from its states with the sweep's stacked forward: each
-    element takes the same operations in the same order at any row count,
-    so it has the sweep's bits.  It forms each hidden layer's tanh slope
-    1 - a^2 once, takes b' and sigma' from them, runs the xbar recursion
-    over its steps and both parameter passes on the same rows.  Each
+    per-(step, path) adjoint weights.  ell1, ell2 and K, which only the
+    ell1 gradient reads, come first: from a forward of the ell networks on
+    the step times and from dW.  None reads X, so all have the sweep's bits
+    on the live paths.  Then one reverse sweep over blocks of about
+    ``BACKWARD_BLOCK_ROWS`` (step, path) rows does the rest: steps [0, s),
+    [s, 2s), ... (the last block ragged), visited last block first.  A
+    block gathers the participating columns of X, of the diffusion head
+    record, of dZ, dW and K.  It rebuilds both networks' hidden activations
+    and sigma from its states and heads with the sweep's own operations:
+    each element takes the same operations in the same order at any row
+    count, so it has the sweep's bits.  It forms each hidden layer's tanh
+    slope 1 - a^2 once and takes b' and sigma' from them.  It runs the xbar
+    recursion over its steps, from the one carried row xbar_{s1}, and both
+    parameter passes on the same rows.  It adds its direct K contributions
+    to the kbar suffix sum carried from the later blocks, and writes its
+    steps' ell1 and ell2 adjoints, each a sum over the paths.  Each
     network's gradient is the sum of its per-block bundles, added in the
-    order the sweep visits the blocks.  The head record is then released,
-    and the kbar recursion and ell1/ell2 passes run over the whole grid with
-    the recorded sigma.  ell1, ell2 and K, which only the ell1 gradient
-    reads, are taken from a forward of the ell networks on the step times
-    and from dW: none reads X, so all have the sweep's bits.
+    order the sweep visits the blocks; the ell networks' passes run last,
+    on n rows.
     """
-    if tape.diffusion_head is None or tape.sigma is None:
-        raise ValueError("tape holds no head and sigma records: it was simulated "
+    if tape.diffusion_head is None:
+        raise ValueError("tape holds no head record: it was simulated "
                          "without recording, or it was backpropagated already")
     model = tape.model
     alive = tape.alive
@@ -379,24 +382,35 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
         """arr at steps s0..s1-1 and the participating columns."""
         return arr[s0:s1] if mv == m else np.take(arr[s0:s1], cols, axis=1)
 
-    dzs, dws, sigma = take(tape.dz, 0, n), take(tape.dw, 0, n), take(tape.sigma, 0, n)
+    # The ell networks on the step times, as the sweep ran them, and K: a
+    # dead path's K may overflow, but no block reads it.
+    t_rows = model.grid.step_times()[:, None]
+    ell1_acts = mlp_forward_batch_cached(model.ell1_net, t_rows)
+    ell1 = ell1_acts[-1]  # (n, 1), broadcasts over columns
+    ell2_acts = None if model.clamp_ell2 else mlp_forward_batch_cached(model.ell2_net, t_rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = memory_integral(np.zeros(n) if ell2_acts is None else ell2_acts[-1][:, 0], tape.dw)
+    ell1_adj, ell2_adj = np.empty((n, 1)), np.empty((n, 1))
 
-    # The tape lets go of its records; the head is freed after the sweep,
-    # sigma on return.
+    # The tape lets go of its head record, which is freed after the sweep.
     nets = (model.drift_net, model.diffusion_net)
     head = tape.diffusion_head
-    tape.diffusion_head = tape.sigma = None
+    tape.diffusion_head = None
     steps = max(1, BACKWARD_BLOCK_ROWS // mv)
     hidden, built = [], 0  # the stacked hidden layers, built for `built` rows
-    xbar = np.empty((n + 1, mv))
-    xbar[n] = a[n]
+    # A block's xbar_{s0..s1} are the last rows of xbar; its last, xbar_{s1},
+    # is carried over from the block after it.
+    xbar = np.empty((steps + 1, mv))
+    xbar[steps] = a[n]
+    kbar = None  # kbar_{s1}, the suffix sum of the later blocks' direct K contributions
     bundles = [None, None]
     for s0 in range(steps * ((n - 1) // steps), -1, -steps):
         s1 = min(s0 + steps, n)
-        rows = (s1 - s0) * mv
+        size = s1 - s0
+        rows = size * mv
         if rows != built:  # only the first block visited can be ragged
             hidden = None  # freed before the full blocks' layers are built
-            hidden, built = stacked_layers(nets, rows)[:-1], rows
+            hidden, built = stacked_layers(nets, mv, size)[:-1], rows
         # Both networks' activations as (rows, width) matrices; a_0 is the states.
         x_rows = take(tape.x, s0, s1).reshape(rows, 1)
         stacked_forward(hidden, x_rows)
@@ -408,43 +422,43 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
         b_prime = mlp_input_derivative(nets[0], acts[0], slopes[0]).reshape(-1, mv)
         raw_prime = mlp_input_derivative(nets[1], acts[1], slopes[1])
         sigma_prime = (gate * raw_prime[:, 0]).reshape(-1, mv)
+        sigma = _sigma(head_rows).reshape(-1, mv)
 
         # State adjoint, swept backward through the block's steps.
-        dz_blk = dzs[s0:s1]
-        gain = 1.0 + b_prime * dt + sigma_prime * dz_blk
-        for i in range(s1 - s0 - 1, -1, -1):
-            xbar[s0 + i] = a[s0 + i] + xbar[s0 + i + 1] * gain[i]
-        xbar_next = xbar[s0 + 1 : s1 + 1]
+        dz, dw = take(tape.dz, s0, s1), take(tape.dw, s0, s1)
+        gain = 1.0 + b_prime * dt + sigma_prime * dz
+        xb = xbar[steps - size :]  # xb[i] is xbar_{s0 + i}
+        for i in range(size - 1, -1, -1):
+            xb[i] = a[s0 + i] + xb[i + 1] * gain[i]
+        xbar_next = xb[1:]
 
         drift_adj = (xbar_next * dt).reshape(-1, 1)
-        sigma_adj = (xbar_next * dz_blk).reshape(-1) * gate
+        sigma_adj = (xbar_next * dz).reshape(-1) * gate
         for i, adj in enumerate((drift_adj, sigma_adj.reshape(-1, 1))):
             part = mlp_batch_backward(nets[i], acts[i], adj, slopes[i])
             bundles[i] = _add_into(bundles[i], part)
-    del head, hidden, acts, slopes
 
-    # The ell networks on the step times, as the sweep ran them.
-    t_rows = model.grid.step_times()[:, None]
-    ell1_acts = mlp_forward_batch_cached(model.ell1_net, t_rows)
-    ell1 = ell1_acts[-1]  # (n, 1), broadcasts over columns
-    ell2_acts = None if model.clamp_ell2 else mlp_forward_batch_cached(model.ell2_net, t_rows)
-    ell2 = np.zeros(n) if ell2_acts is None else ell2_acts[-1][:, 0]
+        # K_k feeds X_{k+1} and K_{k+1}: on paths that never diverged, K is the sweep's.
+        ell1_adj[s0:s1, 0] = (xbar_next * (-sigma * take(k, s0, s1) * dt)).sum(axis=1)
+        if ell2_acts is not None:
+            # Suffix-sum the direct contributions into kbar_{k+1} for the
+            # ell2 gradient.  The last block starts from no sum, not from a
+            # +0.0 that would flip a -0.0.
+            k_direct = xbar_next * (-ell1[s0:s1] * sigma * dt)
+            if kbar is not None:
+                k_direct[-1] += kbar[0]
+            suffix = np.cumsum(k_direct[::-1], axis=0)[::-1]
+            kbar_next = np.vstack((suffix[1:], np.zeros((1, mv)) if kbar is None else kbar))
+            ell2_adj[s0:s1, 0] = (kbar_next * dw).sum(axis=1)
+            kbar = suffix[:1]
+        xbar[steps] = xb[0]
+        del acts, slopes  # before the next block makes its own
+    del head, hidden, k
 
-    # Memory adjoint: K_k feeds X_{k+1} and K_{k+1}; suffix-sum the direct
-    # contributions to get kbar_{k+1} for the ell2 gradient.
-    k_direct = xbar[1:] * (-ell1 * sigma * dt)
-    suffix = np.cumsum(k_direct[::-1], axis=0)[::-1]
-    kbar_next = np.vstack((suffix[1:], np.zeros((1, mv))))
-
-    # K never reads X, so on paths that never diverged this is the sweep's K.
-    ks = memory_integral(ell2, dws)
-    ell1_adj = (xbar[1:] * (-sigma * ks[:-1] * dt)).sum(axis=1).reshape(-1, 1)
     ell1_bundle = mlp_batch_backward(model.ell1_net, ell1_acts, ell1_adj)
-
     if ell2_acts is None:
         ell2_bundle = zero_gradients(model.ell2_net)
     else:
-        ell2_adj = (kbar_next * dws).sum(axis=1).reshape(-1, 1)
         ell2_bundle = mlp_batch_backward(model.ell2_net, ell2_acts, ell2_adj)
 
     return ModelGradients(*bundles, ell1_bundle, ell2_bundle)

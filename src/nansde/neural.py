@@ -115,50 +115,55 @@ def zero_gradients(params: MlpParams) -> GradientBundle:
     )
 
 
-def stacked_layers(nets, m: int) -> list[tuple]:
-    """A tuple of k networks of equal widths, stacked to run on m rows at once.
+def stacked_layers(nets, m: int, steps: int = 1) -> list[tuple]:
+    """A tuple of k networks of equal widths, stacked to run on steps x m rows at once.
 
     Each layer's weights and biases are stacked along a leading axis of k.  A
     layer with a 1-wide input is a broadcast multiply; the first such layer
-    has its weights and biases repeated over the m rows, which keeps the
-    multiply-add on whole contiguous arrays.  A wider input goes through one
-    un-optimized einsum contraction (the first layer's (m, n_in) input is
-    shared by all k).  A layer holds a reused (k, m, width) buffer, which a
-    hidden layer's tanh overwrites, and whether it is hidden.
+    has its weights and biases repeated over the m rows and multiply-adds on
+    a (k, steps, m, width) view of its buffer, broadcast over the steps, so
+    its inner loops run over whole contiguous m-row arrays.  A wider input
+    goes through one un-optimized einsum contraction (the first layer's
+    (rows, n_in) input is shared by all k).  A layer holds a reused
+    (k, steps m, width) buffer, which a hidden layer's tanh overwrites,
+    whether it is hidden, and the view of the buffer its multiply-add runs on.
     """
     widths = nets[0].widths
     layers = []
     for j in range(len(widths) - 1):
         w = np.stack([net.weights[j] for net in nets])  # (k, n_out, n_in)
         bias = np.stack([net.biases[j] for net in nets])[:, None, :]
+        z = np.empty((len(nets), steps * m, widths[j + 1]))
+        view = z
         if w.shape[2] > 1:
             subscripts = "ri,koi->kro" if j == 0 else "kri,koi->kro"
         else:
             subscripts = None
             w = w.transpose(0, 2, 1)
             if j == 0:
-                w = np.repeat(w, m, axis=1)
-                bias = np.repeat(bias, m, axis=1)
-        z = np.empty((len(nets), m, widths[j + 1]))
-        layers.append((subscripts, w, bias, z, j < len(widths) - 2))
+                w = np.repeat(w, m, axis=1)[:, None]
+                bias = np.repeat(bias, m, axis=1)[:, None]
+                view = z.reshape(len(nets), steps, m, -1)
+        layers.append((subscripts, w, bias, z, j < len(widths) - 2, view))
     return layers
 
 
 def stacked_forward(layers: list[tuple], h: np.ndarray) -> np.ndarray:
-    """The (k, m, n_out) outputs of :func:`stacked_layers` on (m, n_in) rows, in
-    the last layer's buffer; each hidden layer's activations stay in its own.
+    """The (k, rows, n_out) outputs of :func:`stacked_layers` on (rows, n_in)
+    inputs, in the last layer's buffer; each hidden layer's activations stay
+    in its own.
 
     A 1-wide input is copied across the layer's width and multiplied in
     place, two passes that numpy runs over whole contiguous arrays; each
     element is still the one IEEE product of input and weight.
     """
-    for subscripts, w, bias, z, hidden in layers:
+    for subscripts, w, bias, z, hidden, view in layers:
         if subscripts is None:
             np.copyto(z, h)
-            z *= w
+            view *= w
         else:
             np.einsum(subscripts, h, w, optimize=False, out=z)
-        z += bias
+        view += bias
         h = np.tanh(z, out=z) if hidden else z
     return h
 

@@ -122,7 +122,8 @@ def _nll(
 
     ``samples`` has shape (T, M): row t holds the generated returns at step
     t.  Returns the loss and its gradient with respect to every sample
-    (bandwidths held constant).
+    (bandwidths held constant).  Two (T, M) buffers are made, z and phi, in
+    the layout of ``samples``; the gradient is written over z.
     """
     t_len, m = samples.shape
     if r_obs.shape != (t_len,):
@@ -130,17 +131,19 @@ def _nll(
     h = silverman_bandwidth(samples) if bandwidths is None else np.asarray(bandwidths, dtype=float)
     if h.shape != (t_len,):
         raise ValueError(f"need one bandwidth per step, got shape {h.shape}")
-    z = (r_obs[:, None] - samples) / h[:, None]
-    phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    z = np.subtract(r_obs[:, None], samples)
+    z /= h[:, None]
+    phi = np.multiply(z, -0.5)
+    phi *= z
+    np.exp(phi, out=phi)
+    phi /= math.sqrt(2.0 * math.pi)
     density = phi.mean(axis=1) / h
     floored = np.maximum(floor, density)
     loss = float(np.mean(-np.log(floored)))
-    active = density > floor
-    grad = np.where(
-        active[:, None],
-        -z * phi / (floored[:, None] * (t_len * m) * h[:, None] ** 2),
-        0.0,
-    )
+    grad = np.negative(z, out=z)
+    grad *= phi
+    grad /= floored[:, None] * (t_len * m) * h[:, None] ** 2
+    grad[~(density > floor)] = 0.0
     return loss, grad
 
 
@@ -166,14 +169,20 @@ def _ensemble_nll(
         raise TrainingError(
             f"only {n_valid} of {x.shape[1]} generated paths usable (need at least 2)"
         )
+    # Boolean column indexing copies in Fortran order, also when every path
+    # is usable, and the returns and the likelihood's buffers follow it: the
+    # bandwidths' std and the density's mean then sum each step's samples in
+    # sequence, not pairwise.  Passing x itself would change their bits.
     xs = x[:, valid]
-    returns = np.log(xs[1:] / xs[:-1])
+    returns = np.divide(xs[1:], xs[:-1])
+    np.log(returns, out=returns)
     loss, return_grad = _nll(r_obs, returns, floor, bandwidths)
 
-    # Chain through r_t = log X_{t+1} - log X_t into per-state adjoints.
+    # Chain through r_t = log X_{t+1} - log X_t into per-state adjoints; the
+    # returns' buffer takes each quotient.
     adj = np.zeros_like(xs)
-    adj[1:] += return_grad / xs[1:]
-    adj[:-1] -= return_grad / xs[:-1]
+    adj[1:] += np.divide(return_grad, xs[1:], out=returns)
+    adj[:-1] -= np.divide(return_grad, xs[:-1], out=returns)
     return loss, valid, adj
 
 

@@ -113,6 +113,36 @@ def test_ingest_rejects_a_non_finite_time_on_its_own_line(tmp_path, row, time):
     assert exc.value.line == row + 2
 
 
+def test_ingest_warns_on_an_uneven_time_column(tmp_path):
+    # Increasing but unevenly spaced times still give way to the uniform
+    # grid, and the dataset says so; an even column, generate-fbm's k dt
+    # column and a column with no times say nothing.
+    values = 2.0 + np.sin(np.linspace(0.0, 3.0, 70))
+    csv = tmp_path / "prices.csv"
+    times = np.arange(70.0)
+    times[40:] += 0.5
+    write_series_csv(csv, values, times=times, header="t,value")
+    ds = ingest_csv(csv)
+    assert ds.path.grid == nd.unit_grid(69)
+    # One step of 1.5 against a mean of 69.5 / 69: 0.489 of the mean off it.
+    assert ds.warnings == (f"{csv}: time steps differ from their mean by up to 0.489 of it "
+                           "(tolerance 1e-06); the series is placed on a uniform grid",)
+
+    times[40:] -= 0.5 - 1e-5  # a relative gap of 1e-5 / 1 is still above 1e-6
+    write_series_csv(csv, values, times=times)
+    assert len(ingest_csv(csv).warnings) == 1
+    times[40:] -= 1e-5 - 1e-7
+    write_series_csv(csv, values, times=times)
+    assert ingest_csv(csv).warnings == ()
+    write_series_csv(csv, values)
+    assert ingest_csv(csv).warnings == ()
+
+    fbm = tmp_path / "fbm.csv"
+    assert main(["generate-fbm", "--hurst", "0.3", "--n-steps", "3000", "--seed", "5",
+                 "--out", str(fbm)]) == 0
+    assert ingest_csv(fbm).warnings == ()
+
+
 def test_ingest_single_column_and_shift(tmp_path):
     values = np.sin(np.linspace(0.0, 3.0, 70)) - 0.5  # dips below zero
     csv = tmp_path / "raw.csv"
@@ -491,6 +521,11 @@ def _replace_line(path, index, text):
      None, "ell2 network must be scalar-in/scalar-out"),
     (lambda d: (d / "diffusion.txt").write_text(nd.params_to_text(nd.init_params((1, 5, 1), 1))),
      None, "drift and diffusion networks must have equal widths"),
+    (lambda d: (d / "ell1.txt").write_text(nd.params_to_text(nd.init_params((1, 5, 1), 1))),
+     "ell1.txt", "widths [1, 5, 1] differ from the manifest's model.widths [1, 3, 1]"),
+    (lambda d: [(d / f"{name}.txt").write_text(nd.params_to_text(nd.init_params((1, 5, 1), 1)))
+                for name in ("drift", "diffusion", "ell1", "ell2")],
+     "drift.txt", "widths [1, 5, 1] differ from the manifest's model.widths [1, 3, 1]"),
 ])
 def test_evaluate_reports_a_malformed_checkpoint_without_a_traceback(
         tmp_path, series_csv, capsys, damage, culprit, message):
@@ -700,6 +735,32 @@ def test_compare_trains_both_variants(tmp_path, series_csv, capsys):
     assert sde_model.clamp_ell2 is True
     _, ell2 = nd.kernel_values(sde_model, ds.path.grid.step_times())
     assert np.array_equal(ell2, np.zeros(69))
+
+
+def test_an_uneven_time_column_is_a_warning_in_every_manifest(tmp_path, series_csv, capsys):
+    # train, each compare leg and evaluate print the ingestion warning and
+    # put it first in their manifest's warnings; the even series of the
+    # other tests leaves their manifests as they were.
+    _, observed = series_csv
+    csv = tmp_path / "uneven.csv"
+    times = np.arange(70.0)
+    times[40:] += 0.5
+    write_series_csv(csv, observed.values, times=times)
+    (warning,) = ingest_csv(csv).warnings
+    run_dir, cmp_dir = tmp_path / "run", tmp_path / "cmp"
+    for out_dir, command in ((run_dir, "train"), (cmp_dir, "compare")):
+        cfg_path = tmp_path / f"{command}.json"
+        cfg_path.write_text(json.dumps(fast_config(csv, out_dir, max_iters=1,
+                                                   early_stop_patience=1)))
+        assert main([command, "--config", str(cfg_path)]) == 0
+        assert capsys.readouterr().err.startswith(f"warning: {warning}\n")
+    for leg in (run_dir, cmp_dir / "nansde", cmp_dir / "sde"):
+        assert json.loads((leg / "manifest.json").read_text())["results"]["warnings"][0] == warning
+
+    assert main(["evaluate", "--checkpoint", str(run_dir), "--data", str(csv), "--seed", "7",
+                 "--eval-m", "4", "--r2-pred", "4", "--out", str(tmp_path / "ev")]) == 0
+    assert capsys.readouterr().err == f"warning: {warning}\n"
+    assert json.loads((tmp_path / "ev" / "manifest.json").read_text())["warnings"] == [warning]
 
 
 def test_compare_checks_eval_lags_against_the_series_before_training(

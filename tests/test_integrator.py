@@ -235,11 +235,11 @@ def _oracle_sweep(model, m, seed):
 
 def _assert_sweep_matches_oracle(model, m, seed):
     """The tape's states, increments and deaths equal the oracle's whole; its
-    diffusion head and sigma records on the live (step, path) pairs: a live
-    column's every step, a dead column's steps through its death step.  What
-    a dead column records after that is unspecified.  The hidden layers are
-    not recorded: the gradient oracles below check the bits the backward
-    rebuilds them with."""
+    diffusion head record, and the sigma the backward recomputes from it, on
+    the live (step, path) pairs: a live column's every step, a dead column's
+    steps through its death step.  What a dead column records after that is
+    unspecified.  The hidden layers and sigma are not recorded: the gradient
+    oracles below check the bits the backward rebuilds them with."""
     x, dz, alive, death_step, head, sigma = _oracle_sweep(model, m, seed)
     tape = nd.simulate_batch_with_tape(model, m, seed)
     plain = nd.simulate_batch_with_tape(model, m, seed, record=False)
@@ -248,14 +248,13 @@ def _assert_sweep_matches_oracle(model, m, seed):
         assert np.array_equal(got.dz, dz)
         assert np.array_equal(got.alive, alive)
         assert np.array_equal(got.death_step, death_step)
-    assert plain.sigma is None and plain.diffusion_head is None
+    assert plain.diffusion_head is None
     n = model.grid.n_steps
     live = np.arange(n)[:, None] <= np.where(alive, n, death_step)
-    for got, want in ((tape.sigma, sigma), (tape.diffusion_head, head)):
-        # Contiguous (n, m) records are what the backward reads as rows
-        # without copying.
-        assert got.flags.c_contiguous
-        assert np.array_equal(got[live], want[live])
+    # A contiguous (n, m) record is what the backward reads as rows without copying.
+    assert tape.diffusion_head.flags.c_contiguous
+    assert np.array_equal(tape.diffusion_head[live], head[live])
+    assert np.array_equal(integrator._sigma(tape.diffusion_head[live]), sigma[live])
     return tape
 
 
@@ -706,7 +705,7 @@ def test_backward_refuses_bad_columns_and_leaves_the_tape_usable(monkeypatch, ca
     }[case]
     with pytest.raises(ValueError, match=_BAD_COLUMNS[case]):
         nd.backpropagate(tape, x_adjoints, columns=columns)
-    assert tape.diffusion_head is not None and tape.sigma is not None
+    assert tape.diffusion_head is not None
     grads = nd.backpropagate(tape, adj[:, :2], columns=mask)
     fresh = nd.backpropagate(nd.simulate_batch_with_tape(model, 16, seed), adj[:, :2], columns=mask)
     for name in integrator.NET_NAMES:
@@ -736,14 +735,44 @@ def test_backward_peak_memory_is_block_sized():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 16 * matrix
+    # Its whole-grid arrays are K and (n, 1) ell adjoints; x, the head, dZ
+    # and dW are read a block at a time, sigma is rebuilt per block, and
+    # xbar and kbar carry one row from block to block.  The first layer's
+    # weights are repeated over the mv paths only, not over a block's rows.
+    assert peak < 6 * matrix
+
+
+def test_backward_recomputes_the_sweeps_sigma_at_a_ragged_simd_tail(monkeypatch):
+    # The tape records the diffusion head, not sigma.  The sweep takes
+    # sigma of 13 heads a step; the backward of blocks of 3 steps, a ragged
+    # 13 rows and then 39, none a multiple of the 8 float64 lanes of an
+    # AVX-512 register.  Each element must be the sweep's, bit for bit.
+    monkeypatch.setattr(integrator, "BACKWARD_BLOCK_ROWS", 3 * 13)
+    sigma, calls = integrator._sigma, []
+
+    def spy(raw, out=None):
+        calls.append(sigma(raw, out).copy())
+        return calls[-1]
+
+    monkeypatch.setattr(integrator, "_sigma", spy)
+    grid = nd.unit_grid(40)
+    model = nd.NansdeModel(
+        *(nd.init_params((1, 20, 1), seed=30, tag=tag) for tag in range(4)), grid=grid, x0=0.8,
+    )
+    tape = nd.simulate_batch_with_tape(model, 13, nd.NoiseSeed(31, 0))
+    assert tape.alive.all()
+    swept = np.stack(calls)
+    calls.clear()
+    nd.backpropagate(tape, np.ones_like(tape.x))
+    assert [c.size for c in calls] == [13] + [39] * 13
+    assert np.array_equal(np.concatenate([c.reshape(-1, 13) for c in calls[::-1]]), swept)
 
 
 def test_evaluation_records_nothing_and_backward_frees_the_records():
     # tracemalloc sees numpy's buffers.  A width-20 model's tape records the
-    # diffusion head and sigma: two (n, m) matrices that only a backward
-    # pass may hold.  Its hidden layers are rebuilt, never recorded: one
-    # (n, m, width) record of them would be 20 more matrices.
+    # diffusion head: one (n, m) matrix that only a backward pass may hold.
+    # Sigma is recomputed from it, and the hidden layers are rebuilt, never
+    # recorded: one (n, m, width) record of them would be 20 more matrices.
     grid = nd.unit_grid(500)
     m = 64
     model = nd.NansdeModel(
@@ -751,7 +780,7 @@ def test_evaluation_records_nothing_and_backward_frees_the_records():
         grid=grid, x0=1.0,
     )
     matrix = grid.n_points * m * 8
-    records = 2 * grid.n_steps * m * 8
+    records = grid.n_steps * m * 8
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -762,14 +791,14 @@ def test_evaluation_records_nothing_and_backward_frees_the_records():
         tracemalloc.reset_peak()
         tape = nd.simulate_batch_with_tape(model, m, nd.NoiseSeed(4, 0))
         held = tracemalloc.get_traced_memory()[0]
-        # The evaluation's arrays and the two records, and no more.
-        assert held - base > records
-        assert tracemalloc.get_traced_memory()[1] - base < 6.75 * matrix
+        # x, dZ over K's rows, dW and the head record, and no more.
+        assert 4.25 * matrix > held - base > records
+        assert tracemalloc.get_traced_memory()[1] - base < 5 * matrix
         nd.backpropagate(tape, np.ones_like(tape.x))
         assert held - tracemalloc.get_traced_memory()[0] > 0.99 * records
     finally:
         tracemalloc.stop()
-    assert tape.diffusion_head is None and tape.sigma is None
+    assert tape.diffusion_head is None
     with pytest.raises(ValueError):
         nd.backpropagate(nd.simulate_batch_with_tape(model, 2, nd.NoiseSeed(4, 0), record=False),
                          np.ones((grid.n_points, 2)))

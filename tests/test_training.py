@@ -5,6 +5,7 @@ path capping and full-run determinism."""
 import math
 import pathlib
 import runpy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +160,49 @@ def test_ensemble_nll_hands_over_one_adjoint_column_per_usable_path():
                 bumped.append(_ensemble_nll(obs.r, xb, alive, 1e-12, h)[0])
             fd = (bumped[0] - bumped[1]) / (2.0 * step)
             assert adj[k, i] == pytest.approx(fd, rel=1e-5, abs=1e-7), (k, j)
+
+
+def test_ensemble_nll_keeps_the_fortran_order_of_its_usable_paths():
+    # Boolean column indexing copies the usable paths in Fortran order, even
+    # when all are usable, and the returns follow it: the bandwidths' std
+    # and the density's mean then add each step's 64 samples in sequence.
+    # The likelihood must be that of those F-ordered returns, bit for bit;
+    # the C-ordered returns, summed pairwise, give other bits.
+    rng = np.random.default_rng(9)
+    x = np.exp(np.cumsum(rng.normal(0.0, 0.05, size=(101, 64)), axis=0))
+    r_obs = rng.normal(0.0, 0.05, size=100)
+    loss, valid, adj = _ensemble_nll(r_obs, x, np.ones(64, dtype=bool), 1e-12)
+    assert valid.all()
+    returns = np.log(x[1:] / x[:-1])
+    results = {}
+    for order, samples in (("F", np.asfortranarray(returns)), ("C", returns)):
+        want_loss, grad = _nll(r_obs, samples, 1e-12)
+        want = np.zeros_like(x)
+        want[1:] += grad / x[1:]
+        want[:-1] -= grad / x[:-1]
+        results[order] = (want_loss, want)
+    assert loss == results["F"][0] and np.array_equal(adj, results["F"][1])
+    assert loss != results["C"][0] or not np.array_equal(adj, results["C"][1])
+
+
+def test_ensemble_nll_peak_memory_is_a_few_matrices():
+    # At train_wide's shape (T = 250, m = 512, 460 paths usable) the
+    # likelihood holds the usable paths' states, their returns (whose buffer
+    # takes the adjoint's quotients), z (over which the gradient is
+    # written), phi and the adjoints: under 4.5 (n + 1, m) matrices.
+    rng = np.random.default_rng(6)
+    x = np.exp(np.cumsum(rng.normal(0.0, 0.05, size=(251, 512)), axis=0))
+    alive = np.ones(512, dtype=bool)
+    alive[::10] = False
+    r_obs = np.log(x[1:, 1] / x[:-1, 1])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _ensemble_nll(r_obs, x, alive, 1e-12)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * x.nbytes
 
 
 def test_nll_drops_non_positive_paths():
