@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import ioutil
-from .errors import DataError, IngestError, NansdeError
+from .errors import DataError, IngestError, NansdeError, TrainingError
 from .grid import unit_grid
 from .integrator import NET_NAMES, NansdeModel
 from .metrics import DEFAULT_BINS, DEFAULT_PREDICTIONS, compute_report
@@ -325,12 +325,16 @@ def _flag_settings(args) -> dict:
     return {key: value for key, value in vars(args).items() if key not in ("command", "func")}
 
 
-def write_run_artifacts(
-    out_dir, cfg: ExperimentConfig, dataset: Dataset, model: NansdeModel, state: TrainState
-):
-    """Checkpoint files (one per network), ``loss.csv`` from the records, and the
-    manifest, whose warnings are the dataset's and then the training's."""
-    out_dir = pathlib.Path(out_dir)
+def fit_and_write(cfg: ExperimentConfig, dataset: Dataset) -> tuple[NansdeModel, TrainState]:
+    """``fit``, then its checkpoint files (one per network), ``loss.csv`` and the
+    manifest (warnings: the dataset's, then the training's).  An aborted fit
+    writes its best-so-far ones, with ``"status": "aborted"`` and the error, and raises it."""
+    error = None
+    try:
+        model, state = fit(dataset.path, cfg.train, cfg.init_seed, cfg.widths, cfg.clamp_ell2)
+    except TrainingError as exc:
+        model, state, error = exc.state.best_model, exc.state, exc
+    out_dir = pathlib.Path(cfg.out_dir)
     for name in NET_NAMES:
         ioutil.atomic_write_text(out_dir / f"{name}.txt", params_to_text(model.net(name)))
     ioutil.atomic_write_text(out_dir / "loss.csv", ioutil.loss_csv_text(state.records))
@@ -344,9 +348,13 @@ def write_run_artifacts(
             "best_iteration": state.best_iteration,
             "iterations": len(state.records),
             "warnings": [*dataset.warnings, *state.warnings],
+            **({} if error is None else {"status": "aborted", "error": str(error)}),
         },
         model={"widths": list(model.drift_net.widths), "clamp_ell2": model.clamp_ell2},
     )
+    if error is not None:
+        raise error
+    return model, state
 
 
 def load_checkpoint(checkpoint_dir, dataset: Dataset) -> NansdeModel:
@@ -423,10 +431,7 @@ def cmd_train(args) -> int:
     cfg = load_experiment_config(args.config)
     dataset = ingest_csv(cfg.data)
     _warn(dataset.warnings)
-    model, state = fit(
-        dataset.path, cfg.train, cfg.init_seed, widths=cfg.widths, clamp_ell2=cfg.clamp_ell2
-    )
-    write_run_artifacts(cfg.out_dir, cfg, dataset, model, state)
+    model, state = fit_and_write(cfg, dataset)
     print(
         f"trained on {dataset.name}: best loss {state.best_loss:.6g} "
         f"at iteration {state.best_iteration} ({len(state.records)} iterations)"
@@ -473,10 +478,7 @@ def cmd_compare(args) -> int:
     all_details = {}
     for label, clamp in (("nansde", False), ("sde", True)):
         sub = replace(cfg, clamp_ell2=clamp, out_dir=str(out_dir / label))
-        model, state = fit(
-            dataset.path, sub.train, sub.init_seed, widths=sub.widths, clamp_ell2=clamp
-        )
-        write_run_artifacts(sub.out_dir, sub, dataset, model, state)
+        model, state = fit_and_write(sub, dataset)
         report, details = compute_report(
             dataset.path, model, sub.eval_m, sub.eval_seed, sub.eval_bins,
             n_lags=sub.eval_lags, m_pred=sub.r2_pred,

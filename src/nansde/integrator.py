@@ -192,8 +192,10 @@ class SimTape:
     backward pass takes it off the tape and frees it.
 
     ``dz`` holds the NA-noise increments the sweep stepped with; ``dw`` is
-    kept for the ell2 gradient.  A path whose K crossed the divergence guard
-    has K = 0 from its ``death_step`` on, so its dZ there is its dW.
+    kept for the ell2 gradient; unrecorded it is None, dW having waited in
+    rows 1..n of ``x`` until the sweep overwrote them.  A path whose K crossed
+    the divergence guard has K = 0 from its ``death_step`` on, so its dZ there
+    is its dW.
 
     ``alive`` is ``death_step < 0``.  A dead column's X is 1 after its
     ``death_step``, its records past that step are unspecified, and it must
@@ -203,7 +205,7 @@ class SimTape:
     model: NansdeModel
     x: np.ndarray  # (n_steps + 1, m)
     dz: np.ndarray  # (n_steps, m)
-    dw: np.ndarray  # (n_steps, m)
+    dw: np.ndarray | None  # (n_steps, m)
     diffusion_head: np.ndarray | None  # (n_steps, m)
     death_step: np.ndarray  # (m,) int, first step X or K tripped the guard; -1 if none
 
@@ -257,7 +259,8 @@ def simulate_batch_with_tape(
     grid = model.grid
     n, dt = grid.n_steps, grid.dt
 
-    dw = np.empty((n, m))
+    # Unrecorded, dW waits in x's rows 1..n until the sweep overwrites them.
+    dw = np.empty((n, m)) if record else np.empty((n + 1, m))[1:]
     for j in range(m):
         dw[:, j] = brownian_increments(grid, base_seed.child(j))
 
@@ -265,10 +268,9 @@ def simulate_batch_with_tape(
     # Of the heads only the diffusion one is recorded: the backward pass reads no more.
     heads = np.empty((n, m)) if record else None
 
-    # x is allocated before K: in the other order the heap reuses the blocks
-    # freed by an earlier sweep less well, and three evaluations (T = 2000,
-    # 256 paths) in one process peaked 3.6 MB higher in resident memory.
-    x = np.empty((n + 1, m))
+    # A recorded x is allocated before K: in the other order the heap reuses
+    # the blocks freed by an earlier sweep less well.
+    x = np.empty((n + 1, m)) if record else dw.base
     x[0] = model.x0
     x_rows = x[:, :, None]
 
@@ -293,7 +295,7 @@ def simulate_batch_with_tape(
     for j in np.flatnonzero(death_step >= 0):
         x[death_step[j] + 1 :, j] = 1.0
 
-    return SimTape(model, x, dz, dw, heads, death_step)
+    return SimTape(model, x, dz, dw if record else None, heads, death_step)
 
 
 def simulate_ensemble(model: NansdeModel, m: int, base_seed: NoiseSeed) -> Ensemble:

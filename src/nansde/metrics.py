@@ -27,6 +27,7 @@ DEFAULT_PREDICTIONS = 64  # R^2 simulations per test index
 DEFAULT_SPLIT = 0.8
 BIN_SPAN_STDS = 5.0
 ILL_CONDITIONED = 10.0  # row sum of squares / window variance that calls for two passes
+ROW_BLOCK = 1 << 16  # entries of the row blocks that TV bins and the ACF scores at a time
 
 
 def default_lag_count(n_returns: int) -> int:
@@ -54,8 +55,8 @@ def estimate_hurst(path: Path) -> float:
 def _hurst_rows(levels: np.ndarray) -> np.ndarray:
     """:func:`estimate_hurst` of every row of an (m, n + 1) matrix of levels.
 
-    Each lag takes one pass over the whole matrix; a row's moments and fit
-    are bit-for-bit those of the row on its own.
+    Each lag's squared differences fill one reused scratch of the levels'
+    shape; a row's moments and fit are bit-for-bit those of the row on its own.
     """
     n = levels.shape[1] - 1
     if n < 64:
@@ -65,9 +66,9 @@ def _hurst_rows(levels: np.ndarray) -> np.ndarray:
     while lag <= n // 8:
         lags.append(lag)
         lag *= 2
-    moments = np.empty((levels.shape[0], len(lags)))
+    moments, scratch = np.empty((levels.shape[0], len(lags))), np.empty_like(levels)
     for j, lag in enumerate(lags):
-        diff = levels[:, lag:] - levels[:, :-lag]
+        diff = np.subtract(levels[:, lag:], levels[:, :-lag], out=scratch[:, lag:])
         diff *= diff
         moments[:, j] = np.mean(diff, axis=1)
     if np.any(moments <= 0.0):
@@ -113,28 +114,32 @@ class BinSpec:
         """Total bin count including the two overflow bins."""
         return self.k + 2
 
-    def distribution(self, samples) -> np.ndarray:
-        """Empirical probabilities of all entries of ``samples`` over the k + 2 bins."""
-        samples = np.asarray(samples, dtype=float).ravel()
-        if samples.size == 0:
-            raise ValueError("cannot bin an empty sample")
+    def distribution(self, *samples) -> np.ndarray:
+        """Empirical probabilities of all entries of the ``samples`` arrays, pooled, over
+        the k + 2 bins, binned a row block at a time (counts add up exactly)."""
         edges = np.linspace(self.lo, self.hi, self.k + 1)
-        idx = np.digitize(samples, edges)  # 0 = underflow, k+1 = overflow
-        counts = np.bincount(idx, minlength=self.k + 2)
+        counts = sum(np.bincount(np.digitize(rows, edges).ravel(), minlength=self.k + 2)
+                     for a in samples for rows in _row_blocks(a))  # 0 = under-, k+1 = overflow
+        if np.sum(counts) == 0:
+            raise ValueError("cannot bin an empty sample")
         return counts / counts.sum()
+
+
+def _row_blocks(a) -> list:
+    """Row views of ``a`` (a vector is one row): ``ROW_BLOCK`` entries at most, or one row."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    step = max(1, ROW_BLOCK // max(1, a.shape[1]))
+    return [a[i : i + step] for i in range(0, len(a), step)]
 
 
 def tv_distance(observed: LogReturnSeries, generated, bins: BinSpec) -> float:
     """Total variation between binned observed and pooled generated returns.
 
     Every row of every generated series, of any length, is pooled into one
-    sample and binned in one call.
+    sample, binned a row block at a time with no pooled copy.
     """
-    generated = list(generated)
-    if not generated:
-        raise ValueError("need at least one generated series")
     p = bins.distribution(observed.r)
-    p_hat = bins.distribution(np.concatenate([g.r for g in generated], axis=None))
+    p_hat = bins.distribution(*(g.r for g in generated))
     return 0.5 * float(np.abs(p - p_hat).sum())
 
 
@@ -149,28 +154,35 @@ def _leading_run(a: np.ndarray) -> np.ndarray:
     return np.where(differs.any(axis=1), differs.argmax(axis=1), a.shape[1])
 
 
-def _abs_corr_profiles(a: np.ndarray, s: int) -> np.ndarray:
-    """Corr(|r_t|, |r_{t+tau}|) for tau = 1..s of each row of an (m, n)
-    matrix of returns, which is overwritten.
-
-    Takes |r| in place and scores every lag of every row at once.  With
-    x = a[:n-tau] and y = a[tau:], the sums of x, x^2, y and y^2 are row
-    totals minus running sums over the last and first s columns;
-    only sum(x y) takes one pass per lag.  Rows are centred on their full
-    mean first, which leaves the correlations unchanged and keeps these
-    one-pass sums well conditioned; the (row, lag) pairs where they are not
-    are summed again in two passes.  Returns an (m, s) array.
+def _abs_corr_profiles(series, s: int) -> np.ndarray:
+    """Corr(|r_t|, |r_{t+tau}|) for tau = 1..s of every row of ``series``,
+    arrays of one length n (a vector is one row), as an (rows, s) array.
+    Rows are scored a block at a time, each block's |r| a copy, so
+    ``series`` is left as it was; a row's profile has its bits in any block.
     """
-    np.abs(a, out=a)
-    m, n = a.shape
+    blocks = [rows for a in series for rows in _row_blocks(a)]
+    n = blocks[0].shape[1]
     if n <= s:
         raise MetricError(f"series of length {n} too short for {s} lags")
     # Both windows at lag tau hold n - tau values; one is constant exactly
     # when the leading (x) or trailing (y) run of equal values covers it.
-    longest_run = int(np.maximum(_leading_run(a), _leading_run(a[:, ::-1])).max())
+    longest_run = max(int(np.maximum(_leading_run(a), _leading_run(a[:, ::-1])).max())
+                      for a in map(np.abs, blocks))
     first_bad_lag = max(1, n - longest_run)
     if first_bad_lag <= s:
         raise MetricError(f"zero variance at lag {first_bad_lag}; correlation undefined")
+    return np.concatenate([_block_profiles(np.abs(rows), s) for rows in blocks])
+
+
+def _block_profiles(a: np.ndarray, s: int) -> np.ndarray:
+    """The profiles of an (m, n) block of |r| with no constant window, which is
+    overwritten.  Every lag of every row is scored at once: with x = a[:n-tau]
+    and y = a[tau:], the sums of x, x^2, y and y^2 are row totals minus running
+    sums over the last and first s columns; only sum(x y) takes one pass per lag.
+    Rows are centred on their full mean first, which leaves the correlations
+    unchanged and keeps these one-pass sums well conditioned; the (row, lag)
+    pairs where they are not are summed again in two passes."""
+    m, n = a.shape
     a -= a.mean(axis=1, keepdims=True)
 
     head = a[:, :s]
@@ -218,7 +230,7 @@ def acf_scores(observed: LogReturnSeries, generated, s: int) -> tuple[float, flo
     Returns the plain score ||C(obs) - mean_i C(gen_i)||_2 and the variant
     with each lag scaled by ``acf_weights`` before taking the norm.  The
     mean runs over the rows of the generated series, which must share one
-    length.
+    length.  Rows are scored a row block at a time; no series is written.
     """
     generated = list(generated)
     if not generated:
@@ -228,8 +240,8 @@ def acf_scores(observed: LogReturnSeries, generated, s: int) -> tuple[float, flo
     lengths = sorted({len(g) for g in generated})
     if len(lengths) > 1:
         raise ValueError(f"generated series must share one length, got lengths {lengths}")
-    obs = _abs_corr_profiles(np.vstack([observed.r]), s)
-    gen = _abs_corr_profiles(np.vstack([g.r for g in generated]), s)
+    obs = _abs_corr_profiles([observed.r], s)
+    gen = _abs_corr_profiles([g.r for g in generated], s)
     diff = obs.sum(axis=0) / obs.shape[0] - gen.sum(axis=0) / gen.shape[0]
     plain = float(np.sqrt((diff * diff).sum()))
     weighted_diff = acf_weights(s) * diff
@@ -374,14 +386,17 @@ def compute_report(
         raise MetricError("no generated path stayed positive; return metrics undefined")
     if not positive.all():
         levels = levels[positive]
-    gen_r = levels[:, 1:] / levels[:, :-1]
-    del levels  # not read again: the returns take its place in memory
+    # The returns fill a matrix of the levels' shape: the space Hurst's scratch
+    # freed, which a later (n + 1, m) array can reuse in turn.
+    gen_r = np.divide(levels[:, 1:], levels[:, :-1], out=np.empty_like(levels)[:, 1:])
+    del levels  # not read again
     gen_returns = LogReturnSeries(np.log(gen_r, out=gen_r))
 
     bins = BinSpec.from_samples(obs_returns.r, k=n_bins)
     tv = tv_distance(obs_returns, [gen_returns], bins)
     s = n_lags or default_lag_count(len(obs_returns))
     acf, weighted_acf = acf_scores(obs_returns, [gen_returns], s)
+    del gen_r, gen_returns  # R^2 reads no ensemble path
     r2, r2_dropped = r2_score(observed, model, m_pred=m_pred, seed=seed)
 
     report = MetricReport(
@@ -402,7 +417,7 @@ def compute_report(
         "hurst_p75": float(np.percentile(hurst, 75)),
         "hurst_p95": float(np.percentile(hurst, 95)),
         "hurst_observed": estimate_hurst(observed),
-        "n_return_paths": gen_returns.r.shape[0],
+        "n_return_paths": int(positive.sum()),
         "n_diverged_paths": m_eval - hurst.size,
         "r2_dropped_predictions": r2_dropped,
     }

@@ -324,11 +324,16 @@ def fit(
     iterations have passed since the best one, or since the start while none
     was eligible (so patience 0 stops after the first iteration).  If none
     was, the returned model is the initial one and ``state.warnings`` says so.
+    A ``TrainingError`` that aborts the fit carries the state as its ``state``.
     """
     observed = log_returns(observed_path)
     state = init_state(observed_path, cfg, init_seed, widths, clamp_ell2)
-    for _ in range(cfg.max_iters):
-        train_step(state, observed, cfg)
-        if len(state.records) - 1 - state.best_iteration >= cfg.early_stop_patience:
-            break
+    try:
+        for _ in range(cfg.max_iters):
+            train_step(state, observed, cfg)
+            if len(state.records) - 1 - state.best_iteration >= cfg.early_stop_patience:
+                break
+    except TrainingError as exc:
+        exc.state = state
+        raise
     return state.best_model, state

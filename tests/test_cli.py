@@ -1,6 +1,7 @@
 """Data ingestion, experiment configs, file formats, and the four CLI
 subcommands (run in-process through ``main``)."""
 
+import dataclasses
 import json
 import math
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import nansde as nd
-from nansde import ioutil
+from nansde import integrator, ioutil, training
 from nansde.cli import (
     ingest_csv,
     load_checkpoint,
@@ -475,6 +476,46 @@ def test_train_writes_complete_artifacts(tmp_path, series_csv, capsys):
     capsys.readouterr()
     after = {p.name: p.read_bytes() for p in run_dir.iterdir()}
     assert after == before
+
+
+def test_an_aborted_train_writes_its_best_so_far_artifacts(tmp_path, series_csv, capsys,
+                                                          monkeypatch):
+    # After two iterations the guard drops below every state, so iteration 2
+    # has no usable path and aborts the fit.
+    csv, _ = series_csv
+    run_dir = tmp_path / "run"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(fast_config(csv, run_dir, max_iters=5, early_stop_patience=5)))
+    step = training.train_step
+
+    def guarded_step(state, observed, cfg):
+        if len(state.records) == 2:
+            monkeypatch.setattr(integrator, "DIVERGENCE_GUARD", 1e-300)
+        return step(state, observed, cfg)
+
+    monkeypatch.setattr(training, "train_step", guarded_step)
+    assert main(["train", "--config", str(cfg_path)]) == 1
+    error = "iteration 2: only 0 of 8 generated paths usable (need at least 2)"
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+    loss_lines = (run_dir / "loss.csv").read_text().splitlines()
+    assert len(loss_lines) == 3  # header + the two finished iterations
+    results = json.loads((run_dir / "manifest.json").read_text())["results"]
+    assert results["status"] == "aborted" and results["error"] == error
+    assert results["iterations"] == 2
+    assert results["best_loss"] == loss_lines[1 + results["best_iteration"]].split(",")[1]
+
+    # the checkpoint is the best model of the same two iterations run to the end
+    monkeypatch.undo()
+    ds = ingest_csv(csv)
+    cfg = load_experiment_config(cfg_path)
+    two = dataclasses.replace(cfg.train, max_iters=2, early_stop_patience=2)
+    best, state = nd.fit(ds.path, two, cfg.init_seed, widths=cfg.widths)
+    assert state.best_iteration == results["best_iteration"]
+    reloaded = load_checkpoint(run_dir, ds)
+    for name in ("drift", "diffusion", "ell1", "ell2"):
+        for a, b in zip(reloaded.net(name).arrays(), best.net(name).arrays()):
+            assert np.array_equal(a, b)
 
 
 def test_load_checkpoint_rejects_incomplete_directories(tmp_path, series_csv):

@@ -297,7 +297,7 @@ def test_sweep_matches_the_oracle_when_one_path_dies(monkeypatch):
 
 
 def _memory(tape):
-    """The tape's K, recomputed from its increments as the sweep builds it."""
+    """A recorded tape's K, recomputed from its increments as the sweep builds it."""
     _, ell2 = nd.kernel_values(tape.model, tape.model.grid.step_times())
     return memory_integral(ell2, tape.dw)
 
@@ -308,7 +308,7 @@ def test_sweep_kills_a_path_whose_memory_crosses_the_guard_on_the_last_step(monk
     grid = nd.unit_grid(40)
     n, seed = grid.n_steps, nd.NoiseSeed(31, 0)
     model = build_model(grid, ell2=(0.0, 50.0))
-    free = nd.simulate_batch_with_tape(model, 16, seed, record=False)
+    free = nd.simulate_batch_with_tape(model, 16, seed)
     k = np.abs(_memory(free))
     margin = k[-1] - k[:-1].max(axis=0)
     j = np.argmax(margin)
@@ -330,7 +330,7 @@ def test_sweep_ignores_the_memory_of_a_path_whose_state_died_first(monkeypatch):
     grid = nd.unit_grid(40)
     seed = nd.NoiseSeed(31, 0)
     model = build_model(grid, sigma=100.0, ell2=(0.0, 50.0))
-    plain = nd.simulate_batch_with_tape(model, 16, seed, record=False)
+    plain = nd.simulate_batch_with_tape(model, 16, seed)
     free = _memory(plain)
     j = np.argmax(np.abs(free).max(axis=0))
     guard = 0.75 * np.abs(free[:, j]).max()
@@ -342,6 +342,31 @@ def test_sweep_ignores_the_memory_of_a_path_whose_state_died_first(monkeypatch):
     assert np.all(tape.x[step + 1 :, j] == 1.0)
     assert np.array_equal(tape.dz[: k_would_die + 1, j], plain.dz[: k_would_die + 1, j])
     assert np.array_equal(tape.dz[k_would_die + 1 :, j], tape.dw[k_would_die + 1 :, j])
+
+
+def test_an_unrecorded_sweep_keeps_no_increments_and_steps_as_a_recorded_one(monkeypatch):
+    # Unrecorded, dW waits in rows 1..n of X until the sweep overwrites
+    # them, and the tape holds none.  Its X and dZ are the recorded sweep's
+    # bit for bit, also on the paths whose K crossed the guard: from there
+    # their dZ is their dW, read back before the sweep overwrote it.
+    grid = nd.unit_grid(40)
+    seed = nd.NoiseSeed(31, 0)
+    model = build_model(grid, ell1=(0.0, 0.5), ell2=(0.0, 50.0))
+    k = np.abs(_memory(nd.simulate_batch_with_tape(model, 16, seed)))
+    guard = np.median(k.max(axis=0))
+    monkeypatch.setattr(integrator, "DIVERGENCE_GUARD", guard)
+    tape = nd.simulate_batch_with_tape(model, 16, seed)
+    plain = nd.simulate_batch_with_tape(model, 16, seed, record=False)
+    assert plain.dw is None and plain.diffusion_head is None
+    assert np.array_equal(plain.x, tape.x) and np.array_equal(plain.dz, tape.dz)
+    assert np.array_equal(plain.death_step, tape.death_step)
+    crossed = integrator._first_bad_steps(k, guard)
+    assert 0 < (crossed >= 0).sum() < 16 and np.abs(tape.x).max() < guard
+    for j in np.flatnonzero(crossed >= 0):
+        r = crossed[j]
+        assert 0 < r < grid.n_steps and tape.death_step[j] == r - 1
+        assert np.array_equal(plain.dz[r:, j], tape.dw[r:, j])
+        assert not np.array_equal(plain.dz[:r, j], tape.dw[:r, j])
 
 
 def test_first_bad_steps_finds_each_columns_first_crossing():
@@ -785,8 +810,9 @@ def test_evaluation_records_nothing_and_backward_frees_the_records():
     try:
         base = tracemalloc.get_traced_memory()[0]
         nd.simulate_ensemble(model, m, nd.NoiseSeed(4, 0))
-        # x, K with dZ over its first rows, dW: one more whole (n, m) array breaks this.
-        assert tracemalloc.get_traced_memory()[1] - base < 4.75 * matrix
+        # x, which holds dW until the sweep overwrites it, and K with dZ over
+        # its first rows: one more whole (n, m) array breaks this.
+        assert tracemalloc.get_traced_memory()[1] - base < 2.75 * matrix
 
         tracemalloc.reset_peak()
         tape = nd.simulate_batch_with_tape(model, m, nd.NoiseSeed(4, 0))

@@ -4,6 +4,7 @@ absolute-return autocorrelation scores, predictive R^2, and the report."""
 import dataclasses
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -162,6 +163,25 @@ def test_tv_counts_equal_pooled_concatenation_bit_for_bit():
         assert nd.tv_distance(obs, gen, bins) == 0.5 * float(np.abs(p - p_hat).sum())
 
 
+def test_tv_bins_a_row_block_at_a_time_as_in_one_call(monkeypatch):
+    # Samples exactly on the bin edges, 7 rows in blocks of 3 (the last one
+    # ragged): the counts are those of one digitize over the whole matrix.
+    monkeypatch.setattr(metrics, "ROW_BLOCK", 3 * 12)
+    bins = nd.BinSpec(-1.0, 1.0, 8)
+    edges = np.linspace(-1.0, 1.0, 9)
+    rng = np.random.default_rng(32)
+    matrix = rng.choice(np.concatenate([edges, [-3.0, 3.0]]), size=(7, 12))
+    matrix[::2, ::3] = rng.uniform(-1.5, 1.5, size=(4, 4))
+    assert set(edges) <= set(matrix.ravel())
+    assert [rows.shape[0] for rows in metrics._row_blocks(matrix)] == [3, 3, 1]
+    p_hat = np.bincount(np.digitize(matrix.ravel(), edges), minlength=10) / matrix.size
+    assert np.array_equal(bins.distribution(matrix), p_hat)
+    obs = nd.LogReturnSeries(rng.uniform(-1.2, 1.2, 12))
+    p = np.bincount(np.digitize(obs.r, edges), minlength=10) / obs.r.size
+    tv = nd.tv_distance(obs, [nd.LogReturnSeries(matrix)], bins)
+    assert tv == 0.5 * float(np.abs(p - p_hat).sum())
+
+
 # ---------------------------------------------------------------------------
 # Autocorrelation scores
 # ---------------------------------------------------------------------------
@@ -318,6 +338,28 @@ def test_acf_zero_variance_rule_is_exact():
                 nd.acf_scores(obs, gen, n - k)
             plain, weighted = nd.acf_scores(obs, gen, n - k - 1)
             assert math.isfinite(plain) and math.isfinite(weighted)
+
+
+def test_acf_zero_variance_in_a_later_row_block_names_the_whole_matrix_lag(monkeypatch):
+    # Rows are scored in blocks of 2.  Row 1, in the first block, ends in a
+    # run of 3 equal |r| and row 5, in the third, in a run of 6: the matrix
+    # has a constant window from lag n - 6 on, and that lag is the one named.
+    n = 30
+    rng = np.random.default_rng(44)
+    obs = nd.LogReturnSeries(rng.normal(size=n))
+    healthy = [nd.LogReturnSeries(rng.standard_t(4, (7, n)) * 0.1)]
+    whole = nd.acf_scores(obs, healthy, 7)
+    monkeypatch.setattr(metrics, "ROW_BLOCK", 2 * n)
+    assert nd.acf_scores(obs, healthy, 7) == whole  # rows score alike in any block
+    matrix = rng.uniform(0.5, 1.0, (7, n)) * rng.choice([-1.0, 1.0], (7, n))
+    matrix[1, n - 3:] = 0.1 * rng.choice([-1.0, 1.0], 3)
+    matrix[5, n - 6:] = 0.1 * rng.choice([-1.0, 1.0], 6)
+    gen = [nd.LogReturnSeries(matrix)]
+    for s in (n - 3, n - 6):
+        with pytest.raises(MetricError, match=f"zero variance at lag {n - 6};"):
+            nd.acf_scores(obs, gen, s)
+    plain, weighted = nd.acf_scores(obs, gen, n - 7)
+    assert math.isfinite(plain) and math.isfinite(weighted)
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +560,26 @@ def test_compute_report_bounds_and_determinism():
     assert 1 <= details1["n_return_paths"] <= 8
     assert details1["n_diverged_paths"] == 0
     assert dataclasses.asdict(report1)  # report is a plain data record
+
+
+def test_compute_report_holds_at_most_two_path_matrices():
+    # tracemalloc sees numpy's buffers.  The ensemble's dW waits in X's rows,
+    # one scratch takes every Hurst lag's differences, and TV and the ACF
+    # read the returns a row block at a time: no more than two (n + 1, m)
+    # matrices are live at once, where there were three.
+    observed = positive_observed_path(1000, scale=0.05, seed=3)
+    model = nd.NansdeModel(*(nd.init_params((1, 20, 1), seed=3, tag=tag) for tag in range(4)),
+                           grid=observed.grid, x0=float(observed.values[0]))
+    matrix = observed.values.size * 128 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report, _ = nd.compute_report(observed, model, m_eval=128, seed=5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert report.n_lags == 100
+    assert peak < 2.3 * matrix
 
 
 def test_compute_report_skips_diverged_paths():
