@@ -36,7 +36,6 @@ from .grid import TimeGrid, unit_grid
 from .integrator import (
     DIVERGENCE_GUARD,
     SIGMA_FLOOR,
-    Ensemble,
     ModelGradients,
     NansdeModel,
     backpropagate,
@@ -70,7 +69,6 @@ from .noise import (
     FbmConfig,
     Path,
     arma_ell,
-    arma_ell_su,
     arma_noise_path,
     brownian_increments,
     fbm_increments,

@@ -478,11 +478,16 @@ def cmd_compare(args) -> int:
     all_details = {}
     for label, clamp in (("nansde", False), ("sde", True)):
         sub = replace(cfg, clamp_ell2=clamp, out_dir=str(out_dir / label))
-        model, state = fit_and_write(sub, dataset)
-        report, details = compute_report(
-            dataset.path, model, sub.eval_m, sub.eval_seed, sub.eval_bins,
-            n_lags=sub.eval_lags, m_pred=sub.r2_pred,
-        )
+        try:
+            model, state = fit_and_write(sub, dataset)
+            report, details = compute_report(
+                dataset.path, model, sub.eval_m, sub.eval_seed, sub.eval_bins,
+                n_lags=sub.eval_lags, m_pred=sub.r2_pred,
+            )
+        except NansdeError as exc:  # the legs' own files stay; the record says which failed
+            _write_manifest(out_dir / "manifest.json", "compare", cfg.manifest_settings(),
+                            results={"status": "aborted", "leg": label, "error": str(exc)})
+            raise
         rows.append((label, report))
         all_details.update((f"{label}.{key}", value) for key, value in details.items())
         print(

@@ -149,37 +149,6 @@ def kernel_values(model: NansdeModel, t: np.ndarray) -> tuple[np.ndarray, np.nda
     return ell1, ell2
 
 
-@dataclass(frozen=True)
-class Ensemble:
-    """Simulated paths sharing one grid, one column of ``values`` per path.
-
-    ``alive`` marks the paths that never tripped the divergence guard; a
-    dead column holds the placeholder 1 after the step where it diverged.
-    """
-
-    grid: TimeGrid
-    values: np.ndarray  # (n_points, m)
-    alive: np.ndarray  # (m,) bool
-
-    def __post_init__(self):
-        if self.values.ndim != 2 or self.values.shape[0] != self.grid.n_points:
-            raise ValueError(
-                f"need {self.grid.n_points} rows of path values, got shape {self.values.shape}"
-            )
-        if self.values.shape[1] < 1:
-            raise ValueError("an ensemble needs at least one path")
-        if self.alive.shape != (self.values.shape[1],):
-            raise ValueError("need one alive flag per path")
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[1]
-
-    def values_matrix(self) -> np.ndarray:
-        """The (n_points, m) value matrix, one column per path."""
-        return self.values
-
-
 @dataclass
 class SimTape:
     """Everything a backward pass needs: states, Brownian and NA-noise
@@ -192,10 +161,12 @@ class SimTape:
     backward pass takes it off the tape and frees it.
 
     ``dz`` holds the NA-noise increments the sweep stepped with; ``dw`` is
-    kept for the ell2 gradient; unrecorded it is None, dW having waited in
-    rows 1..n of ``x`` until the sweep overwrote them.  A path whose K crossed
-    the divergence guard has K = 0 from its ``death_step`` on, so its dZ there
-    is its dW.
+    kept for the ell2 gradient.  A path whose K crossed the divergence guard
+    has K = 0 from its ``death_step`` on, so its dZ there is its dW.  An
+    unrecorded tape, the one evaluation reads, holds only ``model``, ``x``
+    and ``death_step``: its ``dz``, ``dw`` and ``diffusion_head`` are None.
+    dW waited in rows 1..n of ``x`` until the sweep overwrote them, and dZ,
+    a view over K's whole matrix, goes with K.
 
     ``alive`` is ``death_step < 0``.  A dead column's X is 1 after its
     ``death_step``, its records past that step are unspecified, and it must
@@ -204,7 +175,7 @@ class SimTape:
 
     model: NansdeModel
     x: np.ndarray  # (n_steps + 1, m)
-    dz: np.ndarray  # (n_steps, m)
+    dz: np.ndarray | None  # (n_steps, m)
     dw: np.ndarray | None  # (n_steps, m)
     diffusion_head: np.ndarray | None  # (n_steps, m)
     death_step: np.ndarray  # (m,) int, first step X or K tripped the guard; -1 if none
@@ -212,6 +183,11 @@ class SimTape:
     @property
     def alive(self) -> np.ndarray:
         return self.death_step < 0
+
+    def values_matrix(self) -> np.ndarray:
+        """``x``, one column per path.  Its only reader is the bench's
+        integrator check; the package and the tests read ``x``."""
+        return self.x
 
 
 def _first_bad_steps(a: np.ndarray, guard: float) -> np.ndarray:
@@ -295,13 +271,12 @@ def simulate_batch_with_tape(
     for j in np.flatnonzero(death_step >= 0):
         x[death_step[j] + 1 :, j] = 1.0
 
-    return SimTape(model, x, dz, dw if record else None, heads, death_step)
+    return SimTape(model, x, dz if record else None, dw if record else None, heads, death_step)
 
 
-def simulate_ensemble(model: NansdeModel, m: int, base_seed: NoiseSeed) -> Ensemble:
-    """The paths of :func:`simulate_batch_with_tape`, recording nothing."""
-    tape = simulate_batch_with_tape(model, m, base_seed, record=False)
-    return Ensemble(model.grid, tape.x, tape.alive)
+def simulate_ensemble(model: NansdeModel, m: int, base_seed: NoiseSeed) -> SimTape:
+    """The unrecorded tape of :func:`simulate_batch_with_tape`: ``x`` and the deaths."""
+    return simulate_batch_with_tape(model, m, base_seed, record=False)
 
 
 @dataclass

@@ -370,13 +370,11 @@ def compute_report(
     guard, or read off a K that crossed it).
     """
     obs_returns = log_returns(observed)
-    ensemble = simulate_ensemble(
-        model, m_eval, NoiseSeed(seed, EVAL_ENSEMBLE_STREAM, DOMAIN_EVAL)
-    )
+    tape = simulate_ensemble(model, m_eval, NoiseSeed(seed, EVAL_ENSEMBLE_STREAM, DOMAIN_EVAL))
     # One C-ordered row per surviving path, as the Hurst pass needs; the
-    # ensemble's own matrix goes, so the copy costs no peak memory.
-    levels = np.ascontiguousarray(ensemble.values.T[ensemble.alive])
-    del ensemble
+    # tape's own matrix goes, so the copy costs no peak memory.
+    levels = np.ascontiguousarray(tape.x.T[tape.alive])
+    del tape
     if levels.shape[0] == 0:
         raise MetricError(f"all {m_eval} evaluation paths diverged")
 

@@ -17,8 +17,8 @@ The closed-form kernel is
     ell(u) = q e^{p u} (1 - 2q(p-q) / ((2p-q)^2 e^{2(p-q)u} - q^2))
 
 and the full two-argument kernel factors as ell(s, u) = e^{-p s} ell(u).
-Both are evaluated in a rearranged form that never exponentiates a large
-positive argument inside the bracket, so they stay accurate up to the point
+ell is evaluated in a rearranged form that never exponentiates a large
+positive argument inside the bracket, so it stays accurate up to the point
 where the overall magnitude itself leaves double range.
 """
 
@@ -227,29 +227,6 @@ def arma_ell(u, params: ArmaKernelParams):
             f"max u={u_arr.max()}"
         )
     return float(out) if u_arr.ndim == 0 else out
-
-
-def arma_ell_su(s, u, params: ArmaKernelParams):
-    """The two-argument kernel ell(s, u) = e^{-p s} ell(u) for 0 <= u <= s.
-
-    Computed as q e^{-p(s-u)} times the bracket of ell(u), i.e. the e^{p u}
-    growth is cancelled analytically against e^{-p s}, so the value stays
-    representable for arbitrarily large s as long as s - u is moderate.
-    """
-    s_arr = np.asarray(s, dtype=float)
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr < 0.0):
-        raise ValueError("u must be non-negative")
-    if np.any(s_arr < u_arr):
-        raise ValueError("the kernel requires u <= s")
-    scalar = s_arr.ndim == 0 and u_arr.ndim == 0
-    if params.q == 0.0:
-        out = np.zeros(np.broadcast_shapes(s_arr.shape, u_arr.shape))
-        return float(out) if scalar else out
-    out = params.q * np.exp(-params.p * (s_arr - u_arr)) * _kernel_bracket(u_arr, params)
-    if not np.all(np.isfinite(out)):
-        raise KernelError(f"ell(s, u) non-finite for p={params.p}, q={params.q}")
-    return float(out) if scalar else out
 
 
 def arma_noise_path(

@@ -233,7 +233,7 @@ def test_criterion_5_reductions_are_bitwise():
         clamp_ell2=True,
     )
     seed = nd.NoiseSeed(88, 0)
-    path = nd.simulate_ensemble(model, 1, seed).values_matrix()[:, 0]
+    path = nd.simulate_ensemble(model, 1, seed).x[:, 0]
 
     dw = nd.brownian_increments(grid, seed)
     x = np.array([1.0])
@@ -302,7 +302,7 @@ def test_criterion_7_trained_hurst_sanity_corridor():
             assert ens.alive.all()
             hurst[clamp].append(
                 float(np.mean([nd.estimate_hurst(nd.Path(grid, x))
-                               for x in ens.values_matrix().T]))
+                               for x in ens.x.T]))
             )
 
     median = float(np.median(hurst[False]))
@@ -332,8 +332,7 @@ def test_criterion_8_training_improves_on_frozen_model_data():
         grid=grid,
         x0=1.0,
     )
-    observed = nd.Path(grid, nd.simulate_ensemble(frozen, 1, nd.NoiseSeed(7, 0))
-                       .values_matrix()[:, 0])
+    observed = nd.Path(grid, nd.simulate_ensemble(frozen, 1, nd.NoiseSeed(7, 0)).x[:, 0])
     assert np.all(observed.values > 0.0)
     obs_r = nd.log_returns(observed)
     bins = nd.BinSpec.from_samples(obs_r.r)
@@ -341,8 +340,7 @@ def test_criterion_8_training_improves_on_frozen_model_data():
     def tv_of(model, seed):
         ens = nd.simulate_ensemble(model, 64, seed)
         assert ens.alive.all()
-        gen = [nd.log_returns(nd.Path(grid, x)) for x in ens.values_matrix().T
-               if np.all(x > 0.0)]
+        gen = [nd.log_returns(nd.Path(grid, x)) for x in ens.x.T if np.all(x > 0.0)]
         return nd.tv_distance(obs_r, gen, bins)
 
     loss_wins = tv_wins = 0
@@ -356,7 +354,7 @@ def test_criterion_8_training_improves_on_frozen_model_data():
                                   max_iters=300, early_stop_patience=300)
         def nll_of(model):
             ens = nd.simulate_ensemble(model, eval_cfg.m, eval_cfg.iteration_seed(0))
-            return _ensemble_nll(obs_r.r, ens.values, ens.alive, eval_cfg.kde_floor)[0]
+            return _ensemble_nll(obs_r.r, ens.x, ens.alive, eval_cfg.kde_floor)[0]
 
         nll_initial, nll_best = nll_of(initial), nll_of(best)
         if nll_best < nll_initial and state.best_loss < state.records[0].loss:

@@ -768,7 +768,7 @@ def test_compare_trains_both_variants(tmp_path, series_csv, capsys):
     assert any(line.startswith("sde.hurst_median ") for line in detail)
 
     top = json.loads((cmp_dir / "manifest.json").read_text())
-    assert top["command"] == "compare"
+    assert top["command"] == "compare" and "results" not in top
 
     # the sde leg reloads with the clamp intact and zero kernel values
     ds = ingest_csv(csv)
@@ -776,6 +776,36 @@ def test_compare_trains_both_variants(tmp_path, series_csv, capsys):
     assert sde_model.clamp_ell2 is True
     _, ell2 = nd.kernel_values(sde_model, ds.path.grid.step_times())
     assert np.array_equal(ell2, np.zeros(69))
+
+
+def test_an_aborted_compare_leg_writes_a_top_level_record(tmp_path, series_csv, capsys,
+                                                         monkeypatch):
+    # The nansde leg finishes; the sde leg's fit aborts at its iteration 2,
+    # after its guard drops below every state.  Both legs' own files exist,
+    # there is no comparison, and the top-level manifest names the leg.
+    csv, _ = series_csv
+    cmp_dir = tmp_path / "cmp"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(fast_config(csv, cmp_dir)))
+    step = training.train_step
+
+    def guarded_step(state, observed, cfg):
+        if state.model.clamp_ell2 and len(state.records) == 2:
+            monkeypatch.setattr(integrator, "DIVERGENCE_GUARD", 1e-300)
+        return step(state, observed, cfg)
+
+    monkeypatch.setattr(training, "train_step", guarded_step)
+    assert main(["compare", "--config", str(cfg_path)]) == 1
+    error = "iteration 2: only 0 of 8 generated paths usable (need at least 2)"
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+    legs = {leg: json.loads((cmp_dir / leg / "manifest.json").read_text())["results"]
+            for leg in ("nansde", "sde")}
+    assert "status" not in legs["nansde"] and legs["sde"]["status"] == "aborted"
+    assert not (cmp_dir / "comparison.csv").exists()
+    top = json.loads((cmp_dir / "manifest.json").read_text())
+    assert top["command"] == "compare"
+    assert top["results"] == {"status": "aborted", "leg": "sde", "error": error}
 
 
 def test_an_uneven_time_column_is_a_warning_in_every_manifest(tmp_path, series_csv, capsys):

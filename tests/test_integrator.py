@@ -117,7 +117,7 @@ def test_hand_euler_step():
 
     seed = nd.NoiseSeed(12, 0)
     dw = nd.brownian_increments(grid, seed)
-    x = nd.simulate_ensemble(model, 1, seed).values_matrix()
+    x = nd.simulate_ensemble(model, 1, seed).x
     assert x[1, 0] == b * 0.1 + 1.0 + sigma * (dw[0] - ell1[0] * 0.0 * 0.1)
 
 
@@ -141,7 +141,7 @@ def test_euler_step_hand_values():
     grid = nd.TimeGrid(n_steps=2, dt=0.1)
     model = build_model(grid, ell1=(0.0, 3.0), ell2=(0.0, 0.5))
     seed = nd.NoiseSeed(12, 0)
-    tape = nd.simulate_batch_with_tape(model, 1, seed, record=False)
+    tape = nd.simulate_batch_with_tape(model, 1, seed)
     dw = nd.brownian_increments(grid, seed)
     assert tape.dz[0, 0] == dw[0]
     assert tape.dz[1, 0] == dw[1] - 3.0 * (0.5 * dw[0]) * 0.1
@@ -167,13 +167,13 @@ def test_ensemble_columns_match_per_path_streams():
                         ell2=(0.0, 0.6))
     base = nd.NoiseSeed(77, 10)
     ens = nd.simulate_ensemble(model, 6, base)
-    assert ens.m == 6
+    assert ens.x.shape[1] == 6
     assert ens.alive.all()
     for j in range(6):
         solo = nd.simulate_ensemble(model, 1, base.child(j))
-        assert np.array_equal(ens.values_matrix()[:, j], solo.values_matrix()[:, 0])
+        assert np.array_equal(ens.x[:, j], solo.x[:, 0])
     again = nd.simulate_ensemble(model, 6, base)
-    assert np.array_equal(ens.values_matrix(), again.values_matrix())
+    assert np.array_equal(ens.x, again.x)
     with pytest.raises(ValueError):
         nd.simulate_ensemble(model, 0, base)
 
@@ -182,7 +182,7 @@ def test_ensemble_terminal_variance_of_brownian_model():
     grid = nd.unit_grid(100)
     model = brownian_model(grid, x0=0.0)
     ens = nd.simulate_ensemble(model, 200, nd.NoiseSeed(5, 0))
-    x1 = ens.values_matrix()[-1]
+    x1 = ens.x[-1]
     assert x1.var(ddof=1) == pytest.approx(1.0, rel=0.15)
 
 
@@ -245,10 +245,10 @@ def _assert_sweep_matches_oracle(model, m, seed):
     plain = nd.simulate_batch_with_tape(model, m, seed, record=False)
     for got in (tape, plain):
         assert np.array_equal(got.x, x)
-        assert np.array_equal(got.dz, dz)
         assert np.array_equal(got.alive, alive)
         assert np.array_equal(got.death_step, death_step)
-    assert plain.diffusion_head is None
+    assert np.array_equal(tape.dz, dz)
+    assert plain.dz is None and plain.diffusion_head is None
     n = model.grid.n_steps
     live = np.arange(n)[:, None] <= np.where(alive, n, death_step)
     # A contiguous (n, m) record is what the backward reads as rows without copying.
@@ -287,7 +287,7 @@ def test_sweep_matches_the_oracle_when_one_path_dies(monkeypatch):
     grid = nd.unit_grid(40)
     seed = nd.NoiseSeed(31, 0)
     model = _sweep_model(grid, (1, 3, 1))
-    peaks = np.abs(nd.simulate_ensemble(model, 16, seed).values).max(axis=0)
+    peaks = np.abs(nd.simulate_ensemble(model, 16, seed).x).max(axis=0)
     top, second = np.sort(peaks)[-2:][::-1]
     monkeypatch.setattr(integrator, "DIVERGENCE_GUARD", (top + second) / 2)
     tape = _assert_sweep_matches_oracle(model, 16, seed)
@@ -346,9 +346,10 @@ def test_sweep_ignores_the_memory_of_a_path_whose_state_died_first(monkeypatch):
 
 def test_an_unrecorded_sweep_keeps_no_increments_and_steps_as_a_recorded_one(monkeypatch):
     # Unrecorded, dW waits in rows 1..n of X until the sweep overwrites
-    # them, and the tape holds none.  Its X and dZ are the recorded sweep's
+    # them, and the tape holds no increments.  Its X is the recorded sweep's
     # bit for bit, also on the paths whose K crossed the guard: from there
-    # their dZ is their dW, read back before the sweep overwrote it.
+    # their dZ is their dW, which the unrecorded sweep reads back before it
+    # overwrites it.
     grid = nd.unit_grid(40)
     seed = nd.NoiseSeed(31, 0)
     model = build_model(grid, ell1=(0.0, 0.5), ell2=(0.0, 50.0))
@@ -357,16 +358,16 @@ def test_an_unrecorded_sweep_keeps_no_increments_and_steps_as_a_recorded_one(mon
     monkeypatch.setattr(integrator, "DIVERGENCE_GUARD", guard)
     tape = nd.simulate_batch_with_tape(model, 16, seed)
     plain = nd.simulate_batch_with_tape(model, 16, seed, record=False)
-    assert plain.dw is None and plain.diffusion_head is None
-    assert np.array_equal(plain.x, tape.x) and np.array_equal(plain.dz, tape.dz)
+    assert plain.dz is None and plain.dw is None and plain.diffusion_head is None
+    assert np.array_equal(plain.x, tape.x)
     assert np.array_equal(plain.death_step, tape.death_step)
     crossed = integrator._first_bad_steps(k, guard)
     assert 0 < (crossed >= 0).sum() < 16 and np.abs(tape.x).max() < guard
     for j in np.flatnonzero(crossed >= 0):
         r = crossed[j]
         assert 0 < r < grid.n_steps and tape.death_step[j] == r - 1
-        assert np.array_equal(plain.dz[r:, j], tape.dw[r:, j])
-        assert not np.array_equal(plain.dz[:r, j], tape.dw[:r, j])
+        assert np.array_equal(tape.dz[r:, j], tape.dw[r:, j])
+        assert not np.array_equal(tape.dz[:r, j], tape.dw[:r, j])
 
 
 def test_first_bad_steps_finds_each_columns_first_crossing():
@@ -434,7 +435,7 @@ def test_tape_reproduces_simulation_and_is_single_use():
                         ell2=(0.0, 0.5))
     seed = nd.NoiseSeed(2, 0)
     tape = nd.simulate_batch_with_tape(model, 1, seed)
-    assert np.array_equal(tape.x, nd.simulate_ensemble(model, 1, seed).values_matrix())
+    assert np.array_equal(tape.x, nd.simulate_ensemble(model, 1, seed).x)
 
     adj = np.zeros((grid.n_points, 1))
     grads = nd.backpropagate(tape, adj)
@@ -460,9 +461,9 @@ def test_sigma_bias_gradient_matches_finite_differences():
     h = 1e-6
     bias = model.diffusion_net.biases[-1]
     bias[0] += h
-    up = nd.simulate_ensemble(model, 1, seed).values_matrix()[-1, 0]
+    up = nd.simulate_ensemble(model, 1, seed).x[-1, 0]
     bias[0] -= 2 * h
-    dn = nd.simulate_ensemble(model, 1, seed).values_matrix()[-1, 0]
+    dn = nd.simulate_ensemble(model, 1, seed).x[-1, 0]
     bias[0] += h
     fd = (up - dn) / (2 * h)
     assert g == pytest.approx(fd, rel=1e-5)
@@ -484,7 +485,7 @@ def _assert_gradients_match_finite_differences(model, seed, coef, trial):
     agrees with central differences on the same increments to 1e-4."""
 
     def functional():
-        return float(coef @ nd.simulate_ensemble(model, 1, seed).values_matrix()[:, 0])
+        return float(coef @ nd.simulate_ensemble(model, 1, seed).x[:, 0])
 
     tape = nd.simulate_batch_with_tape(model, 1, seed)
     grads = nd.backpropagate(tape, coef[:, None])
@@ -809,10 +810,13 @@ def test_evaluation_records_nothing_and_backward_frees_the_records():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        nd.simulate_ensemble(model, m, nd.NoiseSeed(4, 0))
+        ensemble = nd.simulate_ensemble(model, m, nd.NoiseSeed(4, 0))
         # x, which holds dW until the sweep overwrites it, and K with dZ over
         # its first rows: one more whole (n, m) array breaks this.
         assert tracemalloc.get_traced_memory()[1] - base < 2.75 * matrix
+        # Once returned, the tape holds x alone: a dZ would keep all of K.
+        assert tracemalloc.get_traced_memory()[0] - base < 1.25 * matrix
+        del ensemble
 
         tracemalloc.reset_peak()
         tape = nd.simulate_batch_with_tape(model, m, nd.NoiseSeed(4, 0))
@@ -849,7 +853,7 @@ def test_clamped_model_equals_collapsed_two_term_scheme():
         clamp_ell2=True,
     )
     seed = nd.NoiseSeed(88, 0)
-    path = nd.simulate_ensemble(model, 1, seed).values_matrix()[:, 0]
+    path = nd.simulate_ensemble(model, 1, seed).x[:, 0]
 
     dw = nd.brownian_increments(grid, seed)
     x = np.array([1.0])
@@ -874,7 +878,7 @@ def test_ou_weak_convergence_as_dt_halves():
         grid = nd.unit_grid(n)
         model = build_model(grid, x0=x0, drift=(-1.0, 0.0), sigma=1.0)
         ens = nd.simulate_ensemble(model, m, nd.NoiseSeed(77, 0))
-        x1 = ens.values_matrix()[-1]
+        x1 = ens.x[-1]
         emp = float((x1 * x1).mean())
 
         dt = grid.dt
@@ -897,4 +901,4 @@ def test_divergence_is_reported_with_step_and_path():
 
     ens = nd.simulate_ensemble(runaway, 3, nd.NoiseSeed(1, 0))
     assert not ens.alive.any()
-    assert np.array_equal(ens.values_matrix(), tape.x)
+    assert np.array_equal(ens.x, tape.x)

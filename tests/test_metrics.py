@@ -602,7 +602,7 @@ def test_compute_report_skips_diverged_paths():
     model = build_model(observed.grid, x0=0.3, sigma=1.0)
     report, details = nd.compute_report(observed, model, m_eval=16, seed=11)
     ens = nd.simulate_ensemble(model, 16, NoiseSeed(11, EVAL_ENSEMBLE_STREAM, DOMAIN_EVAL))
-    gen = [nd.log_returns(nd.Path(observed.grid, x)) for x in ens.values.T if np.all(x > 0.0)]
+    gen = [nd.log_returns(nd.Path(observed.grid, x)) for x in ens.x.T if np.all(x > 0.0)]
     assert details["n_diverged_paths"] == 0
     assert details["n_return_paths"] == len(gen) and 0 < len(gen) < 16
     obs = nd.log_returns(observed)

@@ -207,22 +207,6 @@ def test_kernel_q_zero_returns_exact_zeros():
     assert np.array_equal(out, np.zeros(9))
 
 
-def test_kernel_factorization_ell_su():
-    # ell(s, u) = e^{-ps} * ell(u) for s > u > 0.
-    rng = np.random.default_rng(6)
-    for _ in range(200):
-        p = rng.uniform(0.1, 8.0)
-        q = p - rng.uniform(0.05, 4.0)
-        params = nd.ArmaKernelParams(p, q)
-        u = rng.uniform(0.0, 3.0)
-        s = u + rng.uniform(1e-6, 3.0)
-        direct = nd.arma_ell_su(s, u, params)
-        factored = math.exp(-p * s) * nd.arma_ell(u, params)
-        assert direct == pytest.approx(factored, rel=1e-12, abs=1e-300)
-    with pytest.raises(ValueError):
-        nd.arma_ell_su(0.5, 1.0, nd.ArmaKernelParams(2.0, 1.0))
-
-
 def test_kernel_overflow_raises():
     params = nd.ArmaKernelParams(500.0, 1.0)
     with pytest.raises(KernelError):

@@ -7,6 +7,7 @@ import pathlib
 import sys
 
 import nansde as nd
+from conftest import build_model
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
@@ -46,5 +47,6 @@ def test_every_name_the_benchmark_imports_exists():
         if not hasattr(module, name) and importlib.util.find_spec(f"{module_name}.{name}") is None:
             missing.append(f"{source}: from {module_name} import {name}")
     assert missing == []
-    # The integrator check reads the ensemble through this method.
-    assert callable(getattr(nd.Ensemble, "values_matrix", None))
+    # The integrator check reads simulate_ensemble's result through this method.
+    tape = nd.simulate_ensemble(build_model(nd.unit_grid(4)), 2, nd.NoiseSeed(1, 0))
+    assert tape.values_matrix() is tape.x

@@ -96,20 +96,21 @@ def test_kde_density_integrates_to_one():
 # ---------------------------------------------------------------------------
 
 
-def _ensemble_of(paths):
-    values = np.column_stack([p.values for p in paths])
-    return nd.Ensemble(paths[0].grid, values, np.ones(len(paths), dtype=bool))
+def _values_of(paths):
+    return np.column_stack([p.values for p in paths])
 
 
-def nll_loss(observed, ensemble, floor):
-    """The training loss of an observed series against a simulated ensemble."""
-    return _ensemble_nll(observed.r, ensemble.values, ensemble.alive, floor)[0]
+def nll_loss(observed, values, floor, alive=None):
+    """The training loss of an observed series against simulated path values,
+    one column per path (default: every path alive)."""
+    alive = np.ones(values.shape[1], dtype=bool) if alive is None else alive
+    return _ensemble_nll(observed.r, values, alive, floor)[0]
 
 
 def test_nll_degenerate_ensemble_hits_peak_density():
     observed = positive_observed_path(16, scale=0.2, seed=1)
     obs = nd.log_returns(observed)
-    ens = _ensemble_of([observed] * 4)
+    ens = _values_of([observed] * 4)
     # identical samples: zero std, floored bandwidth, density = phi(0)/h
     per_t = -(math.log(1.0 / math.sqrt(2 * math.pi)) - math.log(BANDWIDTH_FLOOR))
     assert nll_loss(obs, ens, floor=1e-12) == pytest.approx(per_t, rel=1e-12)
@@ -118,7 +119,7 @@ def test_nll_degenerate_ensemble_hits_peak_density():
 def test_nll_floor_dominates_far_observations():
     observed = positive_observed_path(16, scale=0.2, seed=1)
     far = nd.LogReturnSeries(np.full(16, 50.0))
-    ens = _ensemble_of([observed] * 4)
+    ens = _values_of([observed] * 4)
     assert nll_loss(far, ens, floor=1e-12) == pytest.approx(-math.log(1e-12), rel=1e-14)
 
 
@@ -127,10 +128,10 @@ def test_nll_is_invariant_to_path_order():
     model = build_model(grid, sigma=0.3, x0=1.0)
     ens = nd.simulate_ensemble(model, 6, nd.NoiseSeed(8, 0))
     obs = nd.log_returns(positive_observed_path(16, scale=0.2, seed=2))
-    loss = nll_loss(obs, ens, floor=1e-12)
+    loss = nll_loss(obs, ens.x, 1e-12, ens.alive)
     order = [4, 0, 5, 2, 1, 3]
-    shuffled = nd.Ensemble(ens.grid, ens.values_matrix()[:, order], ens.alive[order])
-    assert nll_loss(obs, shuffled, floor=1e-12) == pytest.approx(loss, rel=1e-13)
+    shuffled = nll_loss(obs, ens.x[:, order], 1e-12, ens.alive[order])
+    assert shuffled == pytest.approx(loss, rel=1e-13)
 
 
 def test_ensemble_nll_hands_over_one_adjoint_column_per_usable_path():
@@ -215,16 +216,15 @@ def test_nll_drops_non_positive_paths():
     keep_a = nd.Path(grid, observed.values * 1.1)
     keep_b = nd.Path(grid, observed.values * 0.9)
 
-    with_bad = nll_loss(obs, _ensemble_of([keep_a, bad, keep_b]), floor=1e-12)
-    without = nll_loss(obs, _ensemble_of([keep_a, keep_b]), floor=1e-12)
+    with_bad = nll_loss(obs, _values_of([keep_a, bad, keep_b]), floor=1e-12)
+    without = nll_loss(obs, _values_of([keep_a, keep_b]), floor=1e-12)
     assert with_bad == without
     # a diverged path is dropped the same way, whatever its values
-    ens = _ensemble_of([keep_a, observed, keep_b])
-    dead = nd.Ensemble(grid, ens.values_matrix(), np.array([True, False, True]))
-    assert nll_loss(obs, dead, floor=1e-12) == without
+    dead = _values_of([keep_a, observed, keep_b])
+    assert nll_loss(obs, dead, 1e-12, np.array([True, False, True])) == without
 
     with pytest.raises(TrainingError):
-        nll_loss(obs, _ensemble_of([keep_a, bad]), floor=1e-12)
+        nll_loss(obs, _values_of([keep_a, bad]), floor=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +342,7 @@ def test_best_model_contract_and_monotone_best():
     assert state.best_loss == min(losses)
 
     ens = nd.simulate_ensemble(best, cfg.m, cfg.iteration_seed(state.best_iteration))
-    recomputed = nll_loss(nd.log_returns(observed), ens, cfg.kde_floor)
+    recomputed = nll_loss(nd.log_returns(observed), ens.x, cfg.kde_floor, ens.alive)
     assert recomputed == pytest.approx(state.best_loss, rel=1e-12)
 
 
