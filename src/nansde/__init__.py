@@ -39,7 +39,6 @@ from .integrator import (
     ModelGradients,
     NansdeModel,
     backpropagate,
-    kernel_values,
     simulate_batch_with_tape,
     simulate_ensemble,
     softplus,

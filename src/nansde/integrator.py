@@ -20,17 +20,16 @@ networks through the package's one network forward
 (``neural.stacked_forward``): each step maps the states through both at once
 and writes the new states in place with the one X update,
 :func:`euler_x_step`.  The R^2 predictor in ``metrics`` runs on the same
-functions.  The sweep records a tape: the states, the noise, and the
-diffusion network's raw head at every (step, path) pair.  Its hidden-layer
-activations go to one reused (2, m, width) buffer per layer, and sigma to
-one reused row; neither is kept.  :func:`backpropagate` then differentiates
-any scalar functional of the paths with respect to every network parameter
-while holding the Brownian increments fixed (reparameterized gradients):
-one reverse sweep over cache-sized blocks of steps rebuilds each block's
-hidden activations and sigma from its recorded states and heads, bit for
-bit the sweep's, and reads b', sigma' and the parameter gradients off them;
-the ell networks, n rows each, are run again.  Besides the tape and the
-adjoints it holds one whole-grid matrix, K, and block-sized buffers.
+functions.  The sweep records a tape of the states, the Brownian increments
+and the diffusion network's raw heads; its hidden-layer activations and
+sigma go to reused buffers, and K, with dZ over it, is freed.
+:func:`backpropagate` then differentiates any scalar functional of the paths
+with respect to every network parameter while holding the Brownian
+increments fixed (reparameterized gradients): one reverse sweep over
+cache-sized blocks of steps rebuilds each block's hidden activations, sigma
+and dZ, bit for bit the sweep's, and reads b', sigma' and the parameter
+gradients off them; the ell networks, n rows each, are run again.  Besides
+the tape and the adjoints it holds K and block-sized buffers.
 """
 
 from __future__ import annotations
@@ -138,35 +137,19 @@ def euler_x_step(x, b, sigma, dz, dt: float, out: np.ndarray, scratch: np.ndarra
     return out
 
 
-def kernel_values(model: NansdeModel, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ell1, ell2) on an array of times; ell2 is exact zeros when clamped."""
-    rows = np.asarray(t, float).reshape(-1, 1)
-    ell1 = mlp_forward_batch(model.ell1_net, rows)[:, 0]
-    if model.clamp_ell2:
-        ell2 = np.zeros(rows.shape[0])
-    else:
-        ell2 = mlp_forward_batch(model.ell2_net, rows)[:, 0]
-    return ell1, ell2
-
-
 @dataclass
 class SimTape:
-    """Everything a backward pass needs: states, Brownian and NA-noise
-    increments, and the diffusion head the sweep stepped with.
+    """Everything a backward pass needs: states, Brownian increments, and the
+    diffusion head the sweep stepped with.
 
-    The tape keeps no hidden-layer activations, sigma or ell values: the
-    backward rebuilds them from ``x``, the head and the step times.
-    ``diffusion_head`` records the diffusion network's raw output at every
-    (step, path) pair.  It is None on a tape simulated without recording; a
-    backward pass takes it off the tape and frees it.
-
-    ``dz`` holds the NA-noise increments the sweep stepped with; ``dw`` is
-    kept for the ell2 gradient.  A path whose K crossed the divergence guard
-    has K = 0 from its ``death_step`` on, so its dZ there is its dW.  An
-    unrecorded tape, the one evaluation reads, holds only ``model``, ``x``
-    and ``death_step``: its ``dz``, ``dw`` and ``diffusion_head`` are None.
-    dW waited in rows 1..n of ``x`` until the sweep overwrote them, and dZ,
-    a view over K's whole matrix, goes with K.
+    ``dw`` is the one noise record: the tape keeps no hidden-layer
+    activations, sigma, ell values, K or dZ, which the backward rebuilds
+    from ``x``, the head, the step times and ``dw``.  ``diffusion_head`` is
+    the diffusion network's raw output at every (step, path) pair; a
+    backward pass takes it off the tape and frees it.  An unrecorded tape,
+    the one evaluation reads, holds only ``model``, ``x`` and
+    ``death_step``: its ``dw`` and ``diffusion_head`` are None, as dW waited
+    in rows 1..n of ``x`` until the sweep overwrote them.
 
     ``alive`` is ``death_step < 0``.  A dead column's X is 1 after its
     ``death_step``, its records past that step are unspecified, and it must
@@ -175,7 +158,6 @@ class SimTape:
 
     model: NansdeModel
     x: np.ndarray  # (n_steps + 1, m)
-    dz: np.ndarray | None  # (n_steps, m)
     dw: np.ndarray | None  # (n_steps, m)
     diffusion_head: np.ndarray | None  # (n_steps, m)
     death_step: np.ndarray  # (m,) int, first step X or K tripped the guard; -1 if none
@@ -204,10 +186,12 @@ def _first_bad_steps(a: np.ndarray, guard: float) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def na_noise(model: NansdeModel, grid: TimeGrid, dw: np.ndarray):
     """(dZ, k_bad) of the (n, m) Brownian increments ``dw``, with the ells on the
-    step times.  ``k_bad[j]`` is the first row r where column j's K is
-    not finite or exceeds the divergence guard, -1 if none; K is zero from row
-    r on, so dZ is dW there.  dZ is written over K's first n rows."""
-    ell1, ell2 = kernel_values(model, grid.step_times())
+    step times (a clamped ell2 is zeros).  ``k_bad[j]`` is the first row r where
+    column j's K is not finite or exceeds the divergence guard, -1 if none; K is
+    zero from row r on, so dZ is dW there.  dZ is written over K's first n rows."""
+    t_rows = grid.step_times()[:, None]
+    ell1 = mlp_forward_batch(model.ell1_net, t_rows)[:, 0]
+    ell2 = np.zeros(grid.n_steps) if model.clamp_ell2 else mlp_forward_batch(model.ell2_net, t_rows)[:, 0]
     k = memory_integral(ell2, dw)
     k_bad = _first_bad_steps(k, DIVERGENCE_GUARD)
     for j in np.flatnonzero(k_bad >= 0):
@@ -271,7 +255,7 @@ def simulate_batch_with_tape(
     for j in np.flatnonzero(death_step >= 0):
         x[death_step[j] + 1 :, j] = 1.0
 
-    return SimTape(model, x, dz if record else None, dw if record else None, heads, death_step)
+    return SimTape(model, x, dw if record else None, heads, death_step)
 
 
 def simulate_ensemble(model: NansdeModel, m: int, base_seed: NoiseSeed) -> SimTape:
@@ -317,25 +301,26 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
         kbar_k = kbar_{k+1} - xbar_{k+1} ell1 sigma dt,   kbar_n = 0,
 
     and each network's parameter gradient is a batched backward pass with
-    per-(step, path) adjoint weights.  ell1, ell2 and K, which only the
-    ell1 gradient reads, come first: from a forward of the ell networks on
-    the step times and from dW.  None reads X, so all have the sweep's bits
-    on the live paths.  Then one reverse sweep over blocks of about
-    ``BACKWARD_BLOCK_ROWS`` (step, path) rows does the rest: steps [0, s),
-    [s, 2s), ... (the last block ragged), visited last block first.  A
-    block gathers the participating columns of X, of the diffusion head
-    record, of dZ, dW and K.  It rebuilds both networks' hidden activations
-    and sigma from its states and heads with the sweep's own operations:
-    each element takes the same operations in the same order at any row
-    count, so it has the sweep's bits.  It forms each hidden layer's tanh
-    slope 1 - a^2 once and takes b' and sigma' from them.  It runs the xbar
-    recursion over its steps, from the one carried row xbar_{s1}, and both
-    parameter passes on the same rows.  It adds its direct K contributions
-    to the kbar suffix sum carried from the later blocks, and writes its
-    steps' ell1 and ell2 adjoints, each a sum over the paths.  Each
-    network's gradient is the sum of its per-block bundles, added in the
-    order the sweep visits the blocks; the ell networks' passes run last,
-    on n rows.
+    per-(step, path) adjoint weights.  ell1, ell2 and K come first: from a
+    forward of the ell networks on the step times and from dW.  None reads X,
+    so all have the sweep's bits on the live paths.  Then one reverse sweep
+    over blocks of about ``BACKWARD_BLOCK_ROWS`` (step, path) rows does the
+    rest: steps [0, s), [s, 2s), ... (the last block ragged), visited last
+    block first.  A block gathers the participating columns of X, of the
+    diffusion head record, of dW and K; it reads its K rows into the ell1
+    adjoint's factor, then writes its dZ over them as the sweep does, with
+    :func:`~nansde.noise.na_increments`.  It rebuilds both networks' hidden
+    activations and sigma from its states and heads with the sweep's own
+    operations: each element takes the same operations in the same order at
+    any row count, so it has the sweep's bits.  It forms each hidden layer's
+    tanh slope 1 - a^2 once and takes b' and sigma' from them.  It runs the
+    xbar recursion over its steps, from the one carried row xbar_{s1}, and
+    both parameter passes on the same rows.  It adds its direct K
+    contributions to the kbar suffix sum carried from the later blocks, and
+    writes its steps' ell1 and ell2 adjoints, each a sum over the paths.
+    Each network's gradient is the sum of its per-block bundles, added in
+    the order the sweep visits the blocks; the ell networks' passes run
+    last, on n rows.
     """
     if tape.diffusion_head is None:
         raise ValueError("tape holds no head record: it was simulated "
@@ -401,8 +386,13 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
         sigma_prime = (gate * raw_prime[:, 0]).reshape(-1, mv)
         sigma = _sigma(head_rows).reshape(-1, mv)
 
+        # K_k feeds X_{k+1} and K_{k+1}: on paths that never diverged, K is
+        # the sweep's.  Its ell1 factor is read before dZ is written over it.
+        dw, k_rows = take(tape.dw, s0, s1), take(k, s0, s1)
+        ell1_factor = -sigma * k_rows * dt
+        dz = na_increments(dw, ell1[s0:s1, 0], k_rows, dt)
+
         # State adjoint, swept backward through the block's steps.
-        dz, dw = take(tape.dz, s0, s1), take(tape.dw, s0, s1)
         gain = 1.0 + b_prime * dt + sigma_prime * dz
         xb = xbar[steps - size :]  # xb[i] is xbar_{s0 + i}
         for i in range(size - 1, -1, -1):
@@ -415,8 +405,7 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
             part = mlp_batch_backward(nets[i], acts[i], adj, slopes[i])
             bundles[i] = _add_into(bundles[i], part)
 
-        # K_k feeds X_{k+1} and K_{k+1}: on paths that never diverged, K is the sweep's.
-        ell1_adj[s0:s1, 0] = (xbar_next * (-sigma * take(k, s0, s1) * dt)).sum(axis=1)
+        ell1_adj[s0:s1, 0] = (xbar_next * ell1_factor).sum(axis=1)
         if ell2_acts is not None:
             # Suffix-sum the direct contributions into kbar_{k+1} for the
             # ell2 gradient.  The last block starts from no sum, not from a

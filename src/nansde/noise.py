@@ -7,10 +7,10 @@ Three noise families, all reproducible from a :class:`~nansde.rng.NoiseSeed`:
   increment covariance (``fbm_path``),
 * the NA-noise ``Z`` with its auxiliary memory process ``K``, the Markov
   pair ``dZ = dW - ell1(t) K dt``, ``dK = ell2(t) dW``.  On a grid K is
-  :func:`memory_integral` and the increments of Z are :func:`na_increments`;
+  :func:`memory_integral` and dZ, derived from dW, is :func:`na_increments`;
   the generator's Euler sweep (``nansde.integrator``) and its R^2 predictor
-  drive X with them, and ``arma_noise_path`` is the closed-form case
-  ``ell1 = exp(-p t)``, ``ell2 = ell(t)``.
+  drive X with them, its backward rebuilds them from dW block by block, and
+  ``arma_noise_path`` is the closed-form case ``ell1 = exp(-p t)``, ``ell2 = ell(t)``.
 
 The closed-form kernel is
 
@@ -78,9 +78,9 @@ def memory_integral(ell2: np.ndarray, dw: np.ndarray) -> np.ndarray:
 def na_increments(dw: np.ndarray, ell1: np.ndarray, k: np.ndarray, dt: float) -> np.ndarray:
     """The NA-noise increments dZ_k = dW_k - ell1_k K_k dt, written over K's first n rows.
 
-    ``k`` is the (n + 1, m) output of :func:`memory_integral` for the (n, m)
-    increments ``dw``; the returned (n, m) view of it holds dZ, and its last
-    row K_n is left as it was.  Where K is zero, dZ is dW bit for bit.
+    ``k`` holds K at the steps of the (n, m) ``dw`` in its first n rows: the
+    output of :func:`memory_integral` (its last row is left as it was) or any
+    block of its rows.  The returned view of it holds dZ; where K is 0, dZ is dW.
     """
     dz = k[: dw.shape[0]]
     np.multiply(ell1[:, None], dz, out=dz)

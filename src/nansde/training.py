@@ -15,7 +15,9 @@ iteration-indexed stream, so a whole run is reproducible from its config.
 Paths whose simulation diverged or went non-positive (log-returns would be
 undefined) are dropped from the estimate.  If more than 20% of an
 iteration's paths are dropped, that iteration still takes its gradient
-step but is never recorded as a best-loss improvement.
+step but is never recorded as a best-loss improvement.  A step whose density
+falls to the KDE floor scores -log(floor) and gets no gradient; each
+iteration counts them, and a best iteration with over a tenth is warned about.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .rng import NoiseSeed
 
 BANDWIDTH_FLOOR = 1e-6
 DROP_CAP = 0.2  # max fraction of dropped paths for an iteration to count
+FLOOR_WARN = 0.1  # fraction of the best iteration's steps at the KDE floor that warns
 
 DEFAULT_WIDTHS = (1, 20, 1)  # one hidden layer of 20 tanh units
 
@@ -117,13 +120,14 @@ def _nll(
     samples: np.ndarray,
     floor: float,
     bandwidths: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, np.ndarray, int]:
     """Mean negative log KDE likelihood of r_obs given per-step samples.
 
     ``samples`` has shape (T, M): row t holds the generated returns at step
-    t.  Returns the loss and its gradient with respect to every sample
-    (bandwidths held constant).  Two (T, M) buffers are made, z and phi, in
-    the layout of ``samples``; the gradient is written over z.
+    t.  Returns the loss, its gradient with respect to every sample
+    (bandwidths held constant) and the number of steps floored, whose
+    gradient is zero.  Two (T, M) buffers are made, z and phi, in the
+    layout of ``samples``; the gradient is written over z.
     """
     t_len, m = samples.shape
     if r_obs.shape != (t_len,):
@@ -143,8 +147,9 @@ def _nll(
     grad = np.negative(z, out=z)
     grad *= phi
     grad /= floored[:, None] * (t_len * m) * h[:, None] ** 2
-    grad[~(density > floor)] = 0.0
-    return loss, grad
+    floored_steps = ~(density > floor)
+    grad[floored_steps] = 0.0
+    return loss, grad, int(floored_steps.sum())
 
 
 def _ensemble_nll(
@@ -153,7 +158,7 @@ def _ensemble_nll(
     alive: np.ndarray,
     floor: float,
     bandwidths: np.ndarray | None = None,
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray, int]:
     """Mean negative log KDE likelihood of r_obs given simulated states.
 
     ``x`` is an (n_points, M) state matrix.  Only usable paths count: those
@@ -161,7 +166,7 @@ def _ensemble_nll(
     Fewer than two is an error because the KDE needs a spread.  Returns the
     loss, the usable-path mask and the gradient of the loss with respect to
     the usable paths' states: an (n_points, usable) matrix, one column per
-    usable path in path order, as :func:`backpropagate` takes it.
+    usable path in path order, as :func:`backpropagate` takes it; and the floored steps.
     """
     valid = alive & (x > 0.0).all(axis=0)
     n_valid = int(valid.sum())
@@ -176,25 +181,26 @@ def _ensemble_nll(
     xs = x[:, valid]
     returns = np.divide(xs[1:], xs[:-1])
     np.log(returns, out=returns)
-    loss, return_grad = _nll(r_obs, returns, floor, bandwidths)
+    loss, return_grad, floored = _nll(r_obs, returns, floor, bandwidths)
 
     # Chain through r_t = log X_{t+1} - log X_t into per-state adjoints; the
     # returns' buffer takes each quotient.
     adj = np.zeros_like(xs)
     adj[1:] += np.divide(return_grad, xs[1:], out=returns)
     adj[:-1] -= np.divide(return_grad, xs[:-1], out=returns)
-    return loss, valid, adj
+    return loss, valid, adj, floored
 
 
 class IterationRecord(NamedTuple):
-    """One training iteration: its loss (inf if skipped), its usable paths out of
-    m, and whether too many were dropped or a non-finite step was skipped."""
+    """One training iteration: its loss (inf if skipped), its usable paths out of m,
+    whether too many were dropped or a non-finite step was skipped, and its floored steps."""
 
     loss: float
     usable: int
     m: int
     capped: bool
     skipped: bool
+    floored: int
 
     @property
     def eligible(self) -> bool:
@@ -218,8 +224,9 @@ class TrainState:
 
     @property
     def warnings(self) -> list[str]:
-        """Each capped or skipped iteration, then why the initial networks are
-        returned: none was eligible, or iteration 0 was and most later ones capped."""
+        """Each capped or skipped iteration, a best iteration that floored over a
+        tenth of its steps, then why the initial networks are returned: none was
+        eligible, or iteration 0 was and most later ones capped."""
         lines = []
         for i, rec in enumerate(self.records):
             if rec.capped:
@@ -227,6 +234,10 @@ class TrainState:
                              "not eligible as best")
             if rec.skipped:
                 lines.append(f"iteration {i}: non-finite loss or gradient; step skipped")
+        best, steps = self.best_iteration, self.model.grid.n_steps
+        if best >= 0 and self.records[best].floored > FLOOR_WARN * steps:
+            lines.append(f"best iteration {best}: {self.records[best].floored}/{steps} steps' "
+                         "densities at the KDE floor, which scores them and gives them no gradient")
         n, capped = len(self.records), sum(rec.capped for rec in self.records)
         if self.best_iteration == -1:
             lines.append(f"no iteration of {n} was eligible as best; returning the initial networks")
@@ -272,22 +283,22 @@ def loss_and_gradients(
     cfg: TrainConfig,
     iteration: int,
     bandwidths=None,
-) -> tuple[float, ModelGradients, int]:
+) -> tuple[float, ModelGradients, int, int]:
     """Pathwise loss and full parameter gradient for one iteration's noise.
 
     Simulates the iteration's ensemble, scores it against the observed
-    returns and backpropagates through the fixed increments.  Returns the
-    loss, the gradients and the number of usable (fully positive) paths.
-    ``bandwidths`` overrides the per-step Silverman bandwidths, which pins
+    returns and backpropagates through the fixed increments.  Returns the loss,
+    the gradients, the number of usable (fully positive) paths and the number
+    of floored steps.  ``bandwidths`` overrides the per-step Silverman bandwidths, which pins
     the KDE smoothing while parameters are perturbed.
     """
     tape = simulate_batch_with_tape(model, cfg.m, cfg.iteration_seed(iteration))
     try:
-        loss, valid, adj = _ensemble_nll(observed.r, tape.x, tape.alive, cfg.kde_floor, bandwidths)
+        loss, valid, adj, floored = _ensemble_nll(observed.r, tape.x, tape.alive, cfg.kde_floor, bandwidths)
     except TrainingError as exc:
         raise TrainingError(f"iteration {iteration}: {exc}") from exc
     grads = backpropagate(tape, adj, columns=valid)
-    return loss, grads, int(valid.sum())
+    return loss, grads, int(valid.sum()), floored
 
 
 def train_step(state: TrainState, observed: LogReturnSeries, cfg: TrainConfig) -> TrainState:
@@ -297,10 +308,10 @@ def train_step(state: TrainState, observed: LogReturnSeries, cfg: TrainConfig) -
     """
     i = len(state.records)
     model = state.model
-    loss, grads, n_valid = loss_and_gradients(model, observed, cfg, i)
+    loss, grads, n_valid, floored = loss_and_gradients(model, observed, cfg, i)
     capped = (cfg.m - n_valid) > DROP_CAP * cfg.m
     skipped = not (np.isfinite(loss) and grads.all_finite())
-    record = IterationRecord(math.inf if skipped else loss, n_valid, cfg.m, capped, skipped)
+    record = IterationRecord(math.inf if skipped else loss, n_valid, cfg.m, capped, skipped, floored)
     if record.eligible and loss < state.best_loss:
         state.best_iteration = i
         state.best_model = model.copy()

@@ -50,6 +50,16 @@ def build_model(grid, x0=1.0, drift=(0.0, 0.0), sigma=1.0, ell1=(0.0, 0.0),
     )
 
 
+def ell_values(model, t):
+    """(ell1, ell2) on an array of times, each from its network's forward; a
+    clamped ell2 is zeros, as the Euler sweep takes it."""
+    rows = np.asarray(t, dtype=float).reshape(-1, 1)
+    ell1 = nd.mlp_forward_batch(model.ell1_net, rows)[:, 0]
+    if model.clamp_ell2:
+        return ell1, np.zeros(rows.shape[0])
+    return ell1, nd.mlp_forward_batch(model.ell2_net, rows)[:, 0]
+
+
 def brownian_model(grid, x0=1.0, sigma=1.0):
     """b = 0, ell1 = ell2 = 0: X is x0 plus a scaled Brownian cumulative sum."""
     return build_model(grid, x0=x0, sigma=sigma)

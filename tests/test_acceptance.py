@@ -87,13 +87,12 @@ def test_criterion_1_gradient_suite():
     returns = np.log(tape.x[1:] / tape.x[:-1])
     bandwidths = np.array([nd.silverman_bandwidth(row) for row in returns])
 
-    loss, grads, n_valid = nd.loss_and_gradients(model, obs, cfg, 0,
-                                                 bandwidths=bandwidths)
-    assert n_valid == cfg.m
+    loss, grads, n_valid, floored = nd.loss_and_gradients(model, obs, cfg, 0,
+                                                          bandwidths=bandwidths)
+    assert n_valid == cfg.m and floored == 0
 
     def loss_at(m):
-        value, _, _ = nd.loss_and_gradients(m, obs, cfg, 0, bandwidths=bandwidths)
-        return value
+        return nd.loss_and_gradients(m, obs, cfg, 0, bandwidths=bandwidths)[0]
 
     worst_loss = 0.0
     for name in model.trainable_names():

@@ -17,7 +17,7 @@ from nansde.cli import (
     main,
 )
 from nansde.errors import DataError, IngestError
-from conftest import positive_observed_path
+from conftest import ell_values, positive_observed_path
 
 
 def write_series_csv(path, values, times=None, header=None):
@@ -368,8 +368,8 @@ def test_atomic_write_creates_parents_and_leaves_no_temp(tmp_path):
 
 def test_loss_csv_tracks_running_minimum():
     # the capped row's lower loss is not a best: the column keeps 1
-    records = [nd.IterationRecord(loss, 8, 8, False, False) for loss in (3.0, 1.0, 2.0)]
-    records.append(nd.IterationRecord(0.5, 5, 8, True, False))
+    records = [nd.IterationRecord(loss, 8, 8, False, False, 0) for loss in (3.0, 1.0, 2.0)]
+    records.append(nd.IterationRecord(0.5, 5, 8, True, False, 0))
     text = ioutil.loss_csv_text(records)
     lines = text.splitlines()
     assert lines[0] == "iter,loss,best_loss"
@@ -774,7 +774,7 @@ def test_compare_trains_both_variants(tmp_path, series_csv, capsys):
     ds = ingest_csv(csv)
     sde_model = load_checkpoint(cmp_dir / "sde", ds)
     assert sde_model.clamp_ell2 is True
-    _, ell2 = nd.kernel_values(sde_model, ds.path.grid.step_times())
+    _, ell2 = ell_values(sde_model, ds.path.grid.step_times())
     assert np.array_equal(ell2, np.zeros(69))
 
 

@@ -25,6 +25,7 @@ from conftest import (
     affine_net,
     brownian_model,
     build_model,
+    ell_values,
     softplus_inverse,
     state_coefficients,
     unit_adjoint_input_gradient,
@@ -51,7 +52,7 @@ def test_model_copy_and_trainable_names():
     assert m.trainable_names() == ("drift", "diffusion", "ell1", "ell2")
     clamped = build_model(grid, ell2=(0.0, 0.5), clamp_ell2=True)
     assert clamped.trainable_names() == ("drift", "diffusion", "ell1")
-    _, ell2 = nd.kernel_values(clamped, grid.step_times())
+    _, ell2 = ell_values(clamped, grid.step_times())
     assert np.array_equal(ell2, np.zeros(grid.n_steps))
 
     c = m.copy()
@@ -77,7 +78,7 @@ def test_value_helpers_eval_the_nets():
     assert heads.shape == (2, 2, 1)
     assert heads[0, :, 0] == pytest.approx([0.5, 0.5])
     assert integrator._sigma(heads[1, :, 0]) == pytest.approx([2.0, 2.0], rel=1e-12)
-    ell1, ell2 = nd.kernel_values(m, [0.0, 0.5])
+    ell1, ell2 = ell_values(m, [0.0, 0.5])
     assert ell1 == pytest.approx([1.0, 1.0])
     assert ell2 == pytest.approx([0.7, 0.7])
 
@@ -85,6 +86,12 @@ def test_value_helpers_eval_the_nets():
 # ---------------------------------------------------------------------------
 # Simulation
 # ---------------------------------------------------------------------------
+
+
+def _dz(tape):
+    """The NA-noise increments of a recorded tape's dW, from ``na_noise``, the
+    builder the sweep calls; the tape keeps dW alone."""
+    return integrator.na_noise(tape.model, tape.model.grid, tape.dw)[0]
 
 
 def test_degenerate_model_is_shifted_brownian_motion():
@@ -100,7 +107,7 @@ def test_degenerate_model_is_shifted_brownian_motion():
     for i, inc in enumerate(dw):  # accumulate in simulation order
         expected[i + 1] = expected[i] + sigma * inc
     assert np.array_equal(tape.x[:, 0], expected)
-    assert np.array_equal(tape.dz[:, 0], dw)
+    assert np.array_equal(_dz(tape)[:, 0], dw)
 
 
 def test_hand_euler_step():
@@ -111,7 +118,7 @@ def test_hand_euler_step():
                         ell1=(0.0, 1.0), ell2=(0.0, 0.7))
     b, sigma, _, _ = state_coefficients(model, [1.0])
     b, sigma = b[0], sigma[0]
-    ell1, _ = nd.kernel_values(model, [0.0])
+    ell1, _ = ell_values(model, [0.0])
     hand = b * 0.1 + 1.0 + sigma * (0.2 - ell1[0] * 0.0 * 0.1)
     assert hand == pytest.approx(1.45, rel=1e-12)
 
@@ -142,9 +149,9 @@ def test_euler_step_hand_values():
     model = build_model(grid, ell1=(0.0, 3.0), ell2=(0.0, 0.5))
     seed = nd.NoiseSeed(12, 0)
     tape = nd.simulate_batch_with_tape(model, 1, seed)
-    dw = nd.brownian_increments(grid, seed)
-    assert tape.dz[0, 0] == dw[0]
-    assert tape.dz[1, 0] == dw[1] - 3.0 * (0.5 * dw[0]) * 0.1
+    dw, dz = nd.brownian_increments(grid, seed), _dz(tape)
+    assert dz[0, 0] == dw[0]
+    assert dz[1, 0] == dw[1] - 3.0 * (0.5 * dw[0]) * 0.1
 
 
 def test_euler_step_broadcasts_in_the_sweep_order():
@@ -203,7 +210,7 @@ def _oracle_sweep(model, m, seed):
     dw = np.empty((n, m))
     for j in range(m):
         dw[:, j] = nd.brownian_increments(grid, seed.child(j))
-    ell1, ell2 = nd.kernel_values(model, grid.step_times())
+    ell1, ell2 = ell_values(model, grid.step_times())
     x = np.empty((n + 1, m))
     dz = np.empty((n, m))
     x[0] = model.x0
@@ -234,11 +241,11 @@ def _oracle_sweep(model, m, seed):
 
 
 def _assert_sweep_matches_oracle(model, m, seed):
-    """The tape's states, increments and deaths equal the oracle's whole; its
-    diffusion head record, and the sigma the backward recomputes from it, on
-    the live (step, path) pairs: a live column's every step, a dead column's
-    steps through its death step.  What a dead column records after that is
-    unspecified.  The hidden layers and sigma are not recorded: the gradient
+    """The tape's states, dZ (built from its dW) and deaths equal the oracle's
+    whole; its diffusion head record, and the sigma the backward recomputes
+    from it, on the live (step, path) pairs: a live column's every step, a
+    dead column's steps through its death step.  What a dead column records
+    after that is unspecified.  The hidden layers and sigma are not recorded: the gradient
     oracles below check the bits the backward rebuilds them with."""
     x, dz, alive, death_step, head, sigma = _oracle_sweep(model, m, seed)
     tape = nd.simulate_batch_with_tape(model, m, seed)
@@ -247,8 +254,8 @@ def _assert_sweep_matches_oracle(model, m, seed):
         assert np.array_equal(got.x, x)
         assert np.array_equal(got.alive, alive)
         assert np.array_equal(got.death_step, death_step)
-    assert np.array_equal(tape.dz, dz)
-    assert plain.dz is None and plain.diffusion_head is None
+    assert np.array_equal(_dz(tape), dz)
+    assert not hasattr(tape, "dz") and plain.diffusion_head is None
     n = model.grid.n_steps
     live = np.arange(n)[:, None] <= np.where(alive, n, death_step)
     # A contiguous (n, m) record is what the backward reads as rows without copying.
@@ -298,7 +305,7 @@ def test_sweep_matches_the_oracle_when_one_path_dies(monkeypatch):
 
 def _memory(tape):
     """A recorded tape's K, recomputed from its increments as the sweep builds it."""
-    _, ell2 = nd.kernel_values(tape.model, tape.model.grid.step_times())
+    _, ell2 = ell_values(tape.model, tape.model.grid.step_times())
     return memory_integral(ell2, tape.dw)
 
 
@@ -309,6 +316,7 @@ def test_sweep_kills_a_path_whose_memory_crosses_the_guard_on_the_last_step(monk
     n, seed = grid.n_steps, nd.NoiseSeed(31, 0)
     model = build_model(grid, ell2=(0.0, 50.0))
     free = nd.simulate_batch_with_tape(model, 16, seed)
+    free_dz = _dz(free)
     k = np.abs(_memory(free))
     margin = k[-1] - k[:-1].max(axis=0)
     j = np.argmax(margin)
@@ -320,7 +328,7 @@ def test_sweep_kills_a_path_whose_memory_crosses_the_guard_on_the_last_step(monk
     assert not tape.alive[j] and tape.death_step[j] == n - 1
     assert tape.x[n, j] == 1.0
     # Only K_n crossed, and no step reads it: every dZ is the guard-free one.
-    assert np.array_equal(tape.dz, free.dz)
+    assert np.array_equal(_dz(tape), free_dz)
 
 
 def test_sweep_ignores_the_memory_of_a_path_whose_state_died_first(monkeypatch):
@@ -331,7 +339,7 @@ def test_sweep_ignores_the_memory_of_a_path_whose_state_died_first(monkeypatch):
     seed = nd.NoiseSeed(31, 0)
     model = build_model(grid, sigma=100.0, ell2=(0.0, 50.0))
     plain = nd.simulate_batch_with_tape(model, 16, seed)
-    free = _memory(plain)
+    free, plain_dz = _memory(plain), _dz(plain)
     j = np.argmax(np.abs(free).max(axis=0))
     guard = 0.75 * np.abs(free[:, j]).max()
     monkeypatch.setattr(integrator, "DIVERGENCE_GUARD", guard)
@@ -340,8 +348,9 @@ def test_sweep_ignores_the_memory_of_a_path_whose_state_died_first(monkeypatch):
     k_would_die = np.flatnonzero(np.abs(free[:, j]) > guard)[0] - 1
     assert 0 <= step < k_would_die
     assert np.all(tape.x[step + 1 :, j] == 1.0)
-    assert np.array_equal(tape.dz[: k_would_die + 1, j], plain.dz[: k_would_die + 1, j])
-    assert np.array_equal(tape.dz[k_would_die + 1 :, j], tape.dw[k_would_die + 1 :, j])
+    dz = _dz(tape)
+    assert np.array_equal(dz[: k_would_die + 1, j], plain_dz[: k_would_die + 1, j])
+    assert np.array_equal(dz[k_would_die + 1 :, j], tape.dw[k_would_die + 1 :, j])
 
 
 def test_an_unrecorded_sweep_keeps_no_increments_and_steps_as_a_recorded_one(monkeypatch):
@@ -358,16 +367,16 @@ def test_an_unrecorded_sweep_keeps_no_increments_and_steps_as_a_recorded_one(mon
     monkeypatch.setattr(integrator, "DIVERGENCE_GUARD", guard)
     tape = nd.simulate_batch_with_tape(model, 16, seed)
     plain = nd.simulate_batch_with_tape(model, 16, seed, record=False)
-    assert plain.dz is None and plain.dw is None and plain.diffusion_head is None
+    assert not hasattr(plain, "dz") and plain.dw is None and plain.diffusion_head is None
     assert np.array_equal(plain.x, tape.x)
     assert np.array_equal(plain.death_step, tape.death_step)
-    crossed = integrator._first_bad_steps(k, guard)
+    crossed, dz = integrator._first_bad_steps(k, guard), _dz(tape)
     assert 0 < (crossed >= 0).sum() < 16 and np.abs(tape.x).max() < guard
     for j in np.flatnonzero(crossed >= 0):
         r = crossed[j]
         assert 0 < r < grid.n_steps and tape.death_step[j] == r - 1
-        assert np.array_equal(tape.dz[r:, j], tape.dw[r:, j])
-        assert not np.array_equal(tape.dz[:r, j], tape.dw[:r, j])
+        assert np.array_equal(dz[r:, j], tape.dw[r:, j])
+        assert not np.array_equal(dz[:r, j], tape.dw[:r, j])
 
 
 def test_first_bad_steps_finds_each_columns_first_crossing():
@@ -411,17 +420,18 @@ def test_sweep_marks_a_non_finite_path_dead(monkeypatch):
         step = tape.death_step[j]
         assert np.isinf(sigma.reshape(tape.x[:-1].shape)[step, j])
         assert np.all(tape.x[step + 1 :, j] == 1.0)
-    assert np.isfinite(tape.dz).all()
+    assert np.isfinite(_dz(tape)).all()
 
     # A memory state that overflows while X stays finite kills its path too,
     # and from its death on the path steps with its dW.
     k_model = build_model(nd.TimeGrid(n_steps=10, dt=1.0), ell1=(0.0, 1e-300), ell2=(0.0, 1e308))
     tape = _assert_sweep_matches_oracle(k_model, 16, seed)
     assert tape.alive.any() and not tape.alive.all()
-    assert np.isfinite(tape.x).all() and np.isfinite(tape.dz).all()
+    dz = _dz(tape)
+    assert np.isfinite(tape.x).all() and np.isfinite(dz).all()
     for j in np.flatnonzero(~tape.alive):
         step = tape.death_step[j]
-        assert np.array_equal(tape.dz[step + 1 :, j], tape.dw[step + 1 :, j])
+        assert np.array_equal(dz[step + 1 :, j], tape.dw[step + 1 :, j])
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +558,8 @@ def _recomputed_gradients(tape, x_adjoints, columns=None, block_steps=None):
     cols = np.flatnonzero(tape.alive if columns is None else columns)
     n, dt = model.grid.n_steps, model.grid.dt
     a = np.asarray(x_adjoints, dtype=float)
-    xs, dzs, dws = tape.x[:, cols], tape.dz[:, cols], tape.dw[:, cols]
-    ell1, ell2 = nd.kernel_values(model, model.grid.step_times())
+    xs, dzs, dws = tape.x[:, cols], _dz(tape)[:, cols], tape.dw[:, cols]
+    ell1, ell2 = ell_values(model, model.grid.step_times())
     ks = np.cumsum(np.vstack((np.zeros((1, cols.size)), ell2[:, None] * dws)), axis=0)
     mv = cols.size
     ell1 = ell1[:, None]
@@ -761,10 +771,11 @@ def test_backward_peak_memory_is_block_sized():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # Its whole-grid arrays are K and (n, 1) ell adjoints; x, the head, dZ
-    # and dW are read a block at a time, sigma is rebuilt per block, and
-    # xbar and kbar carry one row from block to block.  The first layer's
-    # weights are repeated over the mv paths only, not over a block's rows.
+    # Its whole-grid arrays are K and (n, 1) ell adjoints; x, the head and
+    # dW are read a block at a time, sigma and dZ are rebuilt per block (dZ
+    # over the block's K rows), and xbar and kbar carry one row from block
+    # to block.  The first layer's weights are repeated over the mv paths
+    # only, not over a block's rows.
     assert peak < 6 * matrix
 
 
@@ -794,6 +805,43 @@ def test_backward_recomputes_the_sweeps_sigma_at_a_ragged_simd_tail(monkeypatch)
     assert np.array_equal(np.concatenate([c.reshape(-1, 13) for c in calls[::-1]]), swept)
 
 
+def test_backward_rebuilds_the_sweeps_dz_at_a_ragged_simd_tail(monkeypatch):
+    # The tape records dW, not dZ.  The sweep writes dZ over K's whole
+    # (40, 13) matrix; the backward over each block's K rows, a ragged 1 step
+    # and then 3 steps of the participating columns: 13 and 39 elements with
+    # every column live, 12 and 36 with one column killed through its K,
+    # which the backward gathers away.  None is a multiple of the 8 float64
+    # lanes of an AVX-512 register.  Every block's dZ must be the sweep's,
+    # bit for bit.
+    monkeypatch.setattr(integrator, "BACKWARD_BLOCK_ROWS", 3 * 13)
+    increments, calls = integrator.na_increments, []
+
+    def spy(*args):
+        calls.append(increments(*args).copy())
+        return calls[-1]
+
+    monkeypatch.setattr(integrator, "na_increments", spy)
+    grid = nd.unit_grid(40)
+    model = nd.NansdeModel(
+        *(nd.init_params((1, 20, 1), seed=30, tag=tag) for tag in (0, 1)),
+        affine_net(0.0, 0.05), affine_net(0.0, 50.0), grid=grid, x0=0.8,
+    )
+    seed = nd.NoiseSeed(31, 0)
+    peaks = np.abs(_memory(nd.simulate_batch_with_tape(model, 13, seed))).max(axis=0)
+    top, second = np.sort(peaks)[-2:][::-1]
+    for guard, killed in ((integrator.DIVERGENCE_GUARD, 0), ((top + second) / 2, 1)):
+        monkeypatch.setattr(integrator, "DIVERGENCE_GUARD", guard)
+        calls.clear()
+        tape = nd.simulate_batch_with_tape(model, 13, seed)
+        assert (~tape.alive).sum() == killed and np.abs(tape.x).max() < guard
+        (swept,) = calls
+        calls.clear()
+        mv = 13 - killed
+        nd.backpropagate(tape, np.ones((grid.n_points, mv)))
+        assert [c.size for c in calls] == [mv] + [3 * mv] * 13
+        assert np.array_equal(np.concatenate(calls[::-1]), swept[:, tape.alive])
+
+
 def test_evaluation_records_nothing_and_backward_frees_the_records():
     # tracemalloc sees numpy's buffers.  A width-20 model's tape records the
     # diffusion head: one (n, m) matrix that only a backward pass may hold.
@@ -821,8 +869,9 @@ def test_evaluation_records_nothing_and_backward_frees_the_records():
         tracemalloc.reset_peak()
         tape = nd.simulate_batch_with_tape(model, m, nd.NoiseSeed(4, 0))
         held = tracemalloc.get_traced_memory()[0]
-        # x, dZ over K's rows, dW and the head record, and no more.
-        assert 4.25 * matrix > held - base > records
+        # x, dW and the head record, and no more: K, with the sweep's dZ
+        # over its rows, is freed when the sweep returns.
+        assert 3.25 * matrix > held - base > records
         assert tracemalloc.get_traced_memory()[1] - base < 5 * matrix
         nd.backpropagate(tape, np.ones_like(tape.x))
         assert held - tracemalloc.get_traced_memory()[0] > 0.99 * records

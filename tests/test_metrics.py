@@ -14,7 +14,9 @@ import nansde as nd
 from nansde import integrator, metrics
 from nansde.errors import MetricError
 from nansde.rng import DOMAIN_EVAL, EVAL_ENSEMBLE_STREAM, NoiseSeed
-from conftest import brownian_path_values, build_model, positive_observed_path, state_coefficients
+from conftest import (
+    brownian_path_values, build_model, ell_values, positive_observed_path, state_coefficients,
+)
 
 # ---------------------------------------------------------------------------
 # Hurst index
@@ -396,7 +398,7 @@ def _r2_oracle(observed, model, m_pred, seed):
     r = nd.log_returns(observed).r
     idx = np.arange(int(math.floor(0.8 * r.size)), r.size)
     dt = observed.grid.dt
-    ell1, ell2 = nd.kernel_values(model, observed.grid.step_times())
+    ell1, ell2 = ell_values(model, observed.grid.step_times())
     x_t = observed.values[idx]
     b, sigma, _, _ = state_coefficients(model, x_t)
     dw = np.stack([nd.eval_generator(seed, tag=j).standard_normal(observed.grid.n_steps)

@@ -15,7 +15,7 @@ import nansde.training
 from nansde import ioutil
 from nansde.errors import DataError, TrainingError
 from nansde.training import BANDWIDTH_FLOOR, _ensemble_nll, _nll, _trainable_arrays
-from conftest import brownian_path_values, build_model, positive_observed_path
+from conftest import brownian_path_values, build_model, ell_values, positive_observed_path
 
 # ---------------------------------------------------------------------------
 # Log returns
@@ -47,7 +47,7 @@ def test_log_returns_rejects_non_positive_values():
 def _kde_log_density(samples, query, floor, bandwidth=None):
     """log p(query) under the floored KDE of one step's samples, via the training loss."""
     bandwidths = None if bandwidth is None else np.array([bandwidth])
-    loss, _ = _nll(np.array([query]), np.array([samples], dtype=float), floor, bandwidths)
+    loss, _, _ = _nll(np.array([query]), np.array([samples], dtype=float), floor, bandwidths)
     return -loss
 
 
@@ -147,7 +147,7 @@ def test_ensemble_nll_hands_over_one_adjoint_column_per_usable_path():
     usable = np.array([True, False, True, False, True, True])
     xs = x[:, usable]
     h = nd.silverman_bandwidth(np.log(xs[1:] / xs[:-1]))
-    loss, valid, adj = _ensemble_nll(obs.r, x, alive, 1e-12, h)
+    loss, valid, adj, _ = _ensemble_nll(obs.r, x, alive, 1e-12, h)
     assert np.array_equal(valid, usable)
     assert adj.shape == (17, 4)
     assert loss == _ensemble_nll(obs.r, xs, np.ones(4, dtype=bool), 1e-12, h)[0]
@@ -172,12 +172,12 @@ def test_ensemble_nll_keeps_the_fortran_order_of_its_usable_paths():
     rng = np.random.default_rng(9)
     x = np.exp(np.cumsum(rng.normal(0.0, 0.05, size=(101, 64)), axis=0))
     r_obs = rng.normal(0.0, 0.05, size=100)
-    loss, valid, adj = _ensemble_nll(r_obs, x, np.ones(64, dtype=bool), 1e-12)
+    loss, valid, adj, _ = _ensemble_nll(r_obs, x, np.ones(64, dtype=bool), 1e-12)
     assert valid.all()
     returns = np.log(x[1:] / x[:-1])
     results = {}
     for order, samples in (("F", np.asfortranarray(returns)), ("C", returns)):
-        want_loss, grad = _nll(r_obs, samples, 1e-12)
+        want_loss, grad, _ = _nll(r_obs, samples, 1e-12)
         want = np.zeros_like(x)
         want[1:] += grad / x[1:]
         want[:-1] -= grad / x[:-1]
@@ -381,8 +381,8 @@ def test_iteration_zero_warning_needs_most_later_iterations_capped(n, warned):
     model = build_model(nd.unit_grid(4))
     adam = nd.Adam([a.shape for a in _trainable_arrays(model)], lr=0.01)
     state = nd.TrainState(model=model, adam=adam, best_model=model.copy(), best_iteration=0)
-    eligible = nd.IterationRecord(1.0, 8, 8, False, False)
-    capped = nd.IterationRecord(0.5, 2, 8, True, False)
+    eligible = nd.IterationRecord(1.0, 8, 8, False, False, 0)
+    capped = nd.IterationRecord(0.5, 2, 8, True, False, 0)
     state.records = [eligible, capped, capped] + [eligible] * (n - 3)
     expected = [f"iteration {i}: 6/8 paths dropped; not eligible as best" for i in (1, 2)]
     if warned:
@@ -390,6 +390,41 @@ def test_iteration_zero_warning_needs_most_later_iterations_capped(n, warned):
                         "iterations dropped too many paths to be eligible; "
                         "returning the initial networks")
     assert state.warnings == expected
+
+
+def test_fit_warns_when_the_best_iteration_is_mostly_floored():
+    # Log-returns with a standard deviation of 2 per step, against an
+    # initial ensemble whose returns spread about 0.05: most steps' KDE
+    # densities fall to kde_floor, which scores them at -log(kde_floor) and
+    # gives them no gradient.  A tame series floors none of its steps.
+    wild = positive_observed_path(200, scale=2 * math.sqrt(200), seed=123)
+    assert nd.log_returns(wild).r.std() == pytest.approx(2.0, abs=0.01)
+    cfg = nd.TrainConfig(seed=nd.NoiseSeed(4, 0), m=32, max_iters=3, early_stop_patience=3)
+    _, state = nd.fit(wild, cfg, init_seed=104)
+    best = state.records[state.best_iteration]
+    assert state.best_iteration >= 0 and best.floored > 0.8 * 200
+    assert state.warnings[-1] == (
+        f"best iteration {state.best_iteration}: {best.floored}/200 steps' densities at the "
+        "KDE floor, which scores them and gives them no gradient"
+    )
+
+    tame = positive_observed_path(40, scale=0.1, seed=9)
+    cfg = nd.TrainConfig(seed=nd.NoiseSeed(4, 0), m=8, max_iters=4, early_stop_patience=4)
+    _, state = nd.fit(tame, cfg, init_seed=104)
+    assert [rec.floored for rec in state.records] == [0] * 4 and state.warnings == []
+
+
+@pytest.mark.parametrize("floored, warned", [(4, False), (5, True)])
+def test_floored_warning_needs_over_a_tenth_of_the_best_iterations_steps(floored, warned):
+    # 4 of 40 steps is a tenth, not more; the other iterations' counts are not read.
+    model = build_model(nd.unit_grid(40))
+    adam = nd.Adam([a.shape for a in _trainable_arrays(model)], lr=0.01)
+    state = nd.TrainState(model=model, adam=adam, best_model=model.copy(), best_iteration=1)
+    state.records = [nd.IterationRecord(loss, 8, 8, False, False, n)
+                     for loss, n in ((2.0, 40), (1.0, floored), (3.0, 40))]
+    line = (f"best iteration 1: {floored}/40 steps' densities at the KDE floor, "
+            "which scores them and gives them no gradient")
+    assert state.warnings == ([line] if warned else [])
 
 
 def test_train_step_skips_a_non_finite_step(monkeypatch):
@@ -406,9 +441,9 @@ def test_train_step_skips_a_non_finite_step(monkeypatch):
     real = nansde.training.loss_and_gradients
 
     def poisoned(*args, **kwargs):
-        loss, grads, n_valid = real(*args, **kwargs)
-        grads.bundle("diffusion").arrays()[0][0, 0] = np.nan
-        return loss, grads, n_valid
+        result = real(*args, **kwargs)
+        result[1].bundle("diffusion").arrays()[0][0, 0] = np.nan
+        return result
 
     monkeypatch.setattr(nansde.training, "loss_and_gradients", poisoned)
     params = [a.copy() for a in _trainable_arrays(state.model)]
@@ -547,5 +582,5 @@ def test_fit_clamped_keeps_ell2_frozen():
     fresh = nd.init_params((1, 3, 1), 104, tag=3)
     for a, b in zip(best.ell2_net.arrays(), fresh.arrays()):
         assert np.array_equal(a, b)
-    _, ell2 = nd.kernel_values(best, observed.grid.step_times())
+    _, ell2 = ell_values(best, observed.grid.step_times())
     assert np.array_equal(ell2, np.zeros(observed.grid.n_steps))
