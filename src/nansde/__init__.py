@@ -36,7 +36,6 @@ from .grid import TimeGrid, unit_grid
 from .integrator import (
     DIVERGENCE_GUARD,
     SIGMA_FLOOR,
-    ModelGradients,
     NansdeModel,
     backpropagate,
     simulate_batch_with_tape,

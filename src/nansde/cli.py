@@ -286,17 +286,18 @@ def dataset_block(dataset: Dataset) -> dict:
     }
 
 
-def reanchor_warnings(checkpoint_dir, evaluated: dict) -> list[str]:
-    """One line for each of ``n_points`` and ``shift`` in which the series
-    recorded in the checkpoint's manifest differs from the evaluated one,
-    compared as ``ioutil.fmt`` writes them; ``load_checkpoint`` re-anchors
-    the model to the evaluated series without a word.
+def checkpoint_warnings(checkpoint_dir, evaluated: dict) -> list[str]:
+    """One line if the checkpoint's manifest records an aborted fit, then one
+    for each of ``n_points`` and ``shift`` in which the series recorded there
+    differs from the evaluated one, compared as ``ioutil.fmt`` writes them;
+    ``load_checkpoint`` re-anchors the model to the evaluated series without a word.
     """
-    trained = ioutil.read_manifest(pathlib.Path(checkpoint_dir) / "manifest.json").get("dataset")
-    if not isinstance(trained, dict):
-        return []
+    manifest = ioutil.read_manifest(pathlib.Path(checkpoint_dir) / "manifest.json")
+    results, trained = manifest.get("results"), manifest.get("dataset")
     warnings = []
-    for key in ("n_points", "shift"):
+    if isinstance(results, dict) and results.get("status") == "aborted":
+        warnings.append(f"checkpoint is an aborted fit's best so far: {results.get('error')}")
+    for key in ("n_points", "shift") if isinstance(trained, dict) else ():
         try:
             same = key not in trained or ioutil.fmt(trained[key]) == ioutil.fmt(evaluated[key])
         except (TypeError, ValueError):  # not a number: as good as different
@@ -445,7 +446,7 @@ def cmd_evaluate(args) -> int:
     _check_lags(args.lags, dataset, "--lags")
     model = load_checkpoint(args.checkpoint, dataset)
     evaluated = dataset_block(dataset)
-    warnings = [*dataset.warnings, *reanchor_warnings(args.checkpoint, evaluated)]
+    warnings = [*dataset.warnings, *checkpoint_warnings(args.checkpoint, evaluated)]
     _warn(warnings)
     report, details = compute_report(
         dataset.path, model, args.eval_m, args.seed, args.bins,

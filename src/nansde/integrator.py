@@ -9,7 +9,8 @@ The generator is driven by the NA-noise Z of a learned memory process K,
 where b, sigma, ell1, ell2 are scalar networks and sigma is kept strictly
 positive by a softplus with a small floor.  Clamping ell2 to zero freezes
 K at zero, so dZ is dW and the system collapses to the plain SDE
-dX = b dt + sigma dW.
+dX = b dt + sigma dW.  A clamped model runs no ell network and builds no K:
+it steps on dW itself, forward and backward, and trains b and sigma alone.
 
 One batched Euler sweep simulates every path and only steps; divergence of X
 or K is found after it, and a path that left the admissible region is masked
@@ -24,12 +25,13 @@ functions.  The sweep records a tape of the states, the Brownian increments
 and the diffusion network's raw heads; its hidden-layer activations and
 sigma go to reused buffers, and K, with dZ over it, is freed.
 :func:`backpropagate` then differentiates any scalar functional of the paths
-with respect to every network parameter while holding the Brownian
-increments fixed (reparameterized gradients): one reverse sweep over
-cache-sized blocks of steps rebuilds each block's hidden activations, sigma
-and dZ, bit for bit the sweep's, and reads b', sigma' and the parameter
-gradients off them; the ell networks, n rows each, are run again.  Besides
-the tape and the adjoints it holds K and block-sized buffers.
+with respect to every trainable network's parameters, one gradient bundle
+per name of ``trainable_names()``, while holding the Brownian increments
+fixed (reparameterized gradients): one reverse sweep over cache-sized blocks
+of steps rebuilds each block's hidden activations, sigma and dZ, bit for bit
+the sweep's, and reads b', sigma' and the parameter gradients off them; the
+ell networks, n rows each, are run again.  Besides the tape and the adjoints
+it holds K (unless clamped) and block-sized buffers.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .neural import (
     stacked_forward,
     stacked_layers,
     tanh_slopes,
-    zero_gradients,
 )
 from .noise import brownian_increments, memory_integral, na_increments
 from .rng import NoiseSeed
@@ -106,10 +107,8 @@ class NansdeModel:
         return getattr(self, f"{name}_net")
 
     def trainable_names(self) -> tuple[str, ...]:
-        """Networks updated by training; the clamped ell2 stays frozen."""
-        if self.clamp_ell2:
-            return ("drift", "diffusion", "ell1")
-        return NET_NAMES
+        """Networks updated by training; under the clamp the ells stay frozen."""
+        return NET_NAMES[:2] if self.clamp_ell2 else NET_NAMES
 
     def copy(self) -> "NansdeModel":
         nets = (self.net(name).copy() for name in NET_NAMES)
@@ -128,11 +127,12 @@ def euler_x_step(x, b, sigma, dz, dt: float, out: np.ndarray, scratch: np.ndarra
 
     The Euler sweep calls it on (m,) vectors and ``metrics.r2_score`` on
     arrays that broadcast to (n_test, m_pred); ``scratch`` (shaped like
-    ``out``) receives sigma dZ.  One order of operations gives both the same bits.
+    ``out``) receives sigma dZ first, so ``dz`` may be ``out`` (a clamped
+    unrecorded sweep's dW).  One order of operations gives all the same bits.
     """
+    np.multiply(sigma, dz, out=scratch)
     np.multiply(b, dt, out=out)
     out += x
-    np.multiply(sigma, dz, out=scratch)
     out += scratch
     return out
 
@@ -186,13 +186,14 @@ def _first_bad_steps(a: np.ndarray, guard: float) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def na_noise(model: NansdeModel, grid: TimeGrid, dw: np.ndarray):
     """(dZ, k_bad) of the (n, m) Brownian increments ``dw``, with the ells on the
-    step times (a clamped ell2 is zeros).  ``k_bad[j]`` is the first row r where
-    column j's K is not finite or exceeds the divergence guard, -1 if none; K is
-    zero from row r on, so dZ is dW there.  dZ is written over K's first n rows."""
+    step times.  ``k_bad[j]`` is the first row r where column j's K is not
+    finite or exceeds the divergence guard, -1 if none; K is zero from row r
+    on, so dZ is dW there.  dZ is written over K's first n rows; clamped, it is ``dw``."""
+    if model.clamp_ell2:
+        return dw, np.full(dw.shape[1], -1)
     t_rows = grid.step_times()[:, None]
     ell1 = mlp_forward_batch(model.ell1_net, t_rows)[:, 0]
-    ell2 = np.zeros(grid.n_steps) if model.clamp_ell2 else mlp_forward_batch(model.ell2_net, t_rows)[:, 0]
-    k = memory_integral(ell2, dw)
+    k = memory_integral(mlp_forward_batch(model.ell2_net, t_rows)[:, 0], dw)
     k_bad = _first_bad_steps(k, DIVERGENCE_GUARD)
     for j in np.flatnonzero(k_bad >= 0):
         k[k_bad[j] :, j] = 0.0
@@ -234,7 +235,8 @@ def simulate_batch_with_tape(
     x[0] = model.x0
     x_rows = x[:, :, None]
 
-    # Z never reads X, so dZ is filled in whole, over K's first n rows.
+    # Z never reads X, so dZ is filled in whole, over K's first n rows; a
+    # clamped dZ is dW itself, in x's rows when unrecorded.
     dz, k_bad = na_noise(model, grid, dw)
 
     sigma, scratch = np.empty(m), np.empty(m)
@@ -263,22 +265,6 @@ def simulate_ensemble(model: NansdeModel, m: int, base_seed: NoiseSeed) -> SimTa
     return simulate_batch_with_tape(model, m, base_seed, record=False)
 
 
-@dataclass
-class ModelGradients:
-    """One gradient bundle per network, in the model's fixed order."""
-
-    drift: GradientBundle
-    diffusion: GradientBundle
-    ell1: GradientBundle
-    ell2: GradientBundle
-
-    def bundle(self, name: str) -> GradientBundle:
-        return getattr(self, name)
-
-    def all_finite(self) -> bool:
-        return all(self.bundle(name).all_finite() for name in NET_NAMES)
-
-
 def _add_into(total: GradientBundle | None, part: GradientBundle) -> GradientBundle:
     """total + part, summed into total's arrays; part itself when total is None."""
     if total is None:
@@ -288,12 +274,14 @@ def _add_into(total: GradientBundle | None, part: GradientBundle) -> GradientBun
     return total
 
 
-def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | None = None) -> ModelGradients:
+def backpropagate(tape: SimTape, x_adjoints: np.ndarray,
+                  columns: np.ndarray | None = None) -> dict[str, GradientBundle]:
     """Parameter gradients of sum_{k,i} x_adjoints[k,i] * X_k^{(j_i)}, where
     j_0 < j_1 < ... are the paths in ``columns``, an (m,) boolean mask of
     live paths (default: all of them); ``x_adjoints`` is (n_steps + 1,
-    columns.sum()).  Bad input raises ValueError and leaves the tape as it
-    was.  The Brownian increments are held fixed: a reparameterized gradient.
+    columns.sum()), one bundle per name of ``model.trainable_names()``.  Bad
+    input raises ValueError and leaves the tape as it was.  The Brownian
+    increments are held fixed: a reparameterized gradient.
 
     The reverse sweep uses the recursion
 
@@ -320,7 +308,7 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
     writes its steps' ell1 and ell2 adjoints, each a sum over the paths.
     Each network's gradient is the sum of its per-block bundles, added in
     the order the sweep visits the blocks; the ell networks' passes run
-    last, on n rows.
+    last, on n rows.  Clamped, no memory channel is run, and dZ is dW.
     """
     if tape.diffusion_head is None:
         raise ValueError("tape holds no head record: it was simulated "
@@ -344,15 +332,17 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
         """arr at steps s0..s1-1 and the participating columns."""
         return arr[s0:s1] if mv == m else np.take(arr[s0:s1], cols, axis=1)
 
-    # The ell networks on the step times, as the sweep ran them, and K: a
-    # dead path's K may overflow, but no block reads it.
-    t_rows = model.grid.step_times()[:, None]
-    ell1_acts = mlp_forward_batch_cached(model.ell1_net, t_rows)
-    ell1 = ell1_acts[-1]  # (n, 1), broadcasts over columns
-    ell2_acts = None if model.clamp_ell2 else mlp_forward_batch_cached(model.ell2_net, t_rows)
-    with np.errstate(over="ignore", invalid="ignore"):
-        k = memory_integral(np.zeros(n) if ell2_acts is None else ell2_acts[-1][:, 0], tape.dw)
-    ell1_adj, ell2_adj = np.empty((n, 1)), np.empty((n, 1))
+    # The memory channel, unless clamped: the ell networks on the step times,
+    # as the sweep ran them, and K.  A dead path's K may overflow, but no
+    # block reads it.
+    ell_names, ell_acts, k = NET_NAMES[2:], None, None
+    if not model.clamp_ell2:
+        t_rows = model.grid.step_times()[:, None]
+        ell_acts = [mlp_forward_batch_cached(model.net(name), t_rows) for name in ell_names]
+        ell1 = ell_acts[0][-1]  # (n, 1), broadcasts over columns
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = memory_integral(ell_acts[1][-1][:, 0], tape.dw)
+        ell_adj = np.empty((2, n, 1))
 
     # The tape lets go of its head record, which is freed after the sweep.
     nets = (model.drift_net, model.diffusion_net)
@@ -388,9 +378,11 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
 
         # K_k feeds X_{k+1} and K_{k+1}: on paths that never diverged, K is
         # the sweep's.  Its ell1 factor is read before dZ is written over it.
-        dw, k_rows = take(tape.dw, s0, s1), take(k, s0, s1)
-        ell1_factor = -sigma * k_rows * dt
-        dz = na_increments(dw, ell1[s0:s1, 0], k_rows, dt)
+        dw = dz = take(tape.dw, s0, s1)
+        if ell_acts is not None:
+            k_rows = take(k, s0, s1)
+            ell1_factor = -sigma * k_rows * dt
+            dz = na_increments(dw, ell1[s0:s1, 0], k_rows, dt)
 
         # State adjoint, swept backward through the block's steps.
         gain = 1.0 + b_prime * dt + sigma_prime * dz
@@ -405,8 +397,8 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
             part = mlp_batch_backward(nets[i], acts[i], adj, slopes[i])
             bundles[i] = _add_into(bundles[i], part)
 
-        ell1_adj[s0:s1, 0] = (xbar_next * ell1_factor).sum(axis=1)
-        if ell2_acts is not None:
+        if ell_acts is not None:
+            ell_adj[0, s0:s1, 0] = (xbar_next * ell1_factor).sum(axis=1)
             # Suffix-sum the direct contributions into kbar_{k+1} for the
             # ell2 gradient.  The last block starts from no sum, not from a
             # +0.0 that would flip a -0.0.
@@ -415,16 +407,13 @@ def backpropagate(tape: SimTape, x_adjoints: np.ndarray, columns: np.ndarray | N
                 k_direct[-1] += kbar[0]
             suffix = np.cumsum(k_direct[::-1], axis=0)[::-1]
             kbar_next = np.vstack((suffix[1:], np.zeros((1, mv)) if kbar is None else kbar))
-            ell2_adj[s0:s1, 0] = (kbar_next * dw).sum(axis=1)
+            ell_adj[1, s0:s1, 0] = (kbar_next * dw).sum(axis=1)
             kbar = suffix[:1]
         xbar[steps] = xb[0]
         del acts, slopes  # before the next block makes its own
     del head, hidden, k
 
-    ell1_bundle = mlp_batch_backward(model.ell1_net, ell1_acts, ell1_adj)
-    if ell2_acts is None:
-        ell2_bundle = zero_gradients(model.ell2_net)
-    else:
-        ell2_bundle = mlp_batch_backward(model.ell2_net, ell2_acts, ell2_adj)
-
-    return ModelGradients(*bundles, ell1_bundle, ell2_bundle)
+    if ell_acts is not None:
+        bundles += [mlp_batch_backward(model.net(name), acts, adj)
+                    for name, acts, adj in zip(ell_names, ell_acts, ell_adj)]
+    return dict(zip(model.trainable_names(), bundles))

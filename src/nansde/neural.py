@@ -108,13 +108,6 @@ class GradientBundle:
         return all(np.isfinite(a).all() for a in self.arrays())
 
 
-def zero_gradients(params: MlpParams) -> GradientBundle:
-    return GradientBundle(
-        [np.zeros_like(w) for w in params.weights],
-        [np.zeros_like(b) for b in params.biases],
-    )
-
-
 def stacked_layers(nets, m: int, steps: int = 1) -> list[tuple]:
     """A tuple of k networks of equal widths, stacked to run on steps x m rows at once.
 

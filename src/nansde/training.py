@@ -29,8 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError, TrainingError
-from .integrator import ModelGradients, NansdeModel, backpropagate, simulate_batch_with_tape
-from .neural import init_params
+from .integrator import NansdeModel, backpropagate, simulate_batch_with_tape
+from .neural import GradientBundle, init_params
 from .noise import Path
 from .optim import Adam
 from .rng import NoiseSeed
@@ -283,14 +283,15 @@ def loss_and_gradients(
     cfg: TrainConfig,
     iteration: int,
     bandwidths=None,
-) -> tuple[float, ModelGradients, int, int]:
-    """Pathwise loss and full parameter gradient for one iteration's noise.
+) -> tuple[float, dict[str, GradientBundle], int, int]:
+    """Pathwise loss and parameter gradient for one iteration's noise.
 
     Simulates the iteration's ensemble, scores it against the observed
     returns and backpropagates through the fixed increments.  Returns the loss,
-    the gradients, the number of usable (fully positive) paths and the number
-    of floored steps.  ``bandwidths`` overrides the per-step Silverman bandwidths, which pins
-    the KDE smoothing while parameters are perturbed.
+    the gradients (a bundle per trainable network, by name), the number of
+    usable (fully positive) paths and the number of floored steps.
+    ``bandwidths`` overrides the per-step Silverman bandwidths, which pins the
+    KDE smoothing while parameters are perturbed.
     """
     tape = simulate_batch_with_tape(model, cfg.m, cfg.iteration_seed(iteration))
     try:
@@ -310,15 +311,15 @@ def train_step(state: TrainState, observed: LogReturnSeries, cfg: TrainConfig) -
     model = state.model
     loss, grads, n_valid, floored = loss_and_gradients(model, observed, cfg, i)
     capped = (cfg.m - n_valid) > DROP_CAP * cfg.m
-    skipped = not (np.isfinite(loss) and grads.all_finite())
+    grad_bundles = [grads[name] for name in model.trainable_names()]
+    skipped = not (np.isfinite(loss) and all(bundle.all_finite() for bundle in grad_bundles))
     record = IterationRecord(math.inf if skipped else loss, n_valid, cfg.m, capped, skipped, floored)
     if record.eligible and loss < state.best_loss:
         state.best_iteration = i
         state.best_model = model.copy()
     state.records.append(record)
     if not skipped:
-        grad_arrays = [a for name in model.trainable_names() for a in grads.bundle(name).arrays()]
-        state.adam.step(_trainable_arrays(model), grad_arrays)
+        state.adam.step(_trainable_arrays(model), [a for g in grad_bundles for a in g.arrays()])
     return state
 
 

@@ -52,7 +52,7 @@ def build_model(grid, x0=1.0, drift=(0.0, 0.0), sigma=1.0, ell1=(0.0, 0.0),
 
 def ell_values(model, t):
     """(ell1, ell2) on an array of times, each from its network's forward; a
-    clamped ell2 is zeros, as the Euler sweep takes it."""
+    clamped ell2 is zeros, the plain SDE's (the sweep runs no ell network)."""
     rows = np.asarray(t, dtype=float).reshape(-1, 1)
     ell1 = nd.mlp_forward_batch(model.ell1_net, rows)[:, 0]
     if model.clamp_ell2:

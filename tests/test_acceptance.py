@@ -97,7 +97,7 @@ def test_criterion_1_gradient_suite():
     worst_loss = 0.0
     for name in model.trainable_names():
         arrays = model.net(name).arrays()
-        grad_arrays = grads.bundle(name).arrays()
+        grad_arrays = grads[name].arrays()
         for arr, garr in zip(arrays, grad_arrays):
             flat, gflat = arr.ravel(), garr.ravel()
             for i in range(flat.size):

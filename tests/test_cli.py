@@ -689,6 +689,34 @@ def test_evaluate_records_its_dataset_and_warns_on_a_reanchor(tmp_path, series_c
     assert manifest["warnings"] == [] and err == ""
 
 
+def test_evaluate_warns_on_an_aborted_fits_checkpoint(tmp_path, series_csv, capsys):
+    # An aborted train leaves its best-so-far networks with "status":
+    # "aborted" and the error in its manifest's results (the test above
+    # writes one).  evaluate scores such a checkpoint, and says so first.
+    csv, observed = series_csv
+    run_dir = tmp_path / "run"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(fast_config(csv, run_dir, max_iters=1, early_stop_patience=1)))
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    error = "iteration 2: only 0 of 8 generated paths usable (need at least 2)"
+    written = json.loads((run_dir / "manifest.json").read_text())
+    written["results"].update(status="aborted", error=error)
+    ioutil.write_manifest(run_dir / "manifest.json", written)
+    other = tmp_path / "other.csv"
+    write_series_csv(other, np.concatenate([observed.values, observed.values[-10:]]))
+    capsys.readouterr()
+
+    eval_dir = tmp_path / "ev"
+    assert main(["evaluate", "--checkpoint", str(run_dir), "--data", str(other), "--seed", "7",
+                 "--eval-m", "4", "--r2-pred", "4", "--out", str(eval_dir)]) == 0
+    warnings = json.loads((eval_dir / "manifest.json").read_text())["warnings"]
+    assert warnings == [
+        f"checkpoint is an aborted fit's best so far: {error}",
+        "checkpoint trained on a series with n_points 70, evaluated on n_points 80",
+    ]
+    assert capsys.readouterr().err == "".join(f"warning: {line}\n" for line in warnings)
+
+
 def test_evaluate_checks_lags_against_the_series_before_any_work(tmp_path, series_csv, capsys):
     # The same bound as compare's eval_lags: 70 points score at most 67 lags.
     csv, _ = series_csv

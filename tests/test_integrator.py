@@ -19,7 +19,6 @@ from nansde.neural import (
     mlp_forward_batch_cached,
     stacked_forward,
     stacked_layers,
-    zero_gradients,
 )
 from conftest import (
     affine_net,
@@ -51,7 +50,7 @@ def test_model_copy_and_trainable_names():
     m = build_model(grid, ell2=(0.0, 0.5))
     assert m.trainable_names() == ("drift", "diffusion", "ell1", "ell2")
     clamped = build_model(grid, ell2=(0.0, 0.5), clamp_ell2=True)
-    assert clamped.trainable_names() == ("drift", "diffusion", "ell1")
+    assert clamped.trainable_names() == ("drift", "diffusion")
     _, ell2 = ell_values(clamped, grid.step_times())
     assert np.array_equal(ell2, np.zeros(grid.n_steps))
 
@@ -449,8 +448,9 @@ def test_tape_reproduces_simulation_and_is_single_use():
 
     adj = np.zeros((grid.n_points, 1))
     grads = nd.backpropagate(tape, adj)
-    for name in ("drift", "diffusion", "ell1", "ell2"):
-        for arr in grads.bundle(name).arrays():
+    assert list(grads) == ["drift", "diffusion", "ell1", "ell2"]
+    for bundle in grads.values():
+        for arr in bundle.arrays():
             assert np.array_equal(arr, np.zeros_like(arr))
     with pytest.raises(ValueError, match="without recording, or it was backpropagated already"):
         nd.backpropagate(tape, adj)
@@ -466,7 +466,7 @@ def test_sigma_bias_gradient_matches_finite_differences():
     tape = nd.simulate_batch_with_tape(model, 1, seed)
     adj = np.zeros((grid.n_points, 1))
     adj[-1, 0] = 1.0
-    g = nd.backpropagate(tape, adj).bundle("diffusion").b_grads[-1][0]
+    g = nd.backpropagate(tape, adj)["diffusion"].b_grads[-1][0]
 
     h = 1e-6
     bias = model.diffusion_net.biases[-1]
@@ -500,8 +500,9 @@ def _assert_gradients_match_finite_differences(model, seed, coef, trial):
     tape = nd.simulate_batch_with_tape(model, 1, seed)
     grads = nd.backpropagate(tape, coef[:, None])
 
+    assert list(grads) == list(model.trainable_names())
     for name in model.trainable_names():
-        bundle = grads.bundle(name)
+        bundle = grads[name]
         for arr, garr in zip(model.net(name).arrays(), bundle.arrays()):
             flat, gflat = arr.ravel(), garr.ravel()
             for i in range(flat.size):
@@ -592,17 +593,16 @@ def _recomputed_gradients(tape, x_adjoints, columns=None, block_steps=None):
         part = mlp_batch_backward(model.diffusion_net, [act[rows] for act in diff_acts],
                                   sigma_adj.reshape(-1, 1))
         diffusion = part if diffusion is None else _bundle_sum(diffusion, part)
+    grads = {"drift": drift, "diffusion": diffusion}
+    if model.clamp_ell2:  # the plain SDE: the ell networks are not trained
+        return grads
     ell1_adj = (xbar[1:] * (-sigma * ks[:-1] * dt)).sum(axis=1).reshape(-1, 1)
+    ell2_adj = (kbar_next * dws).sum(axis=1).reshape(-1, 1)
     t_rows = model.grid.step_times()[:, None]
-    ell1_acts = mlp_forward_batch_cached(model.ell1_net, t_rows)
-    ell1_grads = mlp_batch_backward(model.ell1_net, ell1_acts, ell1_adj)
-    if model.clamp_ell2:
-        ell2_grads = zero_gradients(model.ell2_net)
-    else:
-        ell2_adj = (kbar_next * dws).sum(axis=1).reshape(-1, 1)
-        ell2_acts = mlp_forward_batch_cached(model.ell2_net, t_rows)
-        ell2_grads = mlp_batch_backward(model.ell2_net, ell2_acts, ell2_adj)
-    return nd.ModelGradients(drift, diffusion, ell1_grads, ell2_grads)
+    for name, adj in (("ell1", ell1_adj), ("ell2", ell2_adj)):
+        acts = mlp_forward_batch_cached(model.net(name), t_rows)
+        grads[name] = mlp_batch_backward(model.net(name), acts, adj)
+    return grads
 
 
 def _bundle_sum(total, part):
@@ -634,9 +634,9 @@ def test_rebuilt_activations_give_the_recomputed_gradients_bit_for_bit(monkeypat
                 part = adj[:, tape.alive if columns is None else columns]
                 expected = _recomputed_gradients(tape, part, columns)
                 grads = nd.backpropagate(tape, part, columns=columns)
-                for name in integrator.NET_NAMES:
-                    for got, want in zip(grads.bundle(name).arrays(),
-                                         expected.bundle(name).arrays()):
+                assert list(grads) == list(expected) == list(model.trainable_names())
+                for name in expected:
+                    for got, want in zip(grads[name].arrays(), expected[name].arrays()):
                         assert np.array_equal(got, want), (widths, clamp, name)
 
 
@@ -658,8 +658,9 @@ def test_rebuilt_activations_keep_their_bits_at_a_ragged_simd_tail(monkeypatch, 
     adj = np.random.default_rng(22).standard_normal(tape.x.shape)
     expected = _recomputed_gradients(tape, adj, block_steps=3)
     grads = nd.backpropagate(tape, adj)
-    for name in integrator.NET_NAMES:
-        for got, want in zip(grads.bundle(name).arrays(), expected.bundle(name).arrays()):
+    assert list(grads) == list(expected) == list(integrator.NET_NAMES)
+    for name in expected:
+        for got, want in zip(grads[name].arrays(), expected[name].arrays()):
             assert np.array_equal(got, want), (widths, name)
 
 
@@ -689,10 +690,11 @@ def test_blocked_backward_is_the_recomputed_gradients_added_block_by_block(monke
                 expected = _recomputed_gradients(tape, part, columns, block_steps=3)
                 one_block = _recomputed_gradients(tape, part, columns)
                 grads = nd.backpropagate(tape, part, columns=columns)
-                for name in integrator.NET_NAMES:
-                    for got, want, whole in zip(grads.bundle(name).arrays(),
-                                                expected.bundle(name).arrays(),
-                                                one_block.bundle(name).arrays()):
+                assert list(grads) == list(expected) == list(model.trainable_names())
+                for name in expected:
+                    for got, want, whole in zip(grads[name].arrays(),
+                                                expected[name].arrays(),
+                                                one_block[name].arrays()):
                         assert np.array_equal(got, want), (widths, clamp, name)
                         differs_from_one_block |= not np.array_equal(got, whole)
     # The order of the block sums is visible in the bits.
@@ -744,8 +746,9 @@ def test_backward_refuses_bad_columns_and_leaves_the_tape_usable(monkeypatch, ca
     assert tape.diffusion_head is not None
     grads = nd.backpropagate(tape, adj[:, :2], columns=mask)
     fresh = nd.backpropagate(nd.simulate_batch_with_tape(model, 16, seed), adj[:, :2], columns=mask)
-    for name in integrator.NET_NAMES:
-        for got, want in zip(grads.bundle(name).arrays(), fresh.bundle(name).arrays()):
+    assert list(grads) == list(fresh) == list(integrator.NET_NAMES)
+    for name in fresh:
+        for got, want in zip(grads[name].arrays(), fresh[name].arrays()):
             assert np.array_equal(got, want), name
 
 
@@ -847,37 +850,40 @@ def test_evaluation_records_nothing_and_backward_frees_the_records():
     # diffusion head: one (n, m) matrix that only a backward pass may hold.
     # Sigma is recomputed from it, and the hidden layers are rebuilt, never
     # recorded: one (n, m, width) record of them would be 20 more matrices.
+    # A clamped model has no K, so its sweeps have tighter bounds.
     grid = nd.unit_grid(500)
     m = 64
-    model = nd.NansdeModel(
-        *(nd.init_params((1, 20, 1), seed=3, tag=tag) for tag in range(4)),
-        grid=grid, x0=1.0,
-    )
     matrix = grid.n_points * m * 8
     records = grid.n_steps * m * 8
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        ensemble = nd.simulate_ensemble(model, m, nd.NoiseSeed(4, 0))
-        # x, which holds dW until the sweep overwrites it, and K with dZ over
-        # its first rows: one more whole (n, m) array breaks this.
-        assert tracemalloc.get_traced_memory()[1] - base < 2.75 * matrix
-        # Once returned, the tape holds x alone: a dZ would keep all of K.
-        assert tracemalloc.get_traced_memory()[0] - base < 1.25 * matrix
-        del ensemble
+    for clamp, ensemble_bound, sweep_bound in ((False, 2.75, 5), (True, 1.5, 3.5)):
+        model = nd.NansdeModel(
+            *(nd.init_params((1, 20, 1), seed=3, tag=tag) for tag in range(4)),
+            grid=grid, x0=1.0, clamp_ell2=clamp,
+        )
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ensemble = nd.simulate_ensemble(model, m, nd.NoiseSeed(4, 0))
+            # x, which holds dW until the sweep overwrites it, and K with dZ
+            # over its first rows: one more whole (n, m) array breaks this.
+            # A clamped sweep steps on the dW in x's rows.
+            assert tracemalloc.get_traced_memory()[1] - base < ensemble_bound * matrix, clamp
+            # Once returned, the tape holds x alone: a dZ would keep all of K.
+            assert tracemalloc.get_traced_memory()[0] - base < 1.25 * matrix
+            del ensemble
 
-        tracemalloc.reset_peak()
-        tape = nd.simulate_batch_with_tape(model, m, nd.NoiseSeed(4, 0))
-        held = tracemalloc.get_traced_memory()[0]
-        # x, dW and the head record, and no more: K, with the sweep's dZ
-        # over its rows, is freed when the sweep returns.
-        assert 3.25 * matrix > held - base > records
-        assert tracemalloc.get_traced_memory()[1] - base < 5 * matrix
-        nd.backpropagate(tape, np.ones_like(tape.x))
-        assert held - tracemalloc.get_traced_memory()[0] > 0.99 * records
-    finally:
-        tracemalloc.stop()
-    assert tape.diffusion_head is None
+            tracemalloc.reset_peak()
+            tape = nd.simulate_batch_with_tape(model, m, nd.NoiseSeed(4, 0))
+            held = tracemalloc.get_traced_memory()[0]
+            # x, dW and the head record, and no more: K, with the sweep's dZ
+            # over its rows, is freed when the sweep returns.
+            assert 3.25 * matrix > held - base > records
+            assert tracemalloc.get_traced_memory()[1] - base < sweep_bound * matrix, clamp
+            nd.backpropagate(tape, np.ones_like(tape.x))
+            assert held - tracemalloc.get_traced_memory()[0] > 0.99 * records
+        finally:
+            tracemalloc.stop()
+        assert tape.diffusion_head is None
     with pytest.raises(ValueError):
         nd.backpropagate(nd.simulate_batch_with_tape(model, 2, nd.NoiseSeed(4, 0), record=False),
                          np.ones((grid.n_points, 2)))
@@ -888,30 +894,44 @@ def test_evaluation_records_nothing_and_backward_frees_the_records():
 # ---------------------------------------------------------------------------
 
 
-def test_clamped_model_equals_collapsed_two_term_scheme():
-    # With the memory channel clamped to zero the engine must reproduce,
-    # bit for bit, the plain dX = b dt + sigma dW loop on the same noise.
-    grid = nd.unit_grid(64)
-    model = nd.NansdeModel(
-        drift_net=nd.init_params((1, 20, 1), seed=7, tag=0),
-        diffusion_net=nd.init_params((1, 20, 1), seed=7, tag=1),
-        ell1_net=nd.init_params((1, 20, 1), seed=7, tag=2),
-        ell2_net=nd.init_params((1, 20, 1), seed=7, tag=3),
-        grid=grid,
-        x0=1.0,
-        clamp_ell2=True,
-    )
-    seed = nd.NoiseSeed(88, 0)
-    path = nd.simulate_ensemble(model, 1, seed).x[:, 0]
+def test_clamped_model_runs_no_memory_channel(monkeypatch):
+    # Under the clamp the model is the plain SDE (criterion 5(a) checks its
+    # bits): dZ is dW itself, no K dies, and neither the sweep nor the
+    # backward runs an ell network.  The unclamped model runs both ells
+    # forward and backward through the same spies.
+    runs = []
 
-    dw = nd.brownian_increments(grid, seed)
-    x = np.array([1.0])
-    collapsed = [1.0]
-    for step in range(grid.n_steps):
-        b, sigma, _, _ = state_coefficients(model, x)
-        x = x + (b - 0.0) * grid.dt + sigma * dw[step]
-        collapsed.append(float(x[0]))
-    assert np.array_equal(path, np.array(collapsed))
+    def spy(name):
+        real = getattr(integrator, name)
+
+        def wrapper(params, *args, **kwargs):
+            runs.append((name, params))
+            return real(params, *args, **kwargs)
+        return wrapper
+
+    for name in ("mlp_forward_batch", "mlp_forward_batch_cached", "mlp_batch_backward"):
+        monkeypatch.setattr(integrator, name, spy(name))
+    grid = nd.unit_grid(30)
+    seed = nd.NoiseSeed(88, 0)
+    for clamp in (True, False):
+        model = nd.NansdeModel(
+            *(nd.init_params((1, 20, 1), seed=7, tag=tag) for tag in range(4)),
+            grid=grid, x0=1.0, clamp_ell2=clamp,
+        )
+        dw = np.stack([nd.brownian_increments(grid, seed.child(j)) for j in range(5)], axis=1)
+        dz, k_bad = integrator.na_noise(model, grid, dw)
+        assert (dz is dw) == clamp
+        assert np.array_equal(k_bad, np.full(5, -1))
+        runs.clear()
+        tape = nd.simulate_batch_with_tape(model, 5, seed)
+        grads = nd.backpropagate(tape, np.ones_like(tape.x))
+        ells = {name for name, params in runs
+                if params is model.ell1_net or params is model.ell2_net}
+        assert list(grads) == list(model.trainable_names())
+        if clamp:
+            assert ells == set() and list(grads) == ["drift", "diffusion"]
+        else:
+            assert ells == {"mlp_forward_batch", "mlp_forward_batch_cached", "mlp_batch_backward"}
 
 
 def test_ou_weak_convergence_as_dt_halves():

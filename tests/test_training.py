@@ -442,7 +442,7 @@ def test_train_step_skips_a_non_finite_step(monkeypatch):
 
     def poisoned(*args, **kwargs):
         result = real(*args, **kwargs)
-        result[1].bundle("diffusion").arrays()[0][0, 0] = np.nan
+        result[1]["diffusion"].arrays()[0][0, 0] = np.nan
         return result
 
     monkeypatch.setattr(nansde.training, "loss_and_gradients", poisoned)
@@ -579,8 +579,13 @@ def test_fit_clamped_keeps_ell2_frozen():
                          early_stop_patience=4)
     best, state = nd.fit(observed, cfg, init_seed=104, widths=(1, 3, 1),
                          clamp_ell2=True)
-    fresh = nd.init_params((1, 3, 1), 104, tag=3)
-    for a, b in zip(best.ell2_net.arrays(), fresh.arrays()):
-        assert np.array_equal(a, b)
+    # The plain SDE trains drift and diffusion alone: both ells keep their
+    # init, and Adam holds moments for the 2 x 4 arrays of the two networks.
+    for model in (best, state.model):
+        for name, tag in (("ell1", 2), ("ell2", 3)):
+            fresh = nd.init_params((1, 3, 1), 104, tag=tag)
+            for a, b in zip(model.net(name).arrays(), fresh.arrays()):
+                assert np.array_equal(a, b)
+    assert len(state.adam.m) == len(state.adam.v) == 8
     _, ell2 = ell_values(best, observed.grid.step_times())
     assert np.array_equal(ell2, np.zeros(observed.grid.n_steps))
